@@ -9,12 +9,14 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .chunkers import (
     ChunkerConfig,
@@ -104,7 +106,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         "seed": 7,
         "k_list": [1, 3, 5, 10],
         "query_sample": 100,
-        "jobs": 1,
+        "jobs": DEFAULT_CONCURRENCY,
         "embedder": dict(_DEFAULT_EMBEDDER),
         "grid": None,
         "stitch": {"target_sentences": 100},
@@ -264,14 +266,29 @@ def _eligible_queries(
     return eligible, len(queries) - len(eligible)
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Write to a temp file beside path that replaces path once fully written.
+
+    An interrupted writer leaves path as it was, never half written.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
@@ -364,86 +381,71 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     records: list[EvalRecord] = []
     failures: list[dict] = []
-    for config in cfg.grid:
-        config_id = canonical_config(config)
-        try:
-            chunks = []
-            for doc in segdocs:
-                chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-            index = build_index(chunks, spec)
-        except Exception as exc:
-            for query in eligible:
-                failures.append(
-                    {"config": config_id, "query_id": query.query_id, "error": str(exc)}
-                )
-            logger.warning("config %s failed outright: %s", config_id, exc)
-            continue
-
-        def evaluate(query: QueryRecord) -> list[EvalRecord]:
-            hits = retrieve(index, query.text, kmax, spec)
-            out = []
-            for k in cfg.k_list:
-                top = hits[:k]
-                top_chunks = [index.get(chunk_id) for chunk_id, _ in top]
-                if task == "doc":
-                    recall, precision, f1 = doc_metrics(top_chunks, query.relevant_doc_ids)
-                else:
-                    recall, precision, f1 = evidence_metrics(top_chunks, set(query.evidence))
-                out.append(
-                    EvalRecord(
-                        query_id=query.query_id,
-                        k=k,
-                        retrieved_chunk_ids=tuple(chunk_id for chunk_id, _ in top),
-                        recall=recall,
-                        precision=precision,
-                        f1=f1,
-                        chunker_kind=config.kind,
-                        config_id=config_id,
-                    )
-                )
-            return out
-
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [pool.submit(evaluate, query) for query in eligible]
-            outcomes = []
-            for query, future in zip(eligible, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    outcomes.append(None)
-                    failures.append(
-                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
-                    )
-            for outcome in outcomes:
-                if outcome is not None:
-                    records.extend(outcome)
-        else:
-            for query in eligible:
-                try:
-                    records.extend(evaluate(query))
-                except Exception as exc:
-                    failures.append(
-                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
-                    )
-
     cfg.out.mkdir(parents=True, exist_ok=True)
-    result_rows = [
-        {
-            "dataset": dataset_name,
-            "task": task,
-            "chunker": record.chunker_kind,
-            "config": json.loads(record.config_id),
-            "query_id": record.query_id,
-            "k": record.k,
-            "retrieved_chunk_ids": list(record.retrieved_chunk_ids),
-            "recall": record.recall,
-            "precision": record.precision,
-            "f1": record.f1,
-        }
-        for record in records
-    ]
-    _write_jsonl(cfg.out / RESULTS_FILENAME, result_rows)
+    with _replacing(cfg.out / RESULTS_FILENAME) as results:
+        for config in cfg.grid:
+            config_id = canonical_config(config)
+            try:
+                chunks = []
+                for doc in segdocs:
+                    chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
+                index = build_index(chunks, spec)
+            except Exception as exc:
+                for query in eligible:
+                    failures.append(
+                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
+                    )
+                logger.warning("config %s failed outright: %s", config_id, exc)
+                continue
+
+            def evaluate(query: QueryRecord) -> list[EvalRecord]:
+                hits = retrieve(index, query.text, kmax, spec)
+                out = []
+                for k in cfg.k_list:
+                    top = hits[:k]
+                    top_chunks = [index.get(chunk_id) for chunk_id, _ in top]
+                    if task == "doc":
+                        recall, precision, f1 = doc_metrics(top_chunks, query.relevant_doc_ids)
+                    else:
+                        recall, precision, f1 = evidence_metrics(top_chunks, set(query.evidence))
+                    out.append(
+                        EvalRecord(
+                            query_id=query.query_id,
+                            k=k,
+                            retrieved_chunk_ids=tuple(chunk_id for chunk_id, _ in top),
+                            recall=recall,
+                            precision=precision,
+                            f1=f1,
+                            chunker_kind=config.kind,
+                            config_id=config_id,
+                        )
+                    )
+                return out
+
+            config_json = json.loads(config_id)
+            for query in eligible:
+                try:
+                    evaluated = evaluate(query)
+                except Exception as exc:
+                    failures.append(
+                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
+                    )
+                    continue
+                records.extend(evaluated)
+                for record in evaluated:
+                    row = {
+                        "dataset": dataset_name,
+                        "task": task,
+                        "chunker": record.chunker_kind,
+                        "config": config_json,
+                        "query_id": record.query_id,
+                        "k": record.k,
+                        "retrieved_chunk_ids": list(record.retrieved_chunk_ids),
+                        "recall": record.recall,
+                        "precision": record.precision,
+                        "f1": record.f1,
+                    }
+                    results.write(json.dumps(row, sort_keys=True) + "\n")
 
     rows = aggregate(records)
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, rows)
@@ -451,9 +453,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if rows:
         best = select_best_config(rows, cfg.k_list)
         best_payload = {fam: config_to_dict(config) for fam, config in best.items()}
-        (cfg.out / BEST_CONFIGS_FILENAME).write_text(
-            json.dumps(best_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with _replacing(cfg.out / BEST_CONFIGS_FILENAME) as fh:
+            fh.write(json.dumps(best_payload, sort_keys=True, indent=2) + "\n")
 
     if failures:
         _write_jsonl(cfg.out / FAILURES_FILENAME, failures)
@@ -516,9 +517,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "qa_similarity": similarity,
         }
 
-    workers = args.jobs if args.jobs is not None else DEFAULT_CONCURRENCY
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             answers = list(pool.map(answer_one, sampled))
     else:
         answers = [answer_one(query) for query in sampled]
@@ -613,7 +613,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
 
     cfg.out.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out / TRENDS_FILENAME
-    with out_path.open("w", encoding="utf-8", newline="") as fh:
+    with _replacing(out_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["hyperparameter", "value", "recall", "precision", "f1", "degenerate"])
         for name in sorted(trends):
@@ -678,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None, help="JSON run config file")
     common.add_argument("--dataset", type=Path, default=None, help="corpus directory override")
     common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--jobs", type=int, default=None, help="parallel worker bound")
+    common.add_argument(
+        "--jobs", type=int, default=None, help="gen: concurrent generation requests"
+    )
     common.add_argument(
         "--embedder", choices=("remote", "test"), default=None, help="embedder backend override"
     )

@@ -32,6 +32,9 @@ _RETRY_ATTEMPTS = 3
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
 _CACHE_WRITE_LOCK = threading.Lock()
+# Every vector embedded in this process, per spec; see embed_batch.
+_MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
+_MEMO_LOCK = threading.Lock()
 
 
 class EmbeddingError(RuntimeError):
@@ -106,10 +109,14 @@ def deterministic_embed(text: str, dimension: int) -> np.ndarray:
 def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     """Embed texts in order; returns a (len(texts), dimension) float32 array.
 
-    Every row is L2-normalized. With a cache_dir configured, vectors are
-    looked up by (model_id, text content) before the backend is asked, and
-    fresh results are persisted; a second identical call does no backend
-    work and returns bit-identical rows.
+    Every row is L2-normalized. Vectors are memoised in memory per spec for
+    the life of the process, so a text seen before costs neither a cache
+    read nor backend work. Behind the memo, with a cache_dir configured,
+    vectors are looked up by (model_id, text content) before the backend is
+    asked, and fresh results are persisted; a second identical call does no
+    backend work and returns bit-identical rows. Within one call each
+    distinct text is looked up and computed at most once. The returned array
+    is always a fresh copy that callers may modify.
     """
     items = list(texts)
     for t in items:
@@ -118,26 +125,35 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     if not items:
         return np.zeros((0, spec.dimension), dtype=np.float32)
 
-    rows: list[np.ndarray | None] = [None] * len(items)
+    memo = _memo_for(spec)
     cache = _VectorCache(spec) if spec.cache_dir else None
-    missing: list[int] = []
-    if cache is not None:
-        for i, text in enumerate(items):
-            hit = cache.get(text)
-            if hit is not None:
-                rows[i] = hit
-            else:
-                missing.append(i)
-    else:
-        missing = list(range(len(items)))
+    missing: list[str] = []
+    for text in dict.fromkeys(items):
+        if text in memo:
+            continue
+        hit = cache.get(text) if cache is not None else None
+        if hit is not None:
+            memo[text] = hit
+        else:
+            missing.append(text)
 
     if missing:
-        fresh = _compute(spec, [items[i] for i in missing])
-        for pos, row in zip(missing, fresh):
-            rows[pos] = row
+        fresh = _compute(spec, missing)
+        for text, row in zip(missing, fresh):
             if cache is not None:
-                cache.put(items[pos], row)
-    return np.stack(rows)  # type: ignore[arg-type]
+                cache.put(text, row)
+            memo[text] = row
+    return np.stack([memo[text] for text in items])
+
+
+def _memo_for(spec: EmbedderSpec) -> dict[str, np.ndarray]:
+    """The process-wide text -> vector memo of one spec.
+
+    Rows only enter it after a successful lookup or computation. Two threads
+    missing the same text may both compute it; they store equal rows.
+    """
+    with _MEMO_LOCK:
+        return _MEMO.setdefault(spec, {})
 
 
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
@@ -244,13 +260,19 @@ def decode_vectors(blob: bytes) -> tuple[dict, np.ndarray]:
         header = json.loads(blob[4 : 4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EmbeddingError(f"vector blob header is malformed: {exc}") from exc
-    count = int(header["count"])
-    dimension = int(header["dimension"])
-    data = np.frombuffer(blob, dtype="<f4", offset=4 + header_len)
-    if data.size != count * dimension:
+    if not isinstance(header, dict):
+        raise EmbeddingError("vector blob header is not a JSON object")
+    for key in ("count", "dimension"):
+        value = header.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise EmbeddingError(f"vector blob header has bad {key!r}: {value!r}")
+    count, dimension = header["count"], header["dimension"]
+    payload = len(blob) - 4 - header_len
+    if payload != 4 * count * dimension:
         raise EmbeddingError(
-            f"vector blob payload has {data.size} floats, header says {count}x{dimension}"
+            f"vector blob payload has {payload} bytes, header says {count}x{dimension} float32"
         )
+    data = np.frombuffer(blob, dtype="<f4", offset=4 + header_len)
     matrix = data.reshape(count, dimension).astype(np.float32, copy=True)
     return header, matrix
 
@@ -269,14 +291,20 @@ class _VectorCache:
         return self.directory / f"{digest}.vec"
 
     def get(self, text: str) -> np.ndarray | None:
+        """The cached vector, or None on a miss; a torn entry counts as a miss."""
+        path = self._path(text)
         try:
-            blob = self._path(text).read_bytes()
+            blob = path.read_bytes()
         except FileNotFoundError:
             return None
-        header, matrix = decode_vectors(blob)
+        try:
+            header, matrix = decode_vectors(blob)
+        except EmbeddingError as exc:
+            logger.warning("cache entry %s is unreadable (%s); recomputing it", path, exc)
+            return None
         if header.get("model_id") != self.model_id or header.get("dimension") != self.dimension:
             raise EmbeddingError(
-                f"cache entry {self._path(text).name} does not match "
+                f"cache entry {path.name} does not match "
                 f"model {self.model_id!r} at dimension {self.dimension}"
             )
         return matrix[0]

@@ -37,6 +37,10 @@ class ChunkIndex:
         self._by_id = {c.chunk_id: c for c in chunks}
         # Scores are computed in float64 so ranking is stable.
         self._matrix = vectors.astype(np.float64)
+        # Each chunk_id's position in ascending id order: the ranking tie-break.
+        by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
+        self._id_rank = np.empty(len(chunks), dtype=np.int64)
+        self._id_rank[by_id] = np.arange(len(chunks))
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -76,10 +80,8 @@ def retrieve(
         )
     query_vec = embed_batch(spec, [query_text])[0].astype(np.float64)
     scores = index._matrix @ query_vec
-    ranked = sorted(
-        range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id)
-    )
-    return [(index.chunks[i].chunk_id, float(scores[i])) for i in ranked[:k]]
+    ranked = np.lexsort((index._id_rank, -scores))[:k]
+    return [(index.chunks[i].chunk_id, float(scores[i])) for i in ranked]
 
 
 def save_index(index: ChunkIndex, directory: str | Path) -> None:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chunkbench import embedding
 from chunkbench.embedding import token_bucket
 from chunkbench.segmenter import SegmentedDocument, Sentence
 
@@ -114,6 +115,14 @@ def mock_service():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+
+
+@pytest.fixture(autouse=True)
+def fresh_embedding_memo():
+    """Each test starts with an empty in-process embedding memo."""
+    embedding._MEMO.clear()
+    yield
+    embedding._MEMO.clear()
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from chunkbench import embedding
 from chunkbench.chunkers import read_chunks
-from chunkbench.cli import main
+from chunkbench.cli import _replacing, main
 from chunkbench.corpus import load_corpus
 
 from conftest import MINI_DATASET
@@ -214,7 +215,48 @@ class TestBenchCommand:
 
     def test_no_failures_file_on_clean_run(self, tmp_path):
         out = self.bench(tmp_path, "doc", "clean-run")
-        assert not (out / "failures.jsonl").exists()
+        # Neither failures.jsonl nor any leftover temp file.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "best_configs.json", "results.jsonl", "summary.csv"
+        ]
+
+    def test_torn_cache_entry_heals(self, tmp_path):
+        cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(tmp_path / "c")})
+
+        def bench(name):
+            embedding._MEMO.clear()  # each run as a fresh process
+            out = tmp_path / name
+            assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+                        "--out", out]) == 0
+            return out
+
+        outs = [bench("fill")]
+        victim = sorted((tmp_path / "c").glob("*.vec"))[0]
+        victim.write_bytes(victim.read_bytes()[:-5])
+        outs.append(bench("torn"))
+        for name in ("results.jsonl", "summary.csv", "best_configs.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert not (outs[1] / "failures.jsonl").exists()
+
+
+class TestReplacing:
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("complete\n", encoding="utf-8")
+        with pytest.raises(KeyboardInterrupt):
+            with _replacing(path) as fh:
+                fh.write("partial")
+                raise KeyboardInterrupt
+        assert path.read_text(encoding="utf-8") == "complete\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
+    def test_completed_write_replaces(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("old\n", encoding="utf-8")
+        with _replacing(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 class TestGenCommand:

@@ -1,6 +1,12 @@
+import json
+import logging
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chunkbench import embedding
 from chunkbench.embedding import (
     API_KEY_ENV,
     EmbedderSpec,
@@ -132,14 +138,90 @@ class TestVectorBlob:
     def test_truncated_blob_rejected(self):
         mat = np.ones((2, 3), dtype=np.float32)
         blob = encode_vectors(mat, "m")
-        with pytest.raises(EmbeddingError):
-            decode_vectors(blob[:-4])
+        for cut in (1, 4, 5):
+            with pytest.raises(EmbeddingError):
+                decode_vectors(blob[:-cut])
 
     def test_empty_matrix_round_trips(self):
         blob = encode_vectors(np.zeros((0, 8), dtype=np.float32), "m")
         header, back = decode_vectors(blob)
         assert header["count"] == 0
         assert back.shape == (0, 8)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"dimension": 2, "model_id": "m"},
+            {"count": 1, "model_id": "m"},
+            {"count": -1, "dimension": -4, "model_id": "m"},
+            {"count": 1.5, "dimension": 2, "model_id": "m"},
+            {"count": "1", "dimension": 2, "model_id": "m"},
+            {"count": True, "dimension": 2, "model_id": "m"},
+            [1, 2],
+        ],
+    )
+    def test_bad_header_shape_rejected(self, header):
+        raw = json.dumps(header).encode("utf-8")
+        blob = struct.pack("<I", len(raw)) + raw + np.ones(4, dtype="<f4").tobytes()
+        with pytest.raises(EmbeddingError):
+            decode_vectors(blob)
+
+
+class TestMemo:
+    def _recording(self, mock_service, dimension=3):
+        def handler(payload):
+            return 200, {"embeddings": [[1.0] * dimension for _ in payload["texts"]]}
+
+        mock_service.set_handler(handler)
+        return EmbedderSpec(
+            backend="remote", endpoint=mock_service.url, dimension=dimension, retry_base_delay=0.0
+        )
+
+    def test_repeated_call_makes_no_request(self, mock_service):
+        spec = self._recording(mock_service)
+        first = embed_batch(spec, ["alpha", "beta"])
+        second = embed_batch(spec, ["beta", "alpha"])
+        assert len(mock_service.requests) == 1
+        np.testing.assert_array_equal(second, first[::-1])
+
+    def test_text_repeated_in_one_call_is_sent_once(self, mock_service):
+        spec = self._recording(mock_service)
+        mat = embed_batch(spec, ["alpha", "beta", "alpha", "alpha"])
+        assert [r["payload"]["texts"] for r in mock_service.requests] == [["alpha", "beta"]]
+        assert mat.shape == (4, 3)
+        np.testing.assert_array_equal(mat[0], mat[2])
+
+    @pytest.mark.parametrize("field", ["model_id", "dimension", "endpoint", "cache_dir"])
+    def test_specs_differing_in_one_field_do_not_share(self, mock_service, tmp_path, field):
+        spec = self._recording(mock_service)
+        embed_batch(spec, ["alpha"])
+        other = {
+            "model_id": "other-model",
+            "dimension": 4,
+            "endpoint": mock_service.url + "/other",
+            "cache_dir": tmp_path,
+        }[field]
+        if field == "dimension":
+            self._recording(mock_service, dimension=4)  # the service answers in 4-d now
+        mat = embed_batch(replace(spec, **{field: other}), ["alpha"])
+        assert len(mock_service.requests) == 2
+        assert mat.shape == (1, 4 if field == "dimension" else 3)
+
+    def test_failures_are_not_memoised(self, mock_service):
+        spec = self._recording(mock_service)
+        mock_service.set_handler(lambda payload: (400, {"error": "bad"}))
+        with pytest.raises(EmbeddingError):
+            embed_batch(spec, ["alpha"])
+        self._recording(mock_service)
+        assert embed_batch(spec, ["alpha"]).shape == (1, 3)
+        assert len(mock_service.requests) == 2
+
+    def test_mutating_a_result_does_not_change_the_next(self):
+        spec = EmbedderSpec(backend="test", dimension=8)
+        first = embed_batch(spec, ["some text"])
+        expected = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(embed_batch(spec, ["some text"]), expected)
 
 
 class TestCache:
@@ -182,6 +264,20 @@ class TestCache:
         clash = EmbedderSpec(backend="test", dimension=4, model_id="m", cache_dir=tmp_path)
         with pytest.raises(EmbeddingError):
             embed_batch(clash, ["payload text"])
+
+    @pytest.mark.parametrize("keep", [0, 3, 10, -4, -5])
+    def test_torn_entry_is_a_miss_and_is_rewritten(self, tmp_path, caplog, keep):
+        spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
+        expected = embed_batch(spec, ["torn text"])
+        (path,) = tmp_path.glob("*.vec")
+        path.write_bytes(path.read_bytes()[:keep])
+        embedding._MEMO.clear()  # as a new process would start
+        with caplog.at_level(logging.WARNING, logger="chunkbench.embedding"):
+            again = embed_batch(spec, ["torn text"])
+        np.testing.assert_array_equal(again, expected)
+        assert path.name in caplog.text
+        _, matrix = decode_vectors(path.read_bytes())
+        np.testing.assert_array_equal(matrix, expected)
 
 
 class TestRemoteBackend:

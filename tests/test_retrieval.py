@@ -126,6 +126,32 @@ class TestRetrieve:
                 [s for _, s in got], [s for _, s in expected], atol=1e-12
             )
 
+    def test_ties_and_unordered_ids_match_sorted_reference(self, rng):
+        # Few distinct texts, so many chunks tie exactly; ids are shuffled so
+        # index order and id order disagree.
+        texts = ["red apple pie", "green apple tart", "blue berry jam", "plain bread"]
+        for _ in range(20):
+            count = int(rng.integers(len(texts) + 1, 30))
+            ids = [f"d{int(i):03d}" for i in rng.permutation(count)]
+            chunks = [
+                Chunk(
+                    chunk_id=chunk_id,
+                    doc_id="d",
+                    sentence_indices=(0,),
+                    text=texts[int(rng.integers(0, len(texts)))],
+                )
+                for chunk_id in ids
+            ]
+            index = build_index(chunks, spec(dim=16))
+            query = texts[int(rng.integers(0, len(texts)))]
+            qv = embed_batch(spec(dim=16), [query])[0].astype(np.float64)
+            scores = index.vectors.astype(np.float64) @ qv
+            reference = sorted((-float(s), c.chunk_id) for s, c in zip(scores, chunks))
+            assert len({s for s, _ in reference}) < count
+            for k in (1, max(1, count // 2), count):
+                got = retrieve(index, query, k=k, spec=spec(dim=16))
+                assert got == [(chunk_id, -neg) for neg, chunk_id in reference[:k]]
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
