@@ -10,12 +10,14 @@ noise kept as singleton chunks. Clustered chunks may be non-contiguous.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -29,7 +31,26 @@ from .distance import (
 from .segmenter import SegmentedDocument
 
 DEFAULT_STOP_DISTANCE = 0.5
-FAMILIES = ("fixed_size", "breakpoint", "clustering")
+_WEIGHTS = [0.0, 0.25, 0.5, 0.75, 1.0]
+# The default sweep of 218 configs, in the grid format of a run config
+# (see grid_from_dict); configs/default.json spells out the same grid.
+DEFAULT_GRID = {
+    "fixed_size": {"n_chunks": list(range(2, 11)), "overlap": [0, 1]},
+    "breakpoint": {
+        "percentile": [10.0, 30.0, 50.0, 70.0, 90.0],
+        "std_dev": [1.0, 1.5, 2.0, 2.5, 3.0],
+        "interquartile": [0.5, 0.75, 1.0, 1.25, 1.5],
+        "gradient_percentile": [10.0, 30.0, 50.0, 70.0, 90.0],
+        "absolute_distance": [0.1, 0.2, 0.3, 0.4, 0.5],
+        "absolute_gradient": [0.01, 0.05, 0.1, 0.15, 0.2],
+    },
+    "single_linkage": {"n_clusters": list(range(2, 11)), "positional_weight": _WEIGHTS},
+    "dbscan": {
+        "eps": [0.1, 0.2, 0.3, 0.4, 0.5],
+        "min_samples": list(range(1, 6)),
+        "positional_weight": _WEIGHTS,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -50,6 +71,7 @@ class FixedSizeConfig:
     n_chunks: int
     overlap: int = 0
     kind = "fixed_size"
+    family = "fixed_size"
 
     def __post_init__(self) -> None:
         if self.n_chunks < 1:
@@ -64,6 +86,7 @@ class BreakpointConfig:
 
     policy: ThresholdPolicy
     kind = "breakpoint"
+    family = "breakpoint"
 
 
 @dataclass(frozen=True)
@@ -73,8 +96,8 @@ class SingleLinkageConfig:
     n_clusters: int
     positional_weight: float
     stop_distance: float = DEFAULT_STOP_DISTANCE
-
     kind = "single_linkage"
+    family = "clustering"
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
@@ -94,8 +117,8 @@ class DbscanConfig:
     eps: float
     min_samples: int
     positional_weight: float
-
     kind = "dbscan"
+    family = "clustering"
 
     def __post_init__(self) -> None:
         if self.eps <= 0.0:
@@ -113,80 +136,7 @@ ChunkerConfig = Union[FixedSizeConfig, BreakpointConfig, SingleLinkageConfig, Db
 
 def family(config: ChunkerConfig) -> str:
     """Reporting family: both clustering chunkers share one column."""
-    if isinstance(config, FixedSizeConfig):
-        return "fixed_size"
-    if isinstance(config, BreakpointConfig):
-        return "breakpoint"
-    if isinstance(config, (SingleLinkageConfig, DbscanConfig)):
-        return "clustering"
-    raise TypeError(f"not a chunker config: {config!r}")
-
-
-def config_to_dict(config: ChunkerConfig) -> dict:
-    """JSON-friendly tagged representation of a chunker config."""
-    if isinstance(config, FixedSizeConfig):
-        return {"kind": "fixed_size", "n_chunks": config.n_chunks, "overlap": config.overlap}
-    if isinstance(config, BreakpointConfig):
-        policy: dict = {"kind": config.policy.kind, "amount": config.policy.amount}
-        if config.policy.std_mode != "population":
-            policy["std_mode"] = config.policy.std_mode
-        return {"kind": "breakpoint", "policy": policy}
-    if isinstance(config, SingleLinkageConfig):
-        return {
-            "kind": "single_linkage",
-            "n_clusters": config.n_clusters,
-            "positional_weight": config.positional_weight,
-            "stop_distance": config.stop_distance,
-        }
-    if isinstance(config, DbscanConfig):
-        return {
-            "kind": "dbscan",
-            "eps": config.eps,
-            "min_samples": config.min_samples,
-            "positional_weight": config.positional_weight,
-        }
-    raise TypeError(f"not a chunker config: {config!r}")
-
-
-def config_from_dict(data: dict) -> ChunkerConfig:
-    """Inverse of config_to_dict; raises ValueError on unknown or bad input."""
-    if not isinstance(data, dict):
-        raise ValueError("chunker config must be a JSON object")
-    kind = data.get("kind")
-    try:
-        if kind == "fixed_size":
-            return FixedSizeConfig(
-                n_chunks=int(data["n_chunks"]), overlap=int(data.get("overlap", 0))
-            )
-        if kind == "breakpoint":
-            policy = data["policy"]
-            return BreakpointConfig(
-                policy=ThresholdPolicy(
-                    kind=policy["kind"],
-                    amount=float(policy["amount"]),
-                    std_mode=policy.get("std_mode", "population"),
-                )
-            )
-        if kind == "single_linkage":
-            return SingleLinkageConfig(
-                n_clusters=int(data["n_clusters"]),
-                positional_weight=float(data["positional_weight"]),
-                stop_distance=float(data.get("stop_distance", DEFAULT_STOP_DISTANCE)),
-            )
-        if kind == "dbscan":
-            return DbscanConfig(
-                eps=float(data["eps"]),
-                min_samples=int(data["min_samples"]),
-                positional_weight=float(data["positional_weight"]),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad chunker config {data!r}: {exc}") from exc
-    raise ValueError(f"unknown chunker kind {kind!r}")
-
-
-def canonical_config(config: ChunkerConfig) -> str:
-    """Stable string form used for tie-breaking and as a grouping key."""
-    return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    return config.family
 
 
 def _make_chunks(doc: SegmentedDocument, groups: Sequence[Sequence[int]]) -> list[Chunk]:
@@ -203,6 +153,13 @@ def _make_chunks(doc: SegmentedDocument, groups: Sequence[Sequence[int]]) -> lis
             )
         )
     return chunks
+
+
+def _check_embeddings(doc: SegmentedDocument, sentence_embeddings: np.ndarray | None) -> None:
+    if sentence_embeddings is None:
+        raise ValueError("this chunker requires sentence embeddings")
+    if sentence_embeddings.shape[0] != doc.n:
+        raise ValueError(f"got {sentence_embeddings.shape[0]} embeddings for {doc.n} sentences")
 
 
 def fixed_size_chunk(doc: SegmentedDocument, n_chunks: int, overlap: int = 0) -> list[Chunk]:
@@ -235,13 +192,10 @@ def breakpoint_chunk(
     the cutoff; gradient-domain policies compare its gradient. A document
     too short for the comparison array is one chunk.
     """
+    _check_embeddings(doc, sentence_embeddings)
     n = doc.n
     if n == 1:
         return _make_chunks(doc, [[0]])
-    if sentence_embeddings.shape[0] != n:
-        raise ValueError(
-            f"got {sentence_embeddings.shape[0]} embeddings for {n} sentences"
-        )
     distances = consecutive_distances(sentence_embeddings)
     if policy.gradient_domain and distances.size < 2:
         break_after = np.zeros(distances.size, dtype=bool)
@@ -277,13 +231,10 @@ def single_linkage_chunk(
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    _check_embeddings(doc, sentence_embeddings)
     n = doc.n
     if n == 1:
         return _make_chunks(doc, [[0]])
-    if sentence_embeddings.shape[0] != n:
-        raise ValueError(
-            f"got {sentence_embeddings.shape[0]} embeddings for {n} sentences"
-        )
     dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
     max_size = math.ceil(n / n_clusters)
 
@@ -335,13 +286,10 @@ def dbscan_chunk(
         raise ValueError(f"eps must be > 0, got {eps}")
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    _check_embeddings(doc, sentence_embeddings)
     n = doc.n
     if n == 1:
         return _make_chunks(doc, [[0]])
-    if sentence_embeddings.shape[0] != n:
-        raise ValueError(
-            f"got {sentence_embeddings.shape[0]} embeddings for {n} sentences"
-        )
     dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
     neighborhoods = [np.flatnonzero(dmat[i] <= eps) for i in range(n)]
     core = [neighborhoods[i].size >= min_samples for i in range(n)]
@@ -372,6 +320,105 @@ def dbscan_chunk(
     return _make_chunks(doc, groups)
 
 
+def _axes(cls: type, section: dict) -> Iterator[dict]:
+    """Every combination of a grid section's field values, in field order with
+    the last field varying fastest; a bare value is a one-value axis."""
+    names = [name for name in _COERCERS[cls] if name in section]
+    unknown = [key for key in section if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {cls.kind} grid axes {unknown}")
+    axes = [section[n] if isinstance(section[n], list) else [section[n]] for n in names]
+    for values in itertools.product(*axes):
+        yield dict(zip(names, values))
+
+
+def _threshold_axes(cls: type, section: dict) -> Iterator[dict]:
+    """A breakpoint grid section maps each threshold kind to its amounts."""
+    for kind, amounts in section.items():
+        for amount in amounts:
+            yield {"policy": {"kind": kind, "amount": amount}}
+
+
+# kind -> (config class, chunker, grid-section expander), in grid order. The
+# chunker is called as chunker(doc, sentence_embeddings, **config fields).
+_KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator[dict]]]] = {
+    cls.kind: (cls, chunker, expand)
+    for cls, chunker, expand in (
+        (FixedSizeConfig, lambda doc, _, **kw: fixed_size_chunk(doc, **kw), _axes),
+        (BreakpointConfig, breakpoint_chunk, _threshold_axes),
+        (SingleLinkageConfig, single_linkage_chunk, _axes),
+        (DbscanConfig, dbscan_chunk, _axes),
+    )
+}
+
+
+def _from_json(cls: type, data: object) -> object:
+    """cls built from a JSON object, each field coerced to its declared type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    coercers = _COERCERS[cls]
+    unknown = [key for key in data if key not in coercers]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} field {unknown[0]!r}")
+    return cls(**{name: coercers[name](value) for name, value in data.items()})
+
+
+def _field_coercers(cls: type) -> dict[str, Callable[[object], object]]:
+    """Field name -> function turning a JSON value into the field's declared type."""
+    scalars = {int: int, float: float, str: str}
+    return {
+        name: scalars.get(hint) or partial(_from_json, hint)
+        for name, hint in get_type_hints(cls).items()
+    }
+
+
+_COERCERS = {
+    cls: _field_coercers(cls) for cls in (ThresholdPolicy, *(k[0] for k in _KINDS.values()))
+}
+
+
+def config_to_dict(config: ChunkerConfig) -> dict:
+    """JSON-friendly tagged representation of a chunker config.
+
+    Every field is written; a nested policy leaves out fields at their
+    default, so std_mode appears only when it is not "population".
+    """
+    out: dict = {"kind": config.kind}
+    for name, value in vars(config).items():
+        out[name] = _non_default_fields(value) if is_dataclass(value) else value
+    return out
+
+
+def _non_default_fields(obj: object) -> dict:
+    return {
+        f.name: getattr(obj, f.name)
+        for f in fields(obj)
+        if f.default is MISSING or getattr(obj, f.name) != f.default
+    }
+
+
+def config_from_dict(data: dict) -> ChunkerConfig:
+    """Inverse of config_to_dict; raises ValueError on unknown or bad input.
+
+    Omitted fields keep their defaults and every value is coerced to its
+    field's declared type (0 becomes 0.0 for a float field).
+    """
+    if not isinstance(data, dict):
+        raise ValueError("chunker config must be a JSON object")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown chunker kind {kind!r}")
+    try:
+        return _from_json(_KINDS[kind][0], {k: v for k, v in data.items() if k != "kind"})
+    except TypeError as exc:
+        raise ValueError(f"bad chunker config {data!r}: {exc}") from exc
+
+
+def canonical_config(config: ChunkerConfig) -> str:
+    """Stable string form used for tie-breaking and as a grouping key."""
+    return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+
+
 def chunk_document(
     doc: SegmentedDocument,
     sentence_embeddings: np.ndarray | None,
@@ -382,114 +429,36 @@ def chunk_document(
     Fixed-size ignores embeddings; every other chunker requires one
     embedding row per sentence.
     """
-    if isinstance(config, FixedSizeConfig):
-        return fixed_size_chunk(doc, config.n_chunks, config.overlap)
-    if sentence_embeddings is None:
-        raise ValueError(f"{config.kind} chunker requires sentence embeddings")
-    if isinstance(config, BreakpointConfig):
-        return breakpoint_chunk(doc, sentence_embeddings, config.policy)
-    if isinstance(config, SingleLinkageConfig):
-        return single_linkage_chunk(
-            doc,
-            sentence_embeddings,
-            config.n_clusters,
-            config.positional_weight,
-            config.stop_distance,
-        )
-    if isinstance(config, DbscanConfig):
-        return dbscan_chunk(
-            doc, sentence_embeddings, config.eps, config.min_samples, config.positional_weight
-        )
-    raise TypeError(f"not a chunker config: {config!r}")
+    chunker = _KINDS[config.kind][1]
+    return chunker(doc, sentence_embeddings, **vars(config))
 
 
 def default_grid() -> list[ChunkerConfig]:
     """The full default hyperparameter sweep, in canonical order."""
-    configs: list[ChunkerConfig] = []
-    for n_chunks in range(2, 11):
-        for overlap in (0, 1):
-            configs.append(FixedSizeConfig(n_chunks=n_chunks, overlap=overlap))
-    breakpoint_amounts = {
-        "percentile": [10.0, 30.0, 50.0, 70.0, 90.0],
-        "std_dev": [1.0, 1.5, 2.0, 2.5, 3.0],
-        "interquartile": [0.5, 0.75, 1.0, 1.25, 1.5],
-        "gradient_percentile": [10.0, 30.0, 50.0, 70.0, 90.0],
-        "absolute_distance": [0.1, 0.2, 0.3, 0.4, 0.5],
-        "absolute_gradient": [0.01, 0.05, 0.1, 0.15, 0.2],
-    }
-    for kind in (
-        "percentile",
-        "std_dev",
-        "interquartile",
-        "gradient_percentile",
-        "absolute_distance",
-        "absolute_gradient",
-    ):
-        for amount in breakpoint_amounts[kind]:
-            configs.append(BreakpointConfig(policy=ThresholdPolicy(kind=kind, amount=amount)))
-    weights = [0.0, 0.25, 0.5, 0.75, 1.0]
-    for n_clusters in range(2, 11):
-        for weight in weights:
-            configs.append(
-                SingleLinkageConfig(n_clusters=n_clusters, positional_weight=weight)
-            )
-    for eps in [0.1, 0.2, 0.3, 0.4, 0.5]:
-        for min_samples in range(1, 6):
-            for weight in weights:
-                configs.append(
-                    DbscanConfig(eps=eps, min_samples=min_samples, positional_weight=weight)
-                )
-    return configs
+    return grid_from_dict(DEFAULT_GRID)
 
 
 def grid_from_dict(grid: dict) -> list[ChunkerConfig]:
     """Expand a config-file grid description into chunker configs.
 
-    Families appear in fixed order (fixed_size, breakpoint, single_linkage,
-    dbscan); axis values expand in the order given.
+    Kinds appear in fixed order (fixed_size, breakpoint, single_linkage,
+    dbscan). A kind's section maps field names to value lists (an omitted
+    field keeps its default) and expands to every combination, in field
+    order; the breakpoint section maps each threshold kind to its amounts.
+    Values are coerced as by config_from_dict.
     """
     if not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object")
-    known = {"fixed_size", "breakpoint", "single_linkage", "dbscan"}
-    unknown = set(grid) - known
+    unknown = set(grid) - set(_KINDS)
     if unknown:
         raise ValueError(f"unknown grid families: {sorted(unknown)}")
     configs: list[ChunkerConfig] = []
-    if "fixed_size" in grid:
-        axes = grid["fixed_size"]
-        for n_chunks in axes["n_chunks"]:
-            for overlap in axes.get("overlap", [0]):
-                configs.append(FixedSizeConfig(n_chunks=int(n_chunks), overlap=int(overlap)))
-    if "breakpoint" in grid:
-        for kind, amounts in grid["breakpoint"].items():
-            for amount in amounts:
-                configs.append(
-                    BreakpointConfig(policy=ThresholdPolicy(kind=kind, amount=float(amount)))
-                )
-    if "single_linkage" in grid:
-        axes = grid["single_linkage"]
-        stop = float(axes.get("stop_distance", DEFAULT_STOP_DISTANCE))
-        for n_clusters in axes["n_clusters"]:
-            for weight in axes["positional_weight"]:
-                configs.append(
-                    SingleLinkageConfig(
-                        n_clusters=int(n_clusters),
-                        positional_weight=float(weight),
-                        stop_distance=stop,
-                    )
-                )
-    if "dbscan" in grid:
-        axes = grid["dbscan"]
-        for eps in axes["eps"]:
-            for min_samples in axes["min_samples"]:
-                for weight in axes["positional_weight"]:
-                    configs.append(
-                        DbscanConfig(
-                            eps=float(eps),
-                            min_samples=int(min_samples),
-                            positional_weight=float(weight),
-                        )
-                    )
+    for kind, (cls, _, expand) in _KINDS.items():
+        if kind not in grid:
+            continue
+        if not isinstance(grid[kind], dict):
+            raise ValueError(f"grid section {kind!r} must be a JSON object")
+        configs.extend(config_from_dict({"kind": kind, **p}) for p in expand(cls, grid[kind]))
     if not configs:
         raise ValueError("grid expands to zero chunker configs")
     return configs

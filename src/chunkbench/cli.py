@@ -14,13 +14,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .chunkers import (
+    Chunk,
     ChunkerConfig,
-    FixedSizeConfig,
     canonical_config,
     chunk_document,
     config_from_dict,
@@ -49,14 +49,13 @@ from .evaluation import (
 )
 from .generation import (
     DEFAULT_CONCURRENCY,
-    DEFAULT_PROMPT_TEMPLATE,
     GenerationConfig,
     GenerationError,
     generate_answer,
     qa_similarity,
 )
 from .retrieval import build_index, retrieve
-from .segmenter import RuleSegmenter, load_abbreviations, segment_document
+from .segmenter import RuleSegmenter, SegmentedDocument, load_abbreviations, segment_document
 
 logger = logging.getLogger(__name__)
 
@@ -67,16 +66,8 @@ FAILURES_FILENAME = "failures.jsonl"
 TRENDS_FILENAME = "trends.csv"
 ANSWERS_FILENAME = "answers.jsonl"
 FAILURE_FRACTION_LIMIT = 0.10
-
-_DEFAULT_EMBEDDER = {
-    "backend": "test",
-    "model_id": "hash-v1",
-    "dimension": 512,
-    "endpoint": None,
-    "batch_size": 32,
-    "cache_dir": None,
-    "max_concurrency": 4,
-}
+# trends.csv leaves out fields that a grid holds at one value.
+_UNSWEPT_FIELDS = ("stop_distance",)
 
 
 class ConfigError(ValueError):
@@ -107,9 +98,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         "k_list": [1, 3, 5, 10],
         "query_sample": 100,
         "jobs": DEFAULT_CONCURRENCY,
-        "embedder": dict(_DEFAULT_EMBEDDER),
+        "embedder": {},
         "grid": None,
-        "stitch": {"target_sentences": 100},
+        "stitch": {},
         "generation": None,
     }
     if args.config is not None:
@@ -122,14 +113,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         for key, value in loaded.items():
-            if key == "embedder":
-                if not isinstance(value, dict):
-                    raise ConfigError("'embedder' must be an object")
-                data["embedder"].update(value)
-            elif key in data:
-                data[key] = value
-            else:
+            if key not in data:
                 raise ConfigError(f"unknown config key {key!r}")
+            data[key] = value
 
     if args.dataset is not None:
         data["dataset"] = str(args.dataset)
@@ -139,8 +125,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         data["jobs"] = args.jobs
     if args.out is not None:
         data["out"] = str(args.out)
-    if args.embedder is not None:
-        data["embedder"]["backend"] = args.embedder
 
     k_list = data["k_list"]
     if (
@@ -157,50 +141,25 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(data["jobs"], int) or data["jobs"] < 1:
         raise ConfigError("jobs must be an integer >= 1")
 
-    emb = data["embedder"]
-    try:
-        spec = EmbedderSpec(
-            backend=emb.get("backend", "test"),
-            model_id=emb.get("model_id", "hash-v1"),
-            dimension=emb.get("dimension", 512),
-            endpoint=emb.get("endpoint"),
-            batch_size=emb.get("batch_size", 32),
-            cache_dir=emb.get("cache_dir"),
-            max_concurrency=emb.get("max_concurrency", 4),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad embedder config: {exc}") from exc
+    embedder = _section(data, "embedder", _option_names(EmbedderSpec))
+    if args.embedder is not None:
+        embedder = {**embedder, "backend": args.embedder}
+    spec = _from_section(EmbedderSpec, embedder, "embedder")
 
     try:
         grid = default_grid() if data["grid"] is None else grid_from_dict(data["grid"])
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"bad grid config: {exc}") from exc
 
-    stitch_section = data["stitch"]
-    if not isinstance(stitch_section, dict):
-        raise ConfigError("'stitch' must be an object")
-    target = stitch_section.get("target_sentences", 100)
+    target = _section(data, "stitch", ("target_sentences",)).get("target_sentences", 100)
     if not isinstance(target, int) or target < 1:
         raise ConfigError("stitch.target_sentences must be an integer >= 1")
 
     generation = None
-    gen_section = data["generation"]
-    if gen_section is not None:
-        if not isinstance(gen_section, dict):
-            raise ConfigError("'generation' must be an object")
-        if gen_section.get("endpoint"):
-            try:
-                generation = GenerationConfig(
-                    endpoint=gen_section["endpoint"],
-                    model_id=gen_section.get("model_id", ""),
-                    prompt_template=gen_section.get(
-                        "prompt_template", DEFAULT_PROMPT_TEMPLATE
-                    ),
-                    max_retries=gen_section.get("max_retries", 3),
-                    top_k_context=gen_section.get("top_k_context", 5),
-                )
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad generation config: {exc}") from exc
+    if data["generation"] is not None:
+        section = _section(data, "generation", _option_names(GenerationConfig))
+        if section.get("endpoint"):
+            generation = _from_section(GenerationConfig, section, "generation")
 
     try:
         segmenter = (
@@ -226,6 +185,31 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _option_names(cls: type) -> list[str]:
+    """The config-file keys of a settings dataclass: its fields except
+    retry_base_delay, which is settable from code only."""
+    return [f.name for f in fields(cls) if f.name != "retry_base_delay"]
+
+
+def _section(data: dict, name: str, keys: Sequence[str]) -> dict:
+    """data[name], which must be an object with no keys outside keys."""
+    section = data[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be an object")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown {name} key {key!r}")
+    return section
+
+
+def _from_section(cls: type, section: dict, name: str):
+    """cls from a config section; omitted keys take cls's defaults."""
+    try:
+        return cls(**section)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from exc
+
+
 def _parse_chunker_arg(raw: str) -> ChunkerConfig:
     try:
         return config_from_dict(json.loads(raw))
@@ -233,11 +217,40 @@ def _parse_chunker_arg(raw: str) -> ChunkerConfig:
         raise ConfigError(f"bad --chunker value {raw!r}: {exc}") from exc
 
 
+def _segmented_corpus(
+    cfg: RunConfig, doc_id: str | None = None
+) -> tuple[list[SegmentedDocument], list[QueryRecord]]:
+    """Load the corpus and segment its documents (only doc_id, when given)."""
+    documents, queries = load_corpus(cfg.dataset)
+    if doc_id is not None:
+        documents = [doc for doc in documents if doc.doc_id == doc_id]
+        if not documents:
+            raise ConfigError(f"unknown doc_id {doc_id!r} in corpus {cfg.dataset}")
+    if not documents:
+        raise ConfigError(f"corpus at {cfg.dataset} has no documents")
+    return [segment_document(d.doc_id, d.text, cfg.segmenter) for d in documents], queries
+
+
 def _sentence_vectors(segdocs, grid, spec):
-    """One embedding matrix per document, or None when nothing semantic runs."""
-    if all(isinstance(c, FixedSizeConfig) for c in grid):
+    """One embedding matrix per document, or None when only fixed-size chunkers run."""
+    if all(c.family == "fixed_size" for c in grid):
         return {doc.doc_id: None for doc in segdocs}
     return {doc.doc_id: embed_batch(spec, doc.sentence_texts) for doc in segdocs}
+
+
+def _corpus_chunker(
+    segdocs: Sequence[SegmentedDocument], grid: Sequence[ChunkerConfig], spec: EmbedderSpec
+) -> Callable[[ChunkerConfig], list[Chunk]]:
+    """Embed the sentences once; the result chunks the corpus under any config of grid."""
+    vectors = _sentence_vectors(segdocs, grid, spec)
+
+    def chunk_corpus(config: ChunkerConfig) -> list[Chunk]:
+        chunks: list[Chunk] = []
+        for doc in segdocs:
+            chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
+        return chunks
+
+    return chunk_corpus
 
 
 def _eligible_queries(
@@ -333,14 +346,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 def cmd_chunk(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     config = _parse_chunker_arg(args.chunker)
-    documents, _ = load_corpus(cfg.dataset)
-    if not documents:
-        raise ConfigError(f"corpus at {cfg.dataset} has no documents")
-    segdocs = [segment_document(d.doc_id, d.text, cfg.segmenter) for d in documents]
-    vectors = _sentence_vectors(segdocs, [config], cfg.embedder)
-    chunks = []
-    for doc in segdocs:
-        chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
+    segdocs, _ = _segmented_corpus(cfg)
+    chunks = _corpus_chunker(segdocs, [config], cfg.embedder)(config)
     cfg.out.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out / "chunks.jsonl"
     write_chunks(chunks, out_path)
@@ -353,10 +360,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     task = args.task
     started = time.perf_counter()
 
-    documents, queries = load_corpus(cfg.dataset)
-    if not documents:
-        raise ConfigError(f"corpus at {cfg.dataset} has no documents")
-    segdocs = [segment_document(d.doc_id, d.text, cfg.segmenter) for d in documents]
+    segdocs, queries = _segmented_corpus(cfg)
     sampled = sample_queries(queries, cfg.query_sample, cfg.seed) if queries else []
     counts = {doc.doc_id: doc.n for doc in segdocs}
     eligible, excluded = _eligible_queries(sampled, task, counts)
@@ -372,7 +376,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     eligible.sort(key=lambda q: q.query_id)
 
     spec = cfg.embedder
-    vectors = _sentence_vectors(segdocs, cfg.grid, spec)
+    chunk_corpus = _corpus_chunker(segdocs, cfg.grid, spec)
     kmax = max(cfg.k_list)
     dataset_name = cfg.dataset.name or str(cfg.dataset)
     logger.info(
@@ -386,10 +390,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for config in cfg.grid:
             config_id = canonical_config(config)
             try:
-                chunks = []
-                for doc in segdocs:
-                    chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-                index = build_index(chunks, spec)
+                index = build_index(chunk_corpus(config), spec)
             except Exception as exc:
                 for query in eligible:
                     failures.append(
@@ -488,20 +489,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     gen_cfg = cfg.generation
     config = _parse_chunker_arg(args.chunker)
 
-    documents, queries = load_corpus(cfg.dataset)
-    if not documents:
-        raise ConfigError(f"corpus at {cfg.dataset} has no documents")
+    segdocs, queries = _segmented_corpus(cfg)
     if not queries:
         raise ConfigError(f"corpus at {cfg.dataset} has no queries")
     sampled = sorted(
         sample_queries(queries, cfg.query_sample, cfg.seed), key=lambda q: q.query_id
     )
-    segdocs = [segment_document(d.doc_id, d.text, cfg.segmenter) for d in documents]
-    vectors = _sentence_vectors(segdocs, [config], cfg.embedder)
-    chunks = []
-    for doc in segdocs:
-        chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-    index = build_index(chunks, cfg.embedder)
+    index = build_index(_corpus_chunker(segdocs, [config], cfg.embedder)(config), cfg.embedder)
 
     def answer_one(query: QueryRecord) -> dict:
         hits = retrieve(index, query.text, gen_cfg.top_k_context, cfg.embedder)
@@ -529,28 +523,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hyperparameters(config: dict) -> list[tuple[str, float]]:
-    kind = config.get("kind")
-    if kind == "fixed_size":
-        return [
-            ("fixed_size.n_chunks", config["n_chunks"]),
-            ("fixed_size.overlap", config["overlap"]),
-        ]
-    if kind == "breakpoint":
-        policy = config["policy"]
-        return [(f"breakpoint.{policy['kind']}.amount", policy["amount"])]
-    if kind == "single_linkage":
-        return [
-            ("single_linkage.n_clusters", config["n_clusters"]),
-            ("single_linkage.positional_weight", config["positional_weight"]),
-        ]
-    if kind == "dbscan":
-        return [
-            ("dbscan.eps", config["eps"]),
-            ("dbscan.min_samples", config["min_samples"]),
-            ("dbscan.positional_weight", config["positional_weight"]),
-        ]
-    raise ConfigError(f"summary row has unknown chunker kind {kind!r}")
+def _hyperparameters(config: dict, prefix: str = "") -> Iterator[tuple[str, float]]:
+    """(trend name, value) for each swept numeric field of a config dict.
+
+    A field is named "<kind>.<field>"; a nested policy names its fields
+    after its own kind, as in "breakpoint.percentile.amount".
+    """
+    prefix += config["kind"]
+    for name, value in config.items():
+        if isinstance(value, dict):
+            yield from _hyperparameters(value, prefix + ".")
+        elif isinstance(value, (int, float)) and name not in _UNSWEPT_FIELDS:
+            yield f"{prefix}.{name}", value
 
 
 def cmd_sweep_report(args: argparse.Namespace) -> int:
@@ -565,32 +549,28 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
         with path.open(encoding="utf-8", newline="") as fh:
             for line in csv.DictReader(fh):
                 try:
+                    config = config_to_dict(config_from_dict(json.loads(line["config"])))
                     rows.append(
                         {
                             "dataset": line["dataset"],
                             "k": int(line["k"]),
-                            "config": json.loads(line["config"]),
+                            "axes": dict(_hyperparameters(config)),
                             "recall": float(line["recall"]),
                             "precision": float(line["precision"]),
                             "f1": float(line["f1"]),
                         }
                     )
-                except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                except (KeyError, ValueError) as exc:
                     raise ConfigError(f"{path}: bad summary row: {exc}") from exc
 
     metrics = ("recall", "precision", "f1")
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
     trends: dict[str, dict[float, dict]] = {}
-    names = sorted({name for row in rows for name, _ in _hyperparameters(row["config"])})
-    for name in names:
-        carrying = []
-        for row in rows:
-            for pname, value in _hyperparameters(row["config"]):
-                if pname == name:
-                    carrying.append((value, row))
+    for name in sorted({name for row in rows for name in row["axes"]}):
         groups: dict[tuple[str, int], list[tuple[float, dict]]] = {}
-        for value, row in carrying:
-            groups.setdefault((row["dataset"], row["k"]), []).append((value, row))
+        for row in rows:
+            if name in row["axes"]:
+                groups.setdefault((row["dataset"], row["k"]), []).append((row["axes"][name], row))
         accum = trends.setdefault(name, {})
         for group in groups.values():
             spans = {}
@@ -636,11 +616,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    documents, _ = load_corpus(cfg.dataset)
-    by_id = {doc.doc_id: doc for doc in documents}
-    if args.doc_id not in by_id:
-        raise ConfigError(f"unknown doc_id {args.doc_id!r} in corpus {cfg.dataset}")
-    doc = segment_document(args.doc_id, by_id[args.doc_id].text, cfg.segmenter)
+    segdocs, _ = _segmented_corpus(cfg, args.doc_id)
 
     if args.chunker:
         configs = [_parse_chunker_arg(raw) for raw in args.chunker]
@@ -657,10 +633,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 {"kind": "dbscan", "eps": 0.3, "min_samples": 2, "positional_weight": 0.5}
             ),
         ]
-    vectors = _sentence_vectors([doc], configs, cfg.embedder)
+    chunk_corpus = _corpus_chunker(segdocs, configs, cfg.embedder)
     for config in configs:
         print(f"== {canonical_config(config)}")
-        for chunk in chunk_document(doc, vectors[doc.doc_id], config):
+        for chunk in chunk_corpus(config):
             print(f"{chunk.chunk_id}  sentences {list(chunk.sentence_indices)}")
             print(f"    {chunk.text}")
         print()

@@ -96,6 +96,8 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[QueryRecord]]:
         where = f"{DOCS_FILENAME}:{lineno}"
         doc_id = _require_str(obj, "doc_id", where)
         text = _require_str(obj, "text", where)
+        if not text.strip():
+            raise CorpusError(f"{where}: field 'text' is whitespace only")
         if doc_id in seen_docs:
             raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
         seen_docs.add(doc_id)

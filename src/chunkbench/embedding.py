@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -35,6 +35,7 @@ _CACHE_WRITE_LOCK = threading.Lock()
 # Every vector embedded in this process, per spec; see embed_batch.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
 _MEMO_LOCK = threading.Lock()
+T = TypeVar("T")
 
 
 class EmbeddingError(RuntimeError):
@@ -170,7 +171,17 @@ def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
 
 
 def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
-    raw = _request_with_retries(spec, batch)
+    raw = post_with_retries(
+        "embedding",
+        spec.endpoint,
+        {"model": spec.model_id, "texts": batch},
+        _parse_embeddings,
+        EmbeddingError,
+        api_key_env=API_KEY_ENV,
+        timeout=_REQUEST_TIMEOUT,
+        attempts=_RETRY_ATTEMPTS,
+        base_delay=spec.retry_base_delay,
+    )
     if raw.ndim != 2 or raw.shape[0] != len(batch):
         got = raw.shape[0] if raw.ndim >= 1 else 0
         raise EmbeddingError(f"backend returned {got} embeddings for {len(batch)} texts")
@@ -186,41 +197,54 @@ def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
     return (raw / norms[:, None]).astype(np.float32)
 
 
-def _request_with_retries(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
+def post_with_retries(
+    service: str,
+    url: str,
+    payload: dict,
+    parse: Callable[[requests.Response], T],
+    error: Callable[..., Exception],
+    *,
+    api_key_env: str,
+    timeout: float,
+    attempts: int,
+    base_delay: float,
+) -> T:
+    """POST payload as JSON and return parse(response) of the first 200 reply.
+
+    A bearer token is sent when the api_key_env variable is set. Connection
+    errors and 5xx replies are retried up to attempts tries in all, waiting
+    base_delay seconds and doubling the wait after each try; any other
+    status fails at once. Failures raise error(message, status=...).
+    """
     headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
+    api_key = os.environ.get(api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    payload = {"model": spec.model_id, "texts": batch}
-    delay = spec.retry_base_delay
+    delay = base_delay
     last_status: int | None = None
     last_error = "connection failed"
-    for attempt in range(_RETRY_ATTEMPTS):
+    for attempt in range(attempts):
         try:
-            resp = requests.post(
-                spec.endpoint, json=payload, headers=headers, timeout=_REQUEST_TIMEOUT
-            )
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
             last_error = str(exc)
             last_status = None
         else:
             if resp.status_code == 200:
-                return _parse_embeddings(resp)
+                return parse(resp)
             last_status = resp.status_code
             last_error = f"status {resp.status_code}"
             if resp.status_code < 500:
                 # Client errors will not heal on retry.
-                raise EmbeddingError(
-                    f"embedding backend rejected the request ({last_error})",
-                    status=last_status,
+                raise error(
+                    f"{service} backend rejected the request ({last_error})", status=last_status
                 )
-        if attempt < _RETRY_ATTEMPTS - 1:
-            logger.warning("embedding request failed (%s), retrying in %.2fs", last_error, delay)
+        if attempt < attempts - 1:
+            logger.warning("%s request failed (%s), retrying in %.2fs", service, last_error, delay)
             time.sleep(delay)
             delay *= 2.0
-    raise EmbeddingError(
-        f"embedding backend failed after {_RETRY_ATTEMPTS} attempts ({last_error})",
-        status=last_status,
+    raise error(
+        f"{service} backend failed after {attempts} attempts ({last_error})", status=last_status
     )
 
 

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import logging
-import os
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import requests
 
-from .embedding import EmbedderSpec, embed_batch
-
-logger = logging.getLogger(__name__)
+from .embedding import EmbedderSpec, embed_batch, post_with_retries
 
 API_KEY_ENV = "GEN_API_KEY"
 _REQUEST_TIMEOUT = 60.0
@@ -40,7 +35,7 @@ class GenerationConfig:
     """Endpoint, model, and prompt shape for answer generation."""
 
     endpoint: str
-    model_id: str
+    model_id: str = ""
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     max_retries: int = 3
     top_k_context: int = 5
@@ -78,49 +73,27 @@ def generate_answer(
     Transient failures (connection errors, 5xx) are retried with
     exponential backoff up to max_retries attempts.
     """
-    prompt = render_prompt(config, query_text, chunk_texts)
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    payload = {"model": config.model_id, "prompt": prompt}
-    delay = config.retry_base_delay
-    last_status: int | None = None
-    last_error = "connection failed"
-    for attempt in range(config.max_retries):
-        try:
-            resp = requests.post(
-                config.endpoint, json=payload, headers=headers, timeout=_REQUEST_TIMEOUT
-            )
-        except requests.RequestException as exc:
-            last_error = str(exc)
-            last_status = None
-        else:
-            if resp.status_code == 200:
-                try:
-                    body = resp.json()
-                except ValueError as exc:
-                    raise GenerationError(
-                        f"generation backend returned invalid JSON: {exc}"
-                    ) from exc
-                if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-                    raise GenerationError('generation response is missing the "text" field')
-                return body["text"]
-            last_status = resp.status_code
-            last_error = f"status {resp.status_code}"
-            if resp.status_code < 500:
-                raise GenerationError(
-                    f"generation backend rejected the request ({last_error})",
-                    status=last_status,
-                )
-        if attempt < config.max_retries - 1:
-            logger.warning("generation request failed (%s), retrying in %.2fs", last_error, delay)
-            time.sleep(delay)
-            delay *= 2.0
-    raise GenerationError(
-        f"generation backend failed after {config.max_retries} attempts ({last_error})",
-        status=last_status,
+    return post_with_retries(
+        "generation",
+        config.endpoint,
+        {"model": config.model_id, "prompt": render_prompt(config, query_text, chunk_texts)},
+        _parse_answer,
+        GenerationError,
+        api_key_env=API_KEY_ENV,
+        timeout=_REQUEST_TIMEOUT,
+        attempts=config.max_retries,
+        base_delay=config.retry_base_delay,
     )
+
+
+def _parse_answer(resp: requests.Response) -> str:
+    try:
+        body = resp.json()
+    except ValueError as exc:
+        raise GenerationError(f"generation backend returned invalid JSON: {exc}") from exc
+    if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+        raise GenerationError('generation response is missing the "text" field')
+    return body["text"]
 
 
 def qa_similarity(query_text: str, answer_text: str, spec: EmbedderSpec) -> float:

@@ -108,7 +108,10 @@ def mock_service():
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     service.port = server.server_port
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield service

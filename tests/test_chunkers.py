@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -476,8 +477,10 @@ class TestConfigPlumbing:
         ]
 
     def test_round_trip(self):
-        for config in self.all_kinds():
+        for config in self.all_kinds() + default_grid():
             assert config_from_dict(config_to_dict(config)) == config
+            text = canonical_config(config)
+            assert canonical_config(config_from_dict(json.loads(text))) == text
 
     def test_family_mapping(self):
         fams = [family(c) for c in self.all_kinds()]
@@ -521,6 +524,13 @@ class TestDefaultGrid:
     def test_all_configs_unique(self):
         grid = default_grid()
         assert len({canonical_config(c) for c in grid}) == len(grid)
+
+    def test_canonical_ids_are_pinned(self):
+        # The canonical ids key every output row; their bytes must not drift.
+        ids = "\n".join(canonical_config(c) for c in default_grid())
+        assert hashlib.sha256(ids.encode()).hexdigest() == (
+            "a9c1ac9bbf544b6294b3638ec8be87c6d619400a55cbd91fd4b01212f6c674ac"
+        )
 
     def test_checked_in_config_file_expands_to_default_grid(self):
         data = json.loads((REPO_ROOT / "configs" / "default.json").read_text("utf-8"))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,38 @@ class TestExitCodes:
             ["stitch", "--target", "0", "--dataset", MINI_DATASET, "--out", tmp_path / "out"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides, chunker, key",
+        [
+            ({}, {"kind": "fixed_size", "n_chunks": 2, "overlpa": 1}, "overlpa"),
+            ({"grid": {"fixed_size": {"n_chunks": [2], "overlaps": [0]}}}, None, "overlaps"),
+            ({"embedder": {"dimensions": 64}}, None, "dimensions"),
+            ({"generation": {"endpoint": "http://x", "top_k": 3}}, None, "top_k"),
+            ({"stitch": {"target": 30}}, None, "target"),
+        ],
+        ids=["chunker", "grid", "embedder", "generation", "stitch"],
+    )
+    def test_unknown_section_key_names_it(self, tmp_path, capsys, overrides, chunker, key):
+        cfg = write_config(tmp_path, **overrides)
+        chunker = chunker or {"kind": "fixed_size", "n_chunks": 2}
+        code = run(
+            ["chunk", "--chunker", json.dumps(chunker), "--config", cfg,
+             "--dataset", MINI_DATASET, "--out", tmp_path / "out"]
+        )
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_whitespace_only_document_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        docs = (MINI_DATASET / "docs.jsonl").read_text(encoding="utf-8").splitlines()
+        docs[2] = json.dumps({"doc_id": "blank", "text": "   "})
+        (corpus / "docs.jsonl").write_text("\n".join(docs) + "\n", encoding="utf-8")
+        code = run(["bench", "--task", "doc", "--dataset", corpus, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "docs.jsonl:3" in capsys.readouterr().err
 
     def test_gen_without_generation_section(self, tmp_path, capsys):
         code = run(
@@ -266,11 +299,7 @@ class TestGenCommand:
         )
         cfg = write_config(
             tmp_path,
-            generation={
-                "endpoint": mock_service.url,
-                "model_id": "gen-test",
-                "retry_base_delay": 0.0,
-            },
+            generation={"endpoint": mock_service.url, "model_id": "gen-test"},
         )
         out = tmp_path / "answers"
         code = run(
@@ -296,11 +325,7 @@ class TestGenCommand:
         mock_service.set_handler(lambda payload: (500, {"error": "down"}))
         cfg = write_config(
             tmp_path,
-            generation={
-                "endpoint": mock_service.url,
-                "model_id": "gen-test",
-                "retry_base_delay": 0.0,
-            },
+            generation={"endpoint": mock_service.url, "model_id": "gen-test", "max_retries": 1},
         )
         code = run(
             ["gen",
@@ -332,6 +357,11 @@ class TestSweepReportCommand:
             assert 0.0 <= float(row["f1"]) <= 1.0
         keys = [(row["hyperparameter"], float(row["value"])) for row in rows]
         assert keys == sorted(keys)
+        # The bytes of the report on this grid, pinned when the trend names
+        # were still spelled out per chunker kind.
+        assert hashlib.sha256((out / "trends.csv").read_bytes()).hexdigest() == (
+            "e6ecc5c84e71149b9a6fe349521ab25ec4a8d7646b4ee255e95294e7917378c1"
+        )
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

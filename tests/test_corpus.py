@@ -125,6 +125,11 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="'text'"):
             load_corpus(corpus_dir(tmp_path, [{"doc_id": "d1", "text": ""}]))
 
+    def test_whitespace_only_doc_text_names_the_line(self, tmp_path):
+        docs = [{"doc_id": "d1", "text": "Fine."}, {"doc_id": "d2", "text": " \n\t "}]
+        with pytest.raises(CorpusError, match=r"docs\.jsonl:2: .*'text'"):
+            load_corpus(corpus_dir(tmp_path, docs))
+
     def test_mini_dataset_loads(self):
         documents, records = load_corpus(MINI_DATASET)
         assert len(documents) == 12
