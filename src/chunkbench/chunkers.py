@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union, get_type_hints
@@ -28,6 +28,7 @@ from .distance import (
     pairwise_joint_distances,
     threshold,
 )
+from .files import read_jsonl, write_jsonl
 from .segmenter import SegmentedDocument
 
 DEFAULT_STOP_DISTANCE = 0.5
@@ -233,8 +234,6 @@ def single_linkage_chunk(
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     _check_embeddings(doc, sentence_embeddings)
     n = doc.n
-    if n == 1:
-        return _make_chunks(doc, [[0]])
     dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
     max_size = math.ceil(n / n_clusters)
 
@@ -288,8 +287,6 @@ def dbscan_chunk(
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     _check_embeddings(doc, sentence_embeddings)
     n = doc.n
-    if n == 1:
-        return _make_chunks(doc, [[0]])
     dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
     neighborhoods = [np.flatnonzero(dmat[i] <= eps) for i in range(n)]
     core = [neighborhoods[i].size >= min_samples for i in range(n)]
@@ -465,35 +462,21 @@ def grid_from_dict(grid: dict) -> list[ChunkerConfig]:
 
 
 def write_chunks(chunks: Sequence[Chunk], path: str | Path) -> None:
-    """Write chunks.jsonl: one chunk per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            record = {
-                "chunk_id": chunk.chunk_id,
-                "doc_id": chunk.doc_id,
-                "sentence_indices": list(chunk.sentence_indices),
-                "text": chunk.text,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write chunks.jsonl: one chunk per line, keyed by the Chunk fields."""
+    write_jsonl(path, map(asdict, chunks))
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read a chunks.jsonl dump back into Chunk objects."""
+    """Read a chunks.jsonl dump back into Chunk objects; a line that is not a
+    JSON object or lacks a Chunk field raises ValueError naming it."""
     chunks: list[Chunk] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{Path(path).name}:{lineno}: malformed JSON") from exc
-            chunks.append(
-                Chunk(
-                    chunk_id=obj["chunk_id"],
-                    doc_id=obj["doc_id"],
-                    sentence_indices=tuple(obj["sentence_indices"]),
-                    text=obj["text"],
-                )
-            )
+    for where, obj in read_jsonl(path, ValueError):
+        missing = [f.name for f in fields(Chunk) if f.name not in obj]
+        if missing:
+            raise ValueError(f"{where}: missing field {missing[0]!r}")
+        if not isinstance(obj["sentence_indices"], list):
+            raise ValueError(f"{where}: field 'sentence_indices' must be a list")
+        chunks.append(
+            Chunk(obj["chunk_id"], obj["doc_id"], tuple(obj["sentence_indices"]), obj["text"])
+        )
     return chunks

@@ -9,14 +9,12 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 from .chunkers import (
     Chunk,
@@ -47,10 +45,10 @@ from .evaluation import (
     evidence_metrics,
     select_best_config,
 )
+from .files import replacing, write_jsonl
 from .generation import (
     DEFAULT_CONCURRENCY,
     GenerationConfig,
-    GenerationError,
     generate_answer,
     qa_similarity,
 )
@@ -279,29 +277,8 @@ def _eligible_queries(
     return eligible, len(queries) - len(eligible)
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """Write to a temp file beside path that replaces path once fully written.
-
-    An interrupted writer leaves path as it was, never half written.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    with _replacing(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
@@ -330,7 +307,6 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     if not documents:
         raise ConfigError(f"corpus at {cfg.dataset} has no documents")
     stitched, remapped = stitch(documents, queries, target, cfg.seed, cfg.segmenter)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     write_corpus([doc.as_document() for doc in stitched], remapped, cfg.out)
     write_stitch_map(stitched, cfg.out / "stitch_map.jsonl")
     logger.info(
@@ -348,7 +324,6 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     config = _parse_chunker_arg(args.chunker)
     segdocs, _ = _segmented_corpus(cfg)
     chunks = _corpus_chunker(segdocs, [config], cfg.embedder)(config)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out / "chunks.jsonl"
     write_chunks(chunks, out_path)
     logger.info("wrote %d chunks for %d documents -> %s", len(chunks), len(segdocs), out_path)
@@ -385,17 +360,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     records: list[EvalRecord] = []
     failures: list[dict] = []
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    with _replacing(cfg.out / RESULTS_FILENAME) as results:
+
+    def rows() -> Iterator[dict]:
+        """The results.jsonl rows, config by config; fills records and failures."""
         for config in cfg.grid:
             config_id = canonical_config(config)
             try:
                 index = build_index(chunk_corpus(config), spec)
             except Exception as exc:
-                for query in eligible:
-                    failures.append(
-                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
-                    )
+                failures.extend(_failure(config_id, query, exc) for query in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
 
@@ -428,13 +401,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 try:
                     evaluated = evaluate(query)
                 except Exception as exc:
-                    failures.append(
-                        {"config": config_id, "query_id": query.query_id, "error": str(exc)}
-                    )
+                    failures.append(_failure(config_id, query, exc))
                     continue
                 records.extend(evaluated)
                 for record in evaluated:
-                    row = {
+                    yield {
                         "dataset": dataset_name,
                         "task": task,
                         "chunker": record.chunker_kind,
@@ -446,19 +417,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         "precision": record.precision,
                         "f1": record.f1,
                     }
-                    results.write(json.dumps(row, sort_keys=True) + "\n")
 
-    rows = aggregate(records)
-    _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, rows)
+    write_jsonl(cfg.out / RESULTS_FILENAME, rows())
+    summary = aggregate(records)
+    _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 
-    if rows:
-        best = select_best_config(rows, cfg.k_list)
+    if summary:
+        best = select_best_config(summary, cfg.k_list)
         best_payload = {fam: config_to_dict(config) for fam, config in best.items()}
-        with _replacing(cfg.out / BEST_CONFIGS_FILENAME) as fh:
+        with replacing(cfg.out / BEST_CONFIGS_FILENAME) as fh:
             fh.write(json.dumps(best_payload, sort_keys=True, indent=2) + "\n")
-
-    if failures:
-        _write_jsonl(cfg.out / FAILURES_FILENAME, failures)
 
     total_attempts = len(cfg.grid) * len(eligible)
     elapsed = time.perf_counter() - started
@@ -470,9 +438,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
         total_attempts,
         elapsed,
     )
-    if len(failures) > FAILURE_FRACTION_LIMIT * total_attempts:
+    return _failure_budget(cfg.out, failures, total_attempts, "query evaluations")
+
+
+def _failure(config_id: str, query: QueryRecord, exc: Exception) -> dict:
+    """One failures.jsonl row."""
+    return {"config": config_id, "query_id": query.query_id, "error": str(exc)}
+
+
+def _failure_budget(out: Path, failures: list[dict], attempts: int, what: str) -> int:
+    """Write failures.jsonl when anything failed, else remove an older run's;
+    the exit code is 1 when more than FAILURE_FRACTION_LIMIT of the attempts
+    failed, else 0."""
+    if failures:
+        write_jsonl(out / FAILURES_FILENAME, failures)
+    else:
+        (out / FAILURES_FILENAME).unlink(missing_ok=True)
+    if len(failures) > FAILURE_FRACTION_LIMIT * attempts:
         print(
-            f"error: {len(failures)} of {total_attempts} query evaluations failed "
+            f"error: {len(failures)} of {attempts} {what} failed "
             f"(over the {FAILURE_FRACTION_LIMIT:.0%} limit)",
             file=sys.stderr,
         )
@@ -488,6 +472,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     gen_cfg = cfg.generation
     config = _parse_chunker_arg(args.chunker)
+    config_id = canonical_config(config)
 
     segdocs, queries = _segmented_corpus(cfg)
     if not queries:
@@ -500,27 +485,27 @@ def cmd_gen(args: argparse.Namespace) -> int:
     def answer_one(query: QueryRecord) -> dict:
         hits = retrieve(index, query.text, gen_cfg.top_k_context, cfg.embedder)
         texts = [index.get(chunk_id).text for chunk_id, _ in hits]
-        try:
-            answer = generate_answer(gen_cfg, query.text, texts)
-        except GenerationError as exc:
-            raise GenerationError(f"query {query.query_id!r}: {exc}", status=exc.status) from exc
-        similarity = qa_similarity(query.text, answer, cfg.embedder)
+        answer = generate_answer(gen_cfg, query.text, texts)
         return {
             "query_id": query.query_id,
             "answer": answer,
-            "qa_similarity": similarity,
+            "qa_similarity": qa_similarity(query.text, answer, cfg.embedder),
         }
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            answers = list(pool.map(answer_one, sampled))
-    else:
-        answers = [answer_one(query) for query in sampled]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        futures = [pool.submit(answer_one, query) for query in sampled]
+    answers: list[dict] = []
+    failures: list[dict] = []
+    for query, future in zip(sampled, futures):
+        try:
+            answers.append(future.result())
+        except Exception as exc:
+            logger.warning("query %s failed: %s", query.query_id, exc)
+            failures.append(_failure(config_id, query, exc))
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(cfg.out / ANSWERS_FILENAME, answers)
+    write_jsonl(cfg.out / ANSWERS_FILENAME, answers)
     logger.info("generated %d answers -> %s", len(answers), cfg.out / ANSWERS_FILENAME)
-    return 0
+    return _failure_budget(cfg.out, failures, len(sampled), "queries")
 
 
 def _hyperparameters(config: dict, prefix: str = "") -> Iterator[tuple[str, float]]:
@@ -591,9 +576,8 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
                     else:
                         cell[metric] += (row[metric] - lo) / (hi - lo)
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out / TRENDS_FILENAME
-    with _replacing(out_path) as fh:
+    with replacing(out_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["hyperparameter", "value", "recall", "precision", "f1", "degenerate"])
         for name in sorted(trends):

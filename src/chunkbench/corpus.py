@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .files import read_jsonl, write_jsonl
 from .segmenter import RuleSegmenter, segment_document
 
 logger = logging.getLogger(__name__)
@@ -58,20 +58,6 @@ class StitchedDocument:
         return Document(doc_id=self.doc_id, text=self.text)
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path.name}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path.name}:{lineno}: expected a JSON object")
-            yield lineno, obj
-
-
 def _require_str(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
@@ -92,8 +78,7 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[QueryRecord]]:
 
     documents: list[Document] = []
     seen_docs: set[str] = set()
-    for lineno, obj in _read_jsonl(docs_path):
-        where = f"{DOCS_FILENAME}:{lineno}"
+    for where, obj in read_jsonl(docs_path, CorpusError):
         doc_id = _require_str(obj, "doc_id", where)
         text = _require_str(obj, "text", where)
         if not text.strip():
@@ -110,8 +95,7 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[QueryRecord]]:
     queries_path = directory / QUERIES_FILENAME
     if queries_path.exists():
         seen_queries: set[str] = set()
-        for lineno, obj in _read_jsonl(queries_path):
-            where = f"{QUERIES_FILENAME}:{lineno}"
+        for where, obj in read_jsonl(queries_path, CorpusError):
             query_id = _require_str(obj, "query_id", where)
             text = _require_str(obj, "text", where)
             if query_id in seen_queries:
@@ -302,22 +286,10 @@ def write_corpus(
 ) -> None:
     """Write docs.jsonl and queries.jsonl into a directory."""
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    with (directory / DOCS_FILENAME).open("w", encoding="utf-8") as fh:
-        for doc in documents:
-            fh.write(json.dumps(document_to_json(doc), sort_keys=True) + "\n")
-    with (directory / QUERIES_FILENAME).open("w", encoding="utf-8") as fh:
-        for query in queries:
-            fh.write(json.dumps(query_to_json(query), sort_keys=True) + "\n")
+    write_jsonl(directory / DOCS_FILENAME, map(document_to_json, documents))
+    write_jsonl(directory / QUERIES_FILENAME, map(query_to_json, queries))
 
 
 def write_stitch_map(stitched: Sequence[StitchedDocument], path: str | Path) -> None:
-    """Write one stitch_map.jsonl row per stitched document."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in stitched:
-            record = {
-                "doc_id": doc.doc_id,
-                "source_doc_ids": list(doc.source_doc_ids),
-                "sentence_offsets": list(doc.sentence_offsets),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write one stitch_map.jsonl row per stitched document: its fields but the text."""
+    write_jsonl(path, ({k: v for k, v in vars(doc).items() if k != "text"} for doc in stitched))

@@ -24,6 +24,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 import requests
 
+from .files import replacing
+
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "EMBED_API_KEY"
@@ -306,7 +308,6 @@ class _VectorCache:
 
     def __init__(self, spec: EmbedderSpec) -> None:
         self.directory = Path(spec.cache_dir)  # type: ignore[arg-type]
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.model_id = spec.model_id
         self.dimension = spec.dimension
 
@@ -335,8 +336,5 @@ class _VectorCache:
 
     def put(self, text: str, vector: np.ndarray) -> None:
         blob = encode_vectors(vector[None, :], self.model_id)
-        path = self._path(text)
-        tmp = path.with_suffix(f".tmp-{threading.get_ident()}")
-        with _CACHE_WRITE_LOCK:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+        with _CACHE_WRITE_LOCK, replacing(self._path(text), "wb") as fh:
+            fh.write(blob)

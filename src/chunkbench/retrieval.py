@@ -9,6 +9,7 @@ import numpy as np
 
 from .chunkers import Chunk, read_chunks, write_chunks
 from .embedding import EmbedderSpec, decode_vectors, embed_batch, encode_vectors
+from .files import replacing
 
 CHUNKS_FILENAME = "chunks.jsonl"
 VECTORS_FILENAME = "vectors.bin"
@@ -87,10 +88,9 @@ def retrieve(
 def save_index(index: ChunkIndex, directory: str | Path) -> None:
     """Persist as chunks.jsonl plus a binary vector file."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     write_chunks(index.chunks, directory / CHUNKS_FILENAME)
-    blob = encode_vectors(index.vectors, index.model_id)
-    (directory / VECTORS_FILENAME).write_bytes(blob)
+    with replacing(directory / VECTORS_FILENAME, "wb") as fh:
+        fh.write(encode_vectors(index.vectors, index.model_id))
 
 
 def load_index(directory: str | Path) -> ChunkIndex:

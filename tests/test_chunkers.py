@@ -561,3 +561,20 @@ class TestChunkFiles:
         write_chunks(chunks, tmp_path / "a.jsonl")
         write_chunks(chunks, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"chunk_id": "d-1", "doc_id": "d", "text": "x"}', "missing field 'sentence_indices'"),
+            ('["d-1", "d", [1], "x"]', "expected a JSON object"),
+            ('{"chunk_id": "d-1", "doc_id": "d", "sentence_indices": 1, "text": "x"}',
+             "field 'sentence_indices' must be a list"),
+        ],
+        ids=["missing-field", "not-an-object", "indices-not-a-list"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "chunks.jsonl"
+        write_chunks(fixed_size_chunk(doc_of(2, "d"), 2)[:1], path)
+        path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^chunks.jsonl:2: {message}"):
+            read_chunks(path)

@@ -6,7 +6,7 @@ import pytest
 
 from chunkbench import embedding
 from chunkbench.chunkers import read_chunks
-from chunkbench.cli import _replacing, main
+from chunkbench.cli import main
 from chunkbench.corpus import load_corpus
 
 from conftest import MINI_DATASET
@@ -272,26 +272,6 @@ class TestBenchCommand:
         assert not (outs[1] / "failures.jsonl").exists()
 
 
-class TestReplacing:
-    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        path.write_text("complete\n", encoding="utf-8")
-        with pytest.raises(KeyboardInterrupt):
-            with _replacing(path) as fh:
-                fh.write("partial")
-                raise KeyboardInterrupt
-        assert path.read_text(encoding="utf-8") == "complete\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
-
-    def test_completed_write_replaces(self, tmp_path):
-        path = tmp_path / "summary.csv"
-        path.write_text("old\n", encoding="utf-8")
-        with _replacing(path) as fh:
-            fh.write("new\n")
-        assert path.read_text(encoding="utf-8") == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
-
-
 class TestGenCommand:
     def test_answers_written(self, tmp_path, mock_service):
         mock_service.set_handler(
@@ -334,6 +314,50 @@ class TestGenCommand:
              "--jobs", "1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "failing, code", [({"q01"}, 0), ({"q01", "q02"}, 1)], ids=["within-budget", "over-budget"]
+    )
+    def test_failed_queries_are_recorded(self, tmp_path, mock_service, failing, code):
+        _, queries = load_corpus(MINI_DATASET)
+        failing_texts = {q.text for q in queries if q.query_id in failing}
+
+        def handler(payload):
+            if any(text in payload["prompt"] for text in failing_texts):
+                return 400, {"error": "rejected"}
+            return 200, {"text": "an answer"}
+
+        mock_service.set_handler(handler)
+        cfg = write_config(tmp_path, generation={"endpoint": mock_service.url})
+        out = tmp_path / "o"
+        chunker = {"kind": "fixed_size", "n_chunks": 3, "overlap": 0}
+        assert run(["gen", "--chunker", json.dumps(chunker), "--config", cfg,
+                    "--dataset", MINI_DATASET, "--out", out, "--jobs", "2"]) == code
+        answers = [
+            json.loads(line) for line in (out / "answers.jsonl").read_text("utf-8").splitlines()
+        ]
+        assert [a["query_id"] for a in answers] == sorted(
+            q.query_id for q in queries if q.query_id not in failing
+        )
+        failures = [
+            json.loads(line) for line in (out / "failures.jsonl").read_text("utf-8").splitlines()
+        ]
+        assert [f["query_id"] for f in failures] == sorted(failing)
+        for failure in failures:
+            assert json.loads(failure["config"]) == chunker
+            assert "400" in failure["error"]
+
+
+    def test_clean_rerun_removes_old_failures(self, tmp_path, mock_service):
+        cfg = write_config(tmp_path, generation={"endpoint": mock_service.url})
+        argv = ["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3}),
+                "--config", cfg, "--dataset", MINI_DATASET, "--out", tmp_path / "o"]
+        mock_service.set_handler(lambda payload: (400, {"error": "rejected"}))
+        assert run(argv) == 1
+        assert (tmp_path / "o" / "failures.jsonl").exists()
+        mock_service.set_handler(lambda payload: (200, {"text": "an answer"}))
+        assert run(argv) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["answers.jsonl"]
 
 
 class TestSweepReportCommand:
