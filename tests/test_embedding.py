@@ -19,6 +19,8 @@ from chunkbench.embedding import (
     tokenize,
 )
 
+from conftest import MockService, serving
+
 
 class TestTokenize:
     def test_casefold_and_split(self):
@@ -278,6 +280,16 @@ class TestCache:
         assert path.name in caplog.text
         _, matrix = decode_vectors(path.read_bytes())
         np.testing.assert_array_equal(matrix, expected)
+
+
+def test_mock_service_closes_its_listening_socket():
+    service = MockService()
+    with serving(service) as server:
+        listening = server.socket
+        service.embed_with(lambda text: [1.0, 0.0, 0.0])
+        spec = EmbedderSpec(backend="remote", endpoint=service.url, dimension=3)
+        assert embed_batch(spec, ["up"]).shape == (1, 3)
+    assert listening.fileno() == -1
 
 
 class TestRemoteBackend:
