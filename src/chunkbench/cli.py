@@ -140,7 +140,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(data["jobs"], int) or data["jobs"] < 1:
         raise ConfigError("jobs must be an integer >= 1")
 
-    embedder = _section(data, "embedder", _option_names(EmbedderSpec))
+    embedder = _section(data, "embedder", [f.name for f in fields(EmbedderSpec)])
     if args.embedder is not None:
         embedder = {**embedder, "backend": args.embedder}
     spec = _from_section(EmbedderSpec, embedder, "embedder")
@@ -156,7 +156,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
     generation = None
     if data["generation"] is not None:
-        section = _section(data, "generation", _option_names(GenerationConfig))
+        section = _section(data, "generation", [f.name for f in fields(GenerationConfig)])
         if section.get("endpoint"):
             generation = _from_section(GenerationConfig, section, "generation")
 
@@ -182,12 +182,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         generation=generation,
         segmenter=segmenter,
     )
-
-
-def _option_names(cls: type) -> list[str]:
-    """The config-file keys of a settings dataclass: its fields except
-    retry_base_delay, which is settable from code only."""
-    return [f.name for f in fields(cls) if f.name != "retry_base_delay"]
 
 
 def _section(data: dict, name: str, keys: Sequence[str]) -> dict:

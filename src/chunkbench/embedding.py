@@ -9,6 +9,7 @@ gives bit-identical vectors on every platform.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -16,13 +17,14 @@ import re
 import struct
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .files import replacing
 
@@ -31,13 +33,14 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "EMBED_API_KEY"
 BACKENDS = ("test", "remote")
 _RETRY_ATTEMPTS = 3
+# The wait after the first failed try, in seconds; it doubles after each try.
+_RETRY_BASE_DELAY = 0.5
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
 _CACHE_WRITE_LOCK = threading.Lock()
 # Every vector embedded in this process, per spec; see embed_batch.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
 _MEMO_LOCK = threading.Lock()
-T = TypeVar("T")
 
 
 class EmbeddingError(RuntimeError):
@@ -59,7 +62,6 @@ class EmbedderSpec:
     batch_size: int = 32
     cache_dir: str | Path | None = None
     max_concurrency: int = 4
-    retry_base_delay: float = 0.5
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -163,27 +165,26 @@ def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     if spec.backend == "test":
         return np.stack([deterministic_embed(t, spec.dimension) for t in texts])
     batches = [texts[i : i + spec.batch_size] for i in range(0, len(texts), spec.batch_size)]
-    if len(batches) == 1:
-        parts = [_remote_batch(spec, batches[0])]
-    else:
-        workers = min(spec.max_concurrency, len(batches))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda batch: _remote_batch(spec, batch), batches))
-    return np.vstack(parts)
+    with ThreadPoolExecutor(max_workers=min(spec.max_concurrency, len(batches))) as pool:
+        return np.vstack(list(pool.map(lambda batch: _remote_batch(spec, batch), batches)))
 
 
 def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
-    raw = post_with_retries(
+    body = post_with_retries(
         "embedding",
         spec.endpoint,
         {"model": spec.model_id, "texts": batch},
-        _parse_embeddings,
         EmbeddingError,
         api_key_env=API_KEY_ENV,
         timeout=_REQUEST_TIMEOUT,
         attempts=_RETRY_ATTEMPTS,
-        base_delay=spec.retry_base_delay,
     )
+    if not isinstance(body, dict) or "embeddings" not in body:
+        raise EmbeddingError('embedding response is missing the "embeddings" field')
+    try:
+        raw = np.asarray(body["embeddings"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise EmbeddingError(f"embedding response is malformed: {exc}") from exc
     if raw.ndim != 2 or raw.shape[0] != len(batch):
         got = raw.shape[0] if raw.ndim >= 1 else 0
         raise EmbeddingError(f"backend returned {got} embeddings for {len(batch)} texts")
@@ -203,43 +204,51 @@ def post_with_retries(
     service: str,
     url: str,
     payload: dict,
-    parse: Callable[[requests.Response], T],
     error: Callable[..., Exception],
     *,
     api_key_env: str,
     timeout: float,
     attempts: int,
-    base_delay: float,
-) -> T:
-    """POST payload as JSON and return parse(response) of the first 200 reply.
+) -> object:
+    """POST payload as JSON and return the decoded JSON body of the first 200 reply.
 
     A bearer token is sent when the api_key_env variable is set. Connection
     errors and 5xx replies are retried up to attempts tries in all, waiting
-    base_delay seconds and doubling the wait after each try; any other
-    status fails at once. Failures raise error(message, status=...).
+    _RETRY_BASE_DELAY seconds and doubling the wait after each try; any other
+    status fails at once, and so does a 200 reply whose body is not JSON.
+    Failures raise error(message, status=...).
     """
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    delay = base_delay
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+    )
+    delay = _RETRY_BASE_DELAY
     last_status: int | None = None
     last_error = "connection failed"
     for attempt in range(attempts):
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            last_error = str(exc)
-            last_status = None
-        else:
-            if resp.status_code == 200:
-                return parse(resp)
-            last_status = resp.status_code
-            last_error = f"status {resp.status_code}"
-            if resp.status_code < 500:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
+            status, last_error = None, str(exc)
+        if status == 200:
+            try:
+                return json.loads(body)
+            except ValueError as exc:
+                raise error(f"{service} backend returned invalid JSON: {exc}") from exc
+        last_status = status
+        if status is not None:
+            last_error = f"status {status}"
+            if status < 500:
                 # Client errors will not heal on retry.
                 raise error(
-                    f"{service} backend rejected the request ({last_error})", status=last_status
+                    f"{service} backend rejected the request ({last_error})", status=status
                 )
         if attempt < attempts - 1:
             logger.warning("%s request failed (%s), retrying in %.2fs", service, last_error, delay)
@@ -248,19 +257,6 @@ def post_with_retries(
     raise error(
         f"{service} backend failed after {attempts} attempts ({last_error})", status=last_status
     )
-
-
-def _parse_embeddings(resp: requests.Response) -> np.ndarray:
-    try:
-        body = resp.json()
-    except ValueError as exc:
-        raise EmbeddingError(f"embedding backend returned invalid JSON: {exc}") from exc
-    if not isinstance(body, dict) or "embeddings" not in body:
-        raise EmbeddingError('embedding response is missing the "embeddings" field')
-    try:
-        return np.asarray(body["embeddings"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise EmbeddingError(f"embedding response is malformed: {exc}") from exc
 
 
 def encode_vectors(matrix: np.ndarray, model_id: str) -> bytes:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .embedding import EmbedderSpec, embed_batch, post_with_retries
 
@@ -39,7 +38,6 @@ class GenerationConfig:
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     max_retries: int = 3
     top_k_context: int = 5
-    retry_base_delay: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.endpoint:
@@ -73,24 +71,15 @@ def generate_answer(
     Transient failures (connection errors, 5xx) are retried with
     exponential backoff up to max_retries attempts.
     """
-    return post_with_retries(
+    body = post_with_retries(
         "generation",
         config.endpoint,
         {"model": config.model_id, "prompt": render_prompt(config, query_text, chunk_texts)},
-        _parse_answer,
         GenerationError,
         api_key_env=API_KEY_ENV,
         timeout=_REQUEST_TIMEOUT,
         attempts=config.max_retries,
-        base_delay=config.retry_base_delay,
     )
-
-
-def _parse_answer(resp: requests.Response) -> str:
-    try:
-        body = resp.json()
-    except ValueError as exc:
-        raise GenerationError(f"generation backend returned invalid JSON: {exc}") from exc
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
         raise GenerationError('generation response is missing the "text" field')
     return body["text"]

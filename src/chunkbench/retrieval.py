@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .chunkers import Chunk, read_chunks, write_chunks
-from .embedding import EmbedderSpec, decode_vectors, embed_batch, encode_vectors
-from .files import replacing
-
-CHUNKS_FILENAME = "chunks.jsonl"
-VECTORS_FILENAME = "vectors.bin"
+from .chunkers import Chunk
+from .embedding import EmbedderSpec, embed_batch
 
 
 class ChunkIndex:
-    """An immutable in-memory index: chunks plus one unit vector per chunk."""
+    """An immutable in-memory index: chunks plus one unit vector per chunk.
+
+    The vectors are held as float64, so scores are computed in float64 and
+    ranking is stable.
+    """
 
     def __init__(self, chunks: Sequence[Chunk], vectors: np.ndarray, model_id: str) -> None:
         chunks = tuple(chunks)
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2D array")
         if len(chunks) != vectors.shape[0]:
@@ -36,8 +35,6 @@ class ChunkIndex:
         self.vectors = vectors
         self.model_id = model_id
         self._by_id = {c.chunk_id: c for c in chunks}
-        # Scores are computed in float64 so ranking is stable.
-        self._matrix = vectors.astype(np.float64)
         # Each chunk_id's position in ascending id order: the ranking tie-break.
         by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
         self._id_rank = np.empty(len(chunks), dtype=np.int64)
@@ -80,22 +77,7 @@ def retrieve(
             f"index was built with model {index.model_id!r}, spec says {spec.model_id!r}"
         )
     query_vec = embed_batch(spec, [query_text])[0].astype(np.float64)
-    scores = index._matrix @ query_vec
+    scores = index.vectors @ query_vec
     ranked = np.lexsort((index._id_rank, -scores))[:k]
     return [(index.chunks[i].chunk_id, float(scores[i])) for i in ranked]
 
-
-def save_index(index: ChunkIndex, directory: str | Path) -> None:
-    """Persist as chunks.jsonl plus a binary vector file."""
-    directory = Path(directory)
-    write_chunks(index.chunks, directory / CHUNKS_FILENAME)
-    with replacing(directory / VECTORS_FILENAME, "wb") as fh:
-        fh.write(encode_vectors(index.vectors, index.model_id))
-
-
-def load_index(directory: str | Path) -> ChunkIndex:
-    """Load an index persisted by save_index."""
-    directory = Path(directory)
-    chunks = read_chunks(directory / CHUNKS_FILENAME)
-    header, vectors = decode_vectors((directory / VECTORS_FILENAME).read_bytes())
-    return ChunkIndex(chunks=chunks, vectors=vectors, model_id=str(header["model_id"]))

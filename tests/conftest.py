@@ -53,7 +53,8 @@ class MockService:
     def __init__(self) -> None:
         self.requests: list[dict] = []
         self.lock = threading.Lock()
-        self.handler = None  # fn(payload) -> (status, body_dict)
+        # fn(payload) -> (status, body): a dict is sent as JSON, bytes as they are.
+        self.handler = None
         self.port = 0
 
     @property
@@ -99,7 +100,7 @@ def serving(service: MockService) -> Iterator[ThreadingHTTPServer]:
                 status, body = 500, {"error": "no handler installed"}
             else:
                 status, body = handler(payload)
-            data = json.dumps(body).encode("utf-8")
+            data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
@@ -137,6 +138,12 @@ def fresh_embedding_memo():
     embedding._MEMO.clear()
     yield
     embedding._MEMO.clear()
+
+
+@pytest.fixture(autouse=True)
+def no_retry_waits(monkeypatch):
+    """HTTP clients retry at once; tests of the backoff schedule set it back."""
+    monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.0)
 
 
 @pytest.fixture

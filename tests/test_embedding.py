@@ -175,9 +175,7 @@ class TestMemo:
             return 200, {"embeddings": [[1.0] * dimension for _ in payload["texts"]]}
 
         mock_service.set_handler(handler)
-        return EmbedderSpec(
-            backend="remote", endpoint=mock_service.url, dimension=dimension, retry_base_delay=0.0
-        )
+        return EmbedderSpec(backend="remote", endpoint=mock_service.url, dimension=dimension)
 
     def test_repeated_call_makes_no_request(self, mock_service):
         spec = self._recording(mock_service)
@@ -236,11 +234,7 @@ class TestCache:
 
         mock_service.set_handler(handler)
         spec = EmbedderSpec(
-            backend="remote",
-            endpoint=mock_service.url,
-            dimension=3,
-            cache_dir=tmp_path,
-            retry_base_delay=0.0,
+            backend="remote", endpoint=mock_service.url, dimension=3, cache_dir=tmp_path
         )
         first = embed_batch(spec, ["alpha", "beta"])
         assert len(calls) == 1
@@ -294,12 +288,7 @@ def test_mock_service_closes_its_listening_socket():
 
 class TestRemoteBackend:
     def _spec(self, service, **kwargs):
-        defaults = dict(
-            backend="remote",
-            endpoint=service.url,
-            dimension=3,
-            retry_base_delay=0.0,
-        )
+        defaults = dict(backend="remote", endpoint=service.url, dimension=3)
         defaults.update(kwargs)
         return EmbedderSpec(**defaults)
 
@@ -375,13 +364,33 @@ class TestRemoteBackend:
         assert err.value.status == 401
         assert len(mock_service.requests) == 1
 
-    def test_connection_error_retries(self):
-        spec = EmbedderSpec(
-            backend="remote",
-            endpoint="http://127.0.0.1:1/v1",
-            dimension=3,
-            retry_base_delay=0.0,
+    def test_retry_waits_double_with_none_after_the_last_try(self, mock_service, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(embedding.time, "sleep", sleeps.append)
+        monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.5)
+        mock_service.set_handler(lambda payload: (503, {"error": "busy"}))
+        with pytest.raises(EmbeddingError):
+            embed_batch(self._spec(mock_service), ["x"])
+        assert len(mock_service.requests) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_invalid_json_reply_fails_after_one_request(self, mock_service):
+        mock_service.set_handler(lambda payload: (200, b"<html>not json</html>"))
+        with pytest.raises(EmbeddingError, match="invalid JSON"):
+            embed_batch(self._spec(mock_service), ["x"])
+        assert len(mock_service.requests) == 1
+
+    def test_status_201_is_rejected_at_once(self, mock_service):
+        mock_service.set_handler(
+            lambda payload: (201, {"embeddings": [[1.0, 0.0, 0.0] for _ in payload["texts"]]})
         )
+        with pytest.raises(EmbeddingError) as err:
+            embed_batch(self._spec(mock_service), ["x"])
+        assert err.value.status == 201
+        assert len(mock_service.requests) == 1
+
+    def test_connection_error_retries(self):
+        spec = EmbedderSpec(backend="remote", endpoint="http://127.0.0.1:1/v1", dimension=3)
         with pytest.raises(EmbeddingError):
             embed_batch(spec, ["x"])
 

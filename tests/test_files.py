@@ -2,13 +2,11 @@ import ast
 import os
 import threading
 
-import numpy as np
 import pytest
 
 from chunkbench.chunkers import Chunk, write_chunks
 from chunkbench.corpus import Document, QueryRecord, write_corpus
 from chunkbench.files import read_jsonl, replacing, write_jsonl
-from chunkbench.retrieval import ChunkIndex, save_index
 
 from conftest import REPO_ROOT
 
@@ -112,16 +110,6 @@ class TestInterruptedWriters:
         bad = [Chunk("d-0000", "d", (0,), "New."), Chunk("d-0001", "d", (1,), UNSERIALISABLE)]
         with pytest.raises(TypeError):
             write_chunks(bad, path)
-        self.assert_untouched(tmp_path, before)
-
-    def test_save_index(self, tmp_path):
-        vectors = np.eye(2, dtype=np.float32)
-        old = [Chunk("d-0000", "d", (0,), "Old."), Chunk("d-0001", "d", (1,), "Older.")]
-        save_index(ChunkIndex(old, vectors, "m"), tmp_path)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        bad = [Chunk("d-0000", "d", (0,), "New."), Chunk("d-0001", "d", (1,), UNSERIALISABLE)]
-        with pytest.raises(TypeError):
-            save_index(ChunkIndex(bad, vectors, "m"), tmp_path)
         self.assert_untouched(tmp_path, before)
 
 

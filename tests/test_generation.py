@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chunkbench import embedding
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
 from chunkbench.generation import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -13,7 +14,7 @@ from chunkbench.generation import (
 
 
 def config_for(url, **overrides):
-    defaults = dict(endpoint=url, model_id="gen-test", retry_base_delay=0.0)
+    defaults = dict(endpoint=url, model_id="gen-test")
     defaults.update(overrides)
     return GenerationConfig(**defaults)
 
@@ -133,6 +134,32 @@ class TestGenerateAnswer:
         with pytest.raises(GenerationError) as excinfo:
             generate_answer(config, "q", ["c"])
         assert excinfo.value.status == 401
+        assert len(mock_service.requests) == 1
+
+    def test_retry_waits_double_with_none_after_the_last_try(self, mock_service, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(embedding.time, "sleep", sleeps.append)
+        monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.5)
+        mock_service.set_handler(lambda payload: (503, {"error": "busy"}))
+        config = config_for(mock_service.url, max_retries=3)
+        with pytest.raises(GenerationError):
+            generate_answer(config, "q", ["c"])
+        assert len(mock_service.requests) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_invalid_json_reply_fails_after_one_request(self, mock_service):
+        mock_service.set_handler(lambda payload: (200, b"<html>not json</html>"))
+        config = config_for(mock_service.url)
+        with pytest.raises(GenerationError, match="invalid JSON"):
+            generate_answer(config, "q", ["c"])
+        assert len(mock_service.requests) == 1
+
+    def test_status_201_is_rejected_at_once(self, mock_service):
+        mock_service.set_handler(lambda payload: (201, {"text": "created"}))
+        config = config_for(mock_service.url)
+        with pytest.raises(GenerationError) as excinfo:
+            generate_answer(config, "q", ["c"])
+        assert excinfo.value.status == 201
         assert len(mock_service.requests) == 1
 
     def test_connection_error_retries_then_fails(self):

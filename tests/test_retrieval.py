@@ -3,7 +3,7 @@ import pytest
 
 from chunkbench.chunkers import Chunk
 from chunkbench.embedding import EmbedderSpec, deterministic_embed, embed_batch
-from chunkbench.retrieval import ChunkIndex, build_index, load_index, retrieve, save_index
+from chunkbench.retrieval import ChunkIndex, build_index, retrieve
 
 
 def spec(dim=64):
@@ -145,35 +145,10 @@ class TestRetrieve:
             index = build_index(chunks, spec(dim=16))
             query = texts[int(rng.integers(0, len(texts)))]
             qv = embed_batch(spec(dim=16), [query])[0].astype(np.float64)
-            scores = index.vectors.astype(np.float64) @ qv
+            scores = index.vectors @ qv
             reference = sorted((-float(s), c.chunk_id) for s, c in zip(scores, chunks))
             assert len({s for s, _ in reference}) < count
             for k in (1, max(1, count // 2), count):
                 got = retrieve(index, query, k=k, spec=spec(dim=16))
                 assert got == [(chunk_id, -neg) for neg, chunk_id in reference[:k]]
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        chunks = word_chunks(["tide", "ember", "moss"])
-        index = build_index(chunks, spec())
-        save_index(index, tmp_path)
-        back = load_index(tmp_path)
-        assert back.chunks == index.chunks
-        assert back.model_id == index.model_id
-        np.testing.assert_array_equal(back.vectors, index.vectors)
-
-    def test_retrieval_identical_after_reload(self, tmp_path):
-        chunks = word_chunks(["tide", "ember", "moss", "fern"])
-        index = build_index(chunks, spec())
-        save_index(index, tmp_path)
-        back = load_index(tmp_path)
-        assert retrieve(back, "moss and fern", 4, spec()) == retrieve(
-            index, "moss and fern", 4, spec()
-        )
-
-    def test_files_written(self, tmp_path):
-        index = build_index(word_chunks(["x"]), spec())
-        save_index(index, tmp_path)
-        assert (tmp_path / "chunks.jsonl").exists()
-        assert (tmp_path / "vectors.bin").exists()
