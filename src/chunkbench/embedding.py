@@ -18,6 +18,7 @@ import struct
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -200,6 +201,36 @@ def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
     return (raw / norms[:, None]).astype(np.float32)
 
 
+class _Redirects(urllib.request.HTTPRedirectHandler):
+    """Follow 307/308 replies to a POST with the same body, and pass the
+    bearer token on only when the scheme and host[:port] stay the same.
+
+    The token is an unredirected header, which urllib never copies to a
+    redirect's request, so this handler is the one place that passes it on.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if code in (307, 308) and req.get_method() == "POST":
+            new = urllib.request.Request(
+                newurl,
+                data=req.data,
+                headers=req.headers,
+                origin_req_host=req.origin_req_host,
+                unverifiable=True,
+                method="POST",
+            )
+        else:
+            new = super().redirect_request(req, fp, code, msg, headers, newurl)
+        token = req.unredirected_hdrs.get("Authorization")
+        same_origin = urllib.parse.urlsplit(newurl)[:2] == urllib.parse.urlsplit(req.full_url)[:2]
+        if new is not None and token and same_origin:
+            new.add_unredirected_header("Authorization", token)
+        return new
+
+
+_OPENER = urllib.request.build_opener(_Redirects)
+
+
 def post_with_retries(
     service: str,
     url: str,
@@ -218,19 +249,22 @@ def post_with_retries(
     status fails at once, and so does a 200 reply whose body is not JSON.
     Failures raise error(message, status=...).
     """
-    headers = {"Content-Type": "application/json"}
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
     api_key = os.environ.get(api_key_env)
     if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
-    )
+        request.add_unredirected_header("Authorization", f"Bearer {api_key}")
     delay = _RETRY_BASE_DELAY
     last_status: int | None = None
     last_error = "connection failed"
     for attempt in range(attempts):
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
+            # By keyword: a positional argument of .open() reads as a file mode.
+            with _OPENER.open(fullurl=request, timeout=timeout) as resp:
                 status, body = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             status = exc.code

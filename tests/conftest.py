@@ -53,13 +53,18 @@ class MockService:
     def __init__(self) -> None:
         self.requests: list[dict] = []
         self.lock = threading.Lock()
-        # fn(payload) -> (status, body): a dict is sent as JSON, bytes as they are.
+        # fn(payload) -> (status, body) or (status, body, headers): a dict body
+        # is sent as JSON, bytes as they are; headers are added to the reply.
         self.handler = None
         self.port = 0
 
     @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.port}/v1"
+
+    def redirect_to(self, status: int, location: str) -> None:
+        """Handler answering every request with a redirect to location."""
+        self.set_handler(lambda payload: (status, {}, {"Location": location}))
 
     def set_handler(self, fn) -> None:
         with self.lock:
@@ -90,6 +95,7 @@ def serving(service: MockService) -> Iterator[ThreadingHTTPServer]:
             with service.lock:
                 service.requests.append(
                     {
+                        "method": self.command,
                         "path": self.path,
                         "authorization": self.headers.get("Authorization"),
                         "payload": payload,
@@ -97,15 +103,20 @@ def serving(service: MockService) -> Iterator[ThreadingHTTPServer]:
                 )
                 handler = service.handler
             if handler is None:
-                status, body = 500, {"error": "no handler installed"}
+                status, body, *headers = 500, {"error": "no handler installed"}
             else:
-                status, body = handler(payload)
+                status, body, *headers = handler(payload)
             data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
+
+        # A 301/302/303 redirect turns a POST into a GET.
+        do_GET = do_POST
 
         def log_message(self, *args):
             pass

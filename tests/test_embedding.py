@@ -389,6 +389,39 @@ class TestRemoteBackend:
         assert err.value.status == 201
         assert len(mock_service.requests) == 1
 
+    def test_307_is_followed_with_the_body_and_token_on_the_same_host(
+        self, mock_service, monkeypatch
+    ):
+        monkeypatch.setenv(API_KEY_ENV, "sekrit")
+        state = {"calls": 0}
+
+        def handler(payload):
+            state["calls"] += 1
+            if state["calls"] == 1:
+                return 307, {}, {"Location": "/v1/"}
+            return 200, {"embeddings": [[1.0, 0.0, 0.0] for _ in payload["texts"]]}
+
+        mock_service.set_handler(handler)
+        assert embed_batch(self._spec(mock_service), ["x"]).shape == (1, 3)
+        first, second = mock_service.requests
+        assert second["method"] == "POST" and second["path"] == "/v1/"
+        assert second["payload"] == first["payload"]
+        assert second["authorization"] == "Bearer sekrit"
+
+    @pytest.mark.parametrize("status", [302, 307, 308])
+    def test_token_is_not_sent_to_another_host(self, mock_service, monkeypatch, status):
+        monkeypatch.setenv(API_KEY_ENV, "sekrit")
+        other = MockService()
+        # A 302 turns the POST into a GET, so this reply does not read the payload.
+        other.set_handler(lambda payload: (200, {"embeddings": [[1.0, 0.0, 0.0]]}))
+        with serving(other):
+            mock_service.redirect_to(status, f"http://localhost:{other.port}/v1")
+            embed_batch(self._spec(mock_service), ["x"])
+        assert mock_service.requests[0]["authorization"] == "Bearer sekrit"
+        (redirected,) = other.requests
+        assert redirected["method"] == ("GET" if status == 302 else "POST")
+        assert redirected["authorization"] is None
+
     def test_connection_error_retries(self):
         spec = EmbedderSpec(backend="remote", endpoint="http://127.0.0.1:1/v1", dimension=3)
         with pytest.raises(EmbeddingError):

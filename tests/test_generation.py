@@ -12,6 +12,8 @@ from chunkbench.generation import (
     render_prompt,
 )
 
+from conftest import MockService, serving
+
 
 def config_for(url, **overrides):
     defaults = dict(endpoint=url, model_id="gen-test")
@@ -105,6 +107,18 @@ class TestGenerateAnswer:
         monkeypatch.setenv("GEN_API_KEY", "sk-gen-9")
         generate_answer(config, "q", ["c"])
         assert mock_service.requests[-1]["authorization"] == "Bearer sk-gen-9"
+
+    def test_token_is_not_sent_to_another_host(self, mock_service, monkeypatch):
+        monkeypatch.setenv("GEN_API_KEY", "sk-gen-9")
+        other = MockService()
+        other.set_handler(lambda payload: (200, {"text": "ok"}))
+        with serving(other):
+            mock_service.redirect_to(307, f"http://localhost:{other.port}/v1")
+            assert generate_answer(config_for(mock_service.url), "q", ["c"]) == "ok"
+        assert mock_service.requests[0]["authorization"] == "Bearer sk-gen-9"
+        (redirected,) = other.requests
+        assert redirected["payload"] == mock_service.requests[0]["payload"]
+        assert redirected["authorization"] is None
 
     def test_retries_transient_500_then_succeeds(self, mock_service):
         calls = []
