@@ -379,19 +379,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
             def evaluate(query: QueryRecord) -> list[EvalRecord]:
                 hits = retrieve(index, query.text, kmax, spec)
+                chunk_ids = tuple(chunk_id for chunk_id, _ in hits)
+                chunks = [index.get(chunk_id) for chunk_id in chunk_ids]
+                evidence = set(query.evidence)
                 out = []
                 for k in cfg.k_list:
-                    top = hits[:k]
-                    top_chunks = [index.get(chunk_id) for chunk_id, _ in top]
                     if task == "doc":
-                        recall, precision, f1 = doc_metrics(top_chunks, query.relevant_doc_ids)
+                        recall, precision, f1 = doc_metrics(chunks[:k], query.relevant_doc_ids)
                     else:
-                        recall, precision, f1 = evidence_metrics(top_chunks, set(query.evidence))
+                        recall, precision, f1 = evidence_metrics(chunks[:k], evidence)
                     out.append(
                         EvalRecord(
                             query_id=query.query_id,
                             k=k,
-                            retrieved_chunk_ids=tuple(chunk_id for chunk_id, _ in top),
+                            retrieved_chunk_ids=chunk_ids[:k],
                             recall=recall,
                             precision=precision,
                             f1=f1,

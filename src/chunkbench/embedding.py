@@ -8,6 +8,7 @@ gives bit-identical vectors on every platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import json
@@ -82,10 +83,14 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.casefold()) if t]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def token_bucket(token: str, dimension: int) -> tuple[int, int]:
     """Coordinate index and sign (+1/-1) a token hashes to.
 
     Uses blake2b so the mapping is identical across platforms and runs.
+    Memoised per (token, dimension) for the life of the process. The memo
+    needs one entry per distinct token, about 600 on data/mini, and keeps
+    at most 65,536, dropping the least recently used.
     """
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     h = int.from_bytes(digest, "little")
@@ -100,10 +105,11 @@ def deterministic_embed(text: str, dimension: int) -> np.ndarray:
     """
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
-    acc = np.zeros(dimension, dtype=np.float64)
-    for token in tokenize(text):
-        index, sign = token_bucket(token, dimension)
-        acc[index] += sign
+    buckets = np.array(
+        [token_bucket(token, dimension) for token in tokenize(text)], dtype=np.intp
+    ).reshape(-1, 2)
+    # The sums are small integers, exact in float64 whatever the order.
+    acc = np.bincount(buckets[:, 0], weights=buckets[:, 1], minlength=dimension)
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:
         out = np.zeros(dimension, dtype=np.float32)
@@ -247,7 +253,8 @@ def post_with_retries(
     errors and 5xx replies are retried up to attempts tries in all, waiting
     _RETRY_BASE_DELAY seconds and doubling the wait after each try; any other
     status fails at once, and so does a 200 reply whose body is not JSON.
-    Failures raise error(message, status=...).
+    Failures raise error(message, status=...). Retry warnings are logged
+    under chunkbench.<service>, the module of the client that sent them.
     """
     request = urllib.request.Request(
         url,
@@ -285,7 +292,9 @@ def post_with_retries(
                     f"{service} backend rejected the request ({last_error})", status=status
                 )
         if attempt < attempts - 1:
-            logger.warning("%s request failed (%s), retrying in %.2fs", service, last_error, delay)
+            logging.getLogger(f"chunkbench.{service}").warning(
+                "%s request failed (%s), retrying in %.2fs", service, last_error, delay
+            )
             time.sleep(delay)
             delay *= 2.0
     raise error(

@@ -79,16 +79,15 @@ def evidence_metrics(
     """(recall, precision, f1) over the sentences the retrieved chunks cover."""
     if not evidence:
         raise ValueError("evidence must be non-empty")
-    covered = {
-        (chunk.doc_id, index)
-        for chunk in retrieved_chunks
-        for index in chunk.sentence_indices
-    }
-    if not covered:
+    covered: dict[str, set[int]] = {}
+    for chunk in retrieved_chunks:
+        covered.setdefault(chunk.doc_id, set()).update(chunk.sentence_indices)
+    n_covered = sum(len(indices) for indices in covered.values())
+    if not n_covered:
         return 0.0, 0.0, 0.0
-    hits = len(covered & set(evidence))
+    hits = sum(1 for doc_id, index in evidence if index in covered.get(doc_id, ()))
     recall = hits / len(evidence)
-    precision = hits / len(covered)
+    precision = hits / n_covered
     return recall, precision, f1_score(precision, recall)
 
 

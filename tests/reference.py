@@ -5,6 +5,11 @@ The scalar distances spell out, one pair at a time, what
 document. The two clustering loops are the single-linkage union-find walk
 and the queue-BFS DBSCAN that ``chunkbench.chunkers`` once ran per config:
 they define what the shared-distance versions must return.
+
+The last two are the per-token loop of ``chunkbench.embedding.deterministic_embed``
+and the set of (doc_id, sentence_index) pairs that
+``chunkbench.evaluation.evidence_metrics`` once built per call: the
+bincount and per-document versions must give the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 
 from chunkbench.chunkers import Chunk, _make_chunks
 from chunkbench.distance import pairwise_joint_distances
+from chunkbench.embedding import token_bucket, tokenize
+from chunkbench.evaluation import f1_score
 from chunkbench.segmenter import SegmentedDocument
 
 
@@ -143,3 +150,33 @@ def dbscan_reference(
         else:
             groups[labels[i]].append(i)
     return _make_chunks(doc, groups)
+
+
+def deterministic_embed_reference(text: str, dimension: int) -> np.ndarray:
+    """One token at a time into a float64 accumulator, hashing each token
+    afresh (the blake2b behind token_bucket's memo)."""
+    acc = np.zeros(dimension, dtype=np.float64)
+    for token in tokenize(text):
+        index, sign = token_bucket.__wrapped__(token, dimension)
+        acc[index] += sign
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        out = np.zeros(dimension, dtype=np.float32)
+        out[0] = 1.0
+        return out
+    return (acc / norm).astype(np.float32)
+
+
+def evidence_metrics_reference(retrieved_chunks, evidence) -> tuple[float, float, float]:
+    """(recall, precision, f1) from the set of (doc_id, index) pairs covered."""
+    covered = {
+        (chunk.doc_id, index)
+        for chunk in retrieved_chunks
+        for index in chunk.sentence_indices
+    }
+    if not covered:
+        return 0.0, 0.0, 0.0
+    hits = len(covered & set(evidence))
+    recall = hits / len(evidence)
+    precision = hits / len(covered)
+    return recall, precision, f1_score(precision, recall)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkbench import embedding
 from chunkbench.embedding import (
@@ -20,6 +22,7 @@ from chunkbench.embedding import (
 )
 
 from conftest import MockService, serving
+from reference import deterministic_embed_reference
 
 
 class TestTokenize:
@@ -81,13 +84,40 @@ class TestDeterministicEmbed:
             deterministic_embed("text", 1)
 
 
+# Pieces that stress tokenize: "_" splits a token, casefolding expands "ß"
+# and "İ" to two characters, and "alpha" and "theta" share a coordinate at
+# dimension 2 with opposite signs, so together they sum to zero.
+TEXT_PIECES = st.sampled_from(["_", "ß", "ẞ", "İ", "ﬁ", " ", "!?", "alpha", "theta", "Alpha_THETA"])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    text=st.lists(st.one_of(st.text(max_size=12), TEXT_PIECES), max_size=12).map("".join),
+    dimension=st.integers(2, 1024),
+)
+@example(text="", dimension=2)
+@example(text="alpha theta alpha theta", dimension=2)
+@example(text="Straße STRASSE strasse ẞ", dimension=1000)
+@example(text="snake_case İstanbul ﬁle", dimension=3)
+def test_deterministic_embed_matches_the_per_token_loop(text, dimension):
+    got = deterministic_embed(text, dimension)
+    want = deterministic_embed_reference(text, dimension)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cancelling_tokens_map_to_the_first_basis_vector():
+    (index_a, sign_a), (index_b, sign_b) = token_bucket("alpha", 2), token_bucket("theta", 2)
+    assert index_a == index_b and sign_a == -sign_b
+    np.testing.assert_array_equal(deterministic_embed("alpha theta alpha theta", 2), [1.0, 0.0])
+
+
 class TestTokenBucket:
     def test_stable_known_values(self):
         # Frozen sample of the blake2b mapping; guards cross-platform drift.
-        assert token_bucket("the", 512) == token_bucket("the", 512)
-        index, sign = token_bucket("the", 512)
-        assert 0 <= index < 512
-        assert sign in (-1, 1)
+        assert token_bucket("the", 512) == (303, 1)
+        assert token_bucket("chunk", 512) == (196, -1)
+        assert token_bucket("ss", 3) == (0, -1)
 
     def test_distribution_not_degenerate(self):
         indices = {token_bucket(f"word{i}", 64)[0] for i in range(200)}
@@ -349,6 +379,16 @@ class TestRemoteBackend:
         mat = embed_batch(self._spec(mock_service), ["x"])
         assert state["calls"] == 3
         assert mat.shape == (1, 3)
+
+    def test_retry_warning_comes_from_the_embedding_logger(self, mock_service, caplog):
+        replies = iter([(503, {"error": "busy"}), (200, {"embeddings": [[1.0, 0.0, 0.0]]})])
+        mock_service.set_handler(lambda payload: next(replies))
+        with caplog.at_level(logging.WARNING, logger="chunkbench"):
+            embed_batch(self._spec(mock_service), ["x"])
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("chunkbench.embedding", logging.WARNING)
+        ]
+        assert "embedding request failed (status 503)" in caplog.records[0].getMessage()
 
     def test_server_error_exhausts_retries(self, mock_service):
         mock_service.set_handler(lambda payload: (500, {"error": "down"}))

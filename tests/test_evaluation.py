@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkbench.chunkers import (
     BreakpointConfig,
@@ -21,6 +23,8 @@ from chunkbench.evaluation import (
     paired_permutation_test,
     select_best_config,
 )
+
+from reference import evidence_metrics_reference
 
 
 class FakeChunk:
@@ -150,6 +154,23 @@ def record(query_id, k, config, recall, precision, f1):
         chunker_kind=config.kind,
         config_id=canonical_config(config),
     )
+
+
+# Chunks overlap and repeat indices over documents a-c; evidence may name
+# document d or indices past 12, which no chunk covers.
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    chunks=st.lists(
+        st.builds(FakeChunk, st.sampled_from("abc"), st.lists(st.integers(0, 12), max_size=6)),
+        max_size=10,
+    ),
+    evidence=st.sets(st.tuples(st.sampled_from("abcd"), st.integers(0, 15)), min_size=1, max_size=8),
+)
+@example(chunks=[], evidence={("a", 0)})
+@example(chunks=[FakeChunk("a", [0, 1, 1]), FakeChunk("a", [1, 2])], evidence={("a", 1), ("b", 1)})
+@example(chunks=[FakeChunk("a", [])], evidence={("a", 0)})
+def test_evidence_metrics_match_the_set_of_pairs(chunks, evidence):
+    assert evidence_metrics(chunks, evidence) == evidence_metrics_reference(chunks, evidence)
 
 
 class TestAggregate:

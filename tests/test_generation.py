@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,16 @@ class TestGenerateAnswer:
         config = config_for(mock_service.url)
         assert generate_answer(config, "q", ["c"]) == "done"
         assert len(calls) == 3
+
+    def test_retry_warning_comes_from_the_generation_logger(self, mock_service, caplog):
+        replies = iter([(503, {"error": "busy"}), (200, {"text": "done"})])
+        mock_service.set_handler(lambda payload: next(replies))
+        with caplog.at_level(logging.WARNING, logger="chunkbench"):
+            assert generate_answer(config_for(mock_service.url), "q", ["c"]) == "done"
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("chunkbench.generation", logging.WARNING)
+        ]
+        assert "generation request failed (status 503)" in caplog.records[0].getMessage()
 
     def test_gives_up_after_max_retries(self, mock_service):
         mock_service.set_handler(lambda payload: (500, {"error": "down"}))

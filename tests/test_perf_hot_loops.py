@@ -1,0 +1,73 @@
+"""Layer microbenchmarks, marked perf and so deselected by default: the test
+embedder over every distinct chunk text of the default grid on data/mini,
+and evidence scoring of 10-hit lists.
+
+Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
+``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
+"""
+
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from chunkbench import embedding  # noqa: E402
+from chunkbench.chunkers import (  # noqa: E402
+    DocumentDistances,
+    FixedSizeConfig,
+    chunk_document,
+    default_grid,
+)
+from chunkbench.corpus import load_corpus  # noqa: E402
+from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
+from chunkbench.evaluation import evidence_metrics  # noqa: E402
+from chunkbench.retrieval import build_index, retrieve  # noqa: E402
+from chunkbench.segmenter import segment_document  # noqa: E402
+
+from conftest import MINI_DATASET  # noqa: E402
+
+pytestmark = pytest.mark.perf
+
+SPEC = EmbedderSpec(backend="test")
+
+
+def segmented_mini():
+    documents, queries = load_corpus(MINI_DATASET)
+    return [segment_document(d.doc_id, d.text) for d in documents], queries
+
+
+def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
+    docs, _ = segmented_mini()
+    texts: dict[str, None] = {}
+    for doc in docs:
+        embeddings = embed_batch(SPEC, doc.sentence_texts)
+        distances = DocumentDistances(embeddings)
+        for config in default_grid():
+            for chunk in chunk_document(doc, embeddings, config, distances=distances):
+                texts[chunk.text] = None
+
+    # The count perfbench pins as embedding.chunks.distinct_texts on data/mini.
+    assert len(texts) == 391
+
+    def forget():
+        # Every round embeds from scratch: no vector memo, no token buckets.
+        embedding._MEMO.clear()
+        token_bucket.cache_clear()
+
+    matrix = benchmark.pedantic(embed_batch, args=(SPEC, list(texts)), setup=forget, rounds=20)
+    assert matrix.shape == (len(texts), SPEC.dimension)
+
+
+def test_evidence_metrics_over_10_hit_lists(benchmark):
+    docs, queries = segmented_mini()
+    config = FixedSizeConfig(n_chunks=5)
+    chunks = [chunk for doc in docs for chunk in chunk_document(doc, None, config)]
+    index = build_index(chunks, SPEC)
+    cases = [
+        ([index.get(chunk_id) for chunk_id, _ in retrieve(index, q.text, 10, SPEC)], set(q.evidence))
+        for q in queries
+        if q.evidence
+    ]
+    assert cases and all(len(hits) == 10 for hits, _ in cases)
+
+    scores = benchmark(lambda: [evidence_metrics(hits, evidence) for hits, evidence in cases])
+    assert len(scores) == len(cases)
