@@ -1,117 +1,1 @@
 """Sentence chunking strategies and a retrieval benchmark harness for RAG."""
-
-from .chunkers import (
-    Chunk,
-    BreakpointConfig,
-    ChunkerConfig,
-    DbscanConfig,
-    FixedSizeConfig,
-    SingleLinkageConfig,
-    breakpoint_chunk,
-    canonical_config,
-    chunk_document,
-    config_from_dict,
-    config_to_dict,
-    dbscan_chunk,
-    default_grid,
-    family,
-    fixed_size_chunk,
-    single_linkage_chunk,
-)
-from .corpus import (
-    CorpusError,
-    Document,
-    QueryRecord,
-    StitchedDocument,
-    load_corpus,
-    sample_queries,
-    stitch,
-    write_corpus,
-)
-from .distance import (
-    ThresholdPolicy,
-    consecutive_distances,
-    gradient,
-    pairwise_joint_distances,
-    threshold,
-)
-from .embedding import EmbedderSpec, EmbeddingError, deterministic_embed, embed_batch
-from .evaluation import (
-    EvalRecord,
-    MetricRow,
-    aggregate,
-    doc_metrics,
-    evidence_metrics,
-    f1_score,
-    paired_permutation_test,
-    select_best_config,
-)
-from .generation import GenerationConfig, GenerationError, generate_answer, qa_similarity
-from .retrieval import ChunkIndex, build_index, retrieve
-from .segmenter import (
-    RuleSegmenter,
-    SegmentationError,
-    SegmentedDocument,
-    Sentence,
-    segment,
-    segment_document,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BreakpointConfig",
-    "Chunk",
-    "ChunkerConfig",
-    "ChunkIndex",
-    "CorpusError",
-    "DbscanConfig",
-    "Document",
-    "EmbedderSpec",
-    "EmbeddingError",
-    "EvalRecord",
-    "FixedSizeConfig",
-    "GenerationConfig",
-    "GenerationError",
-    "MetricRow",
-    "QueryRecord",
-    "RuleSegmenter",
-    "SegmentationError",
-    "SegmentedDocument",
-    "Sentence",
-    "SingleLinkageConfig",
-    "StitchedDocument",
-    "ThresholdPolicy",
-    "aggregate",
-    "breakpoint_chunk",
-    "build_index",
-    "canonical_config",
-    "chunk_document",
-    "config_from_dict",
-    "config_to_dict",
-    "consecutive_distances",
-    "dbscan_chunk",
-    "default_grid",
-    "deterministic_embed",
-    "doc_metrics",
-    "embed_batch",
-    "evidence_metrics",
-    "f1_score",
-    "family",
-    "fixed_size_chunk",
-    "generate_answer",
-    "gradient",
-    "load_corpus",
-    "paired_permutation_test",
-    "pairwise_joint_distances",
-    "qa_similarity",
-    "retrieve",
-    "sample_queries",
-    "segment",
-    "segment_document",
-    "select_best_config",
-    "single_linkage_chunk",
-    "stitch",
-    "threshold",
-    "write_corpus",
-]

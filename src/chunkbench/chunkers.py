@@ -131,12 +131,9 @@ class DbscanConfig:
             )
 
 
+# Each config's .kind names its chunker and .family its reporting family;
+# both clustering chunkers share one family.
 ChunkerConfig = Union[FixedSizeConfig, BreakpointConfig, SingleLinkageConfig, DbscanConfig]
-
-
-def family(config: ChunkerConfig) -> str:
-    """Reporting family: both clustering chunkers share one column."""
-    return config.family
 
 
 def _make_chunks(doc: SegmentedDocument, groups: Sequence[Sequence[int]]) -> list[Chunk]:

@@ -29,6 +29,7 @@ from .chunkers import (
     write_chunks,
 )
 from .corpus import (
+    STITCH_MAP_FILENAME,
     CorpusError,
     QueryRecord,
     load_corpus,
@@ -133,12 +134,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         or sorted(set(k_list)) != k_list
     ):
         raise ConfigError("k_list must be a strictly ascending list of integers >= 1")
-    if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-        raise ConfigError("seed must be an integer")
-    if not isinstance(data["query_sample"], int) or data["query_sample"] < 1:
-        raise ConfigError("query_sample must be an integer >= 1")
-    if not isinstance(data["jobs"], int) or data["jobs"] < 1:
-        raise ConfigError("jobs must be an integer >= 1")
 
     embedder = _section(data, "embedder", [f.name for f in fields(EmbedderSpec)])
     if args.embedder is not None:
@@ -151,8 +146,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"bad grid config: {exc}") from exc
 
     target = _section(data, "stitch", ("target_sentences",)).get("target_sentences", 100)
-    if not isinstance(target, int) or target < 1:
-        raise ConfigError("stitch.target_sentences must be an integer >= 1")
 
     generation = None
     if data["generation"] is not None:
@@ -170,18 +163,31 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"cannot read abbreviation list: {exc}") from exc
 
     return RunConfig(
-        dataset=Path(data["dataset"]),
-        out=Path(data["out"]),
-        seed=data["seed"],
+        dataset=Path(_string(data["dataset"], "dataset")),
+        out=Path(_string(data["out"], "out")),
+        seed=_integer(data["seed"], "seed", 0),
         k_list=list(k_list),
-        query_sample=data["query_sample"],
-        jobs=data["jobs"],
+        query_sample=_integer(data["query_sample"], "query_sample", 1),
+        jobs=_integer(data["jobs"], "jobs", 1),
         embedder=spec,
         grid=grid,
-        stitch_target=target,
+        stitch_target=_integer(target, "stitch.target_sentences", 1),
         generation=generation,
         segmenter=segmenter,
     )
+
+
+def _integer(value: object, key: str, minimum: int) -> int:
+    """value, which must be an int (not a bool) >= minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _string(value: object, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _section(data: dict, name: str, keys: Sequence[str]) -> dict:
@@ -305,15 +311,13 @@ def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> N
 
 def cmd_stitch(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    target = args.target if args.target is not None else cfg.stitch_target
-    if target < 1:
-        raise ConfigError(f"--target must be >= 1, got {target}")
+    target = cfg.stitch_target if args.target is None else _integer(args.target, "--target", 1)
     documents, queries = load_corpus(cfg.dataset)
     if not documents:
         raise ConfigError(f"corpus at {cfg.dataset} has no documents")
     stitched, remapped = stitch(documents, queries, target, cfg.seed, cfg.segmenter)
     write_corpus([doc.as_document() for doc in stitched], remapped, cfg.out)
-    write_stitch_map(stitched, cfg.out / "stitch_map.jsonl")
+    write_stitch_map(stitched, cfg.out / STITCH_MAP_FILENAME)
     logger.info(
         "stitched %d documents into %d (target %d sentences) -> %s",
         len(documents),

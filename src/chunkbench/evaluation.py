@@ -14,7 +14,7 @@ from typing import AbstractSet, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .chunkers import ChunkerConfig, config_from_dict, family
+from .chunkers import ChunkerConfig, config_from_dict
 
 
 class ChunkLike(Protocol):
@@ -147,7 +147,7 @@ def select_best_config(
                 f"config {config_id} is missing rows for k={missing}"
             )
         mean_f1 = sum(f1_by_k[k] for k in k_values) / len(k_values)
-        fam = family(config_from_dict(json.loads(config_id)))
+        fam = config_from_dict(json.loads(config_id)).family
         incumbent = best.get(fam)
         if incumbent is None or mean_f1 > incumbent[0]:
             best[fam] = (mean_f1, config_id)

@@ -43,10 +43,6 @@ class ChunkIndex:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    @property
-    def dimension(self) -> int:
-        return int(self.vectors.shape[1])
-
     def get(self, chunk_id: str) -> Chunk:
         return self._by_id[chunk_id]
 

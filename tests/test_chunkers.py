@@ -17,7 +17,6 @@ from chunkbench.chunkers import (
     config_to_dict,
     dbscan_chunk,
     default_grid,
-    family,
     fixed_size_chunk,
     grid_from_dict,
     read_chunks,
@@ -483,7 +482,7 @@ class TestConfigPlumbing:
             assert canonical_config(config_from_dict(json.loads(text))) == text
 
     def test_family_mapping(self):
-        fams = [family(c) for c in self.all_kinds()]
+        fams = [c.family for c in self.all_kinds()]
         assert fams == ["fixed_size", "breakpoint", "clustering", "clustering"]
 
     def test_canonical_config_is_stable_and_sorted(self):

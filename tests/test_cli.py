@@ -110,6 +110,26 @@ class TestExitCodes:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"dataset": 5}, "dataset", id="dataset"),
+            pytest.param({"out": 5}, "out", id="out"),
+            pytest.param({"seed": -1}, "seed", id="seed"),
+            pytest.param({"query_sample": True}, "query_sample", id="query_sample"),
+            pytest.param({"jobs": True}, "jobs", id="jobs"),
+            pytest.param(
+                {"stitch": {"target_sentences": True}}, "stitch.target_sentences", id="stitch"
+            ),
+        ],
+    )
+    def test_bad_value_type_names_the_key(self, tmp_path, capsys, overrides, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, **{"dataset": str(MINI_DATASET), "out": str(out), **overrides})
+        assert run(["stitch", "--config", cfg]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whitespace_only_document_names_file_and_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

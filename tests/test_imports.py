@@ -1,4 +1,6 @@
 import ast
+import json
+import subprocess
 import sys
 
 from conftest import REPO_ROOT
@@ -57,3 +59,21 @@ def test_the_import_guard_sees_each_kind_of_import():
         "3: requests.adapters",
     ]
 
+
+def test_the_file_layer_imports_alone():
+    # files.py is standard library only so every module may import it; the
+    # package root must not drag the other modules, or numpy, in with it.
+    code = (
+        "import json, sys, chunkbench.files; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('chunkbench', 'numpy'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == ["chunkbench", "chunkbench.files"]

@@ -1,5 +1,6 @@
-"""Layer microbenchmarks, marked perf and so deselected by default: the test
-embedder over every distinct chunk text of the default grid on data/mini,
+"""Layer microbenchmarks, marked perf and so deselected by default:
+segmenting data/mini, the test embedder over every distinct chunk text of
+the default grid on data/mini, doc retrieval and scoring over one index,
 and evidence scoring of 10-hit lists.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
@@ -19,9 +20,9 @@ from chunkbench.chunkers import (  # noqa: E402
 )
 from chunkbench.corpus import load_corpus  # noqa: E402
 from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
-from chunkbench.evaluation import evidence_metrics  # noqa: E402
+from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
 from chunkbench.retrieval import build_index, retrieve  # noqa: E402
-from chunkbench.segmenter import segment_document  # noqa: E402
+from chunkbench.segmenter import RuleSegmenter, segment_document  # noqa: E402
 
 from conftest import MINI_DATASET  # noqa: E402
 
@@ -33,6 +34,17 @@ SPEC = EmbedderSpec(backend="test")
 def segmented_mini():
     documents, queries = load_corpus(MINI_DATASET)
     return [segment_document(d.doc_id, d.text) for d in documents], queries
+
+
+def test_segment_mini(benchmark):
+    documents, _ = load_corpus(MINI_DATASET)
+    segmenter = RuleSegmenter()
+
+    def segment_all():
+        return [segment_document(d.doc_id, d.text, segmenter) for d in documents]
+
+    docs = benchmark(segment_all)
+    assert sum(doc.n for doc in docs) == 106
 
 
 def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
@@ -71,3 +83,25 @@ def test_evidence_metrics_over_10_hit_lists(benchmark):
 
     scores = benchmark(lambda: [evidence_metrics(hits, evidence) for hits, evidence in cases])
     assert len(scores) == len(cases)
+
+
+def test_retrieve_and_score_every_doc_query(benchmark):
+    docs, queries = segmented_mini()
+    config = FixedSizeConfig(n_chunks=5)
+    assert config in default_grid()
+    index = build_index([chunk for doc in docs for chunk in chunk_document(doc, None, config)], SPEC)
+    cases = [(q.text, q.relevant_doc_ids) for q in queries if q.relevant_doc_ids]
+    k_list = (1, 3, 5, 10)
+    assert len(cases) == 10
+
+    # As bench does: one top-kmax retrieval per query (its vector memoised
+    # after the first round), scored at every k of the default k_list.
+    def score_all():
+        scores = []
+        for text, relevant in cases:
+            hits = [index.get(chunk_id) for chunk_id, _ in retrieve(index, text, k_list[-1], SPEC)]
+            scores.extend(doc_metrics(hits[:k], relevant) for k in k_list)
+        return scores
+
+    scores = benchmark(score_all)
+    assert len(scores) == len(cases) * len(k_list)

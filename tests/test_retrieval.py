@@ -28,7 +28,7 @@ class TestChunkIndex:
         np.testing.assert_array_equal(index.vectors, expected)
         assert index.model_id == "hash-v1"
         assert len(index) == 3
-        assert index.dimension == 64
+        assert index.vectors.shape == (3, 64)
 
     def test_get_by_id(self):
         chunks = word_chunks(["tide", "ember"])
