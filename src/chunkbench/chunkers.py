@@ -14,9 +14,8 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, Union, get_type_hints
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .distance import (
     pairwise_joint_distances,
     threshold,
 )
-from .files import read_jsonl, write_jsonl
+from .files import from_json, read_jsonl, write_jsonl
 from .segmenter import SegmentedDocument
 
 DEFAULT_STOP_DISTANCE = 0.5
@@ -362,20 +361,23 @@ def dbscan_chunk(
 def _axes(cls: type, section: dict) -> Iterator[dict]:
     """Every combination of a grid section's field values, in field order with
     the last field varying fastest; a bare value is a one-value axis."""
-    names = [name for name in _COERCERS[cls] if name in section]
+    names = [f.name for f in fields(cls) if f.name in section]
     unknown = [key for key in section if key not in names]
     if unknown:
         raise ValueError(f"unknown {cls.kind} grid axes {unknown}")
-    axes = [section[n] if isinstance(section[n], list) else [section[n]] for n in names]
-    for values in itertools.product(*axes):
+    for values in itertools.product(*(_values(section[name]) for name in names)):
         yield dict(zip(names, values))
 
 
 def _threshold_axes(cls: type, section: dict) -> Iterator[dict]:
     """A breakpoint grid section maps each threshold kind to its amounts."""
     for kind, amounts in section.items():
-        for amount in amounts:
+        for amount in _values(amounts):
             yield {"policy": {"kind": kind, "amount": amount}}
+
+
+def _values(axis: object) -> list:
+    return axis if isinstance(axis, list) else [axis]
 
 
 # kind -> (config class, chunker, grid-section expander), in grid order. The
@@ -393,31 +395,6 @@ _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator
         (SingleLinkageConfig, single_linkage_chunk, _axes),
         (DbscanConfig, dbscan_chunk, _axes),
     )
-}
-
-
-def _from_json(cls: type, data: object) -> object:
-    """cls built from a JSON object, each field coerced to its declared type."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    coercers = _COERCERS[cls]
-    unknown = [key for key in data if key not in coercers]
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} field {unknown[0]!r}")
-    return cls(**{name: coercers[name](value) for name, value in data.items()})
-
-
-def _field_coercers(cls: type) -> dict[str, Callable[[object], object]]:
-    """Field name -> function turning a JSON value into the field's declared type."""
-    scalars = {int: int, float: float, str: str}
-    return {
-        name: scalars.get(hint) or partial(_from_json, hint)
-        for name, hint in get_type_hints(cls).items()
-    }
-
-
-_COERCERS = {
-    cls: _field_coercers(cls) for cls in (ThresholdPolicy, *(k[0] for k in _KINDS.values()))
 }
 
 
@@ -444,18 +421,16 @@ def _non_default_fields(obj: object) -> dict:
 def config_from_dict(data: dict) -> ChunkerConfig:
     """Inverse of config_to_dict; raises ValueError on unknown or bad input.
 
-    Omitted fields keep their defaults and every value is coerced to its
-    field's declared type (0 becomes 0.0 for a float field).
+    Omitted fields keep their defaults and every value is checked against
+    its field's declared type by files.from_json: an int is taken for a
+    float field (0 becomes 0.0), and an error names "<kind>.<field>".
     """
     if not isinstance(data, dict):
         raise ValueError("chunker config must be a JSON object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown chunker kind {kind!r}")
-    try:
-        return _from_json(_KINDS[kind][0], {k: v for k, v in data.items() if k != "kind"})
-    except TypeError as exc:
-        raise ValueError(f"bad chunker config {data!r}: {exc}") from exc
+    return from_json(_KINDS[kind][0], {k: v for k, v in data.items() if k != "kind"}, kind)
 
 
 def canonical_config(config: ChunkerConfig) -> str:
@@ -492,7 +467,8 @@ def grid_from_dict(grid: dict) -> list[ChunkerConfig]:
     dbscan). A kind's section maps field names to value lists (an omitted
     field keeps its default) and expands to every combination, in field
     order; the breakpoint section maps each threshold kind to its amounts.
-    Values are coerced as by config_from_dict.
+    A bare value is a one-value axis. Values are checked as by
+    config_from_dict.
     """
     if not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object")

@@ -12,7 +12,7 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -47,7 +47,7 @@ from .evaluation import (
     evidence_metrics,
     select_best_config,
 )
-from .files import replacing, write_jsonl
+from .files import from_json, replacing, write_jsonl
 from .generation import (
     DEFAULT_CONCURRENCY,
     GenerationConfig,
@@ -74,139 +74,82 @@ class ConfigError(ValueError):
     """Bad command usage or configuration; maps to exit code 2."""
 
 
+@dataclass(frozen=True)
+class StitchConfig:
+    """The run config's stitch section; stitch --target overrides it."""
+
+    target_sentences: int = 100
+
+    def __post_init__(self) -> None:
+        if self.target_sentences < 1:
+            raise ValueError(f"target_sentences must be >= 1, got {self.target_sentences}")
+
+
 @dataclass
 class RunConfig:
-    dataset: Path
-    out: Path
-    seed: int
-    k_list: list[int]
-    query_sample: int
-    jobs: int
-    embedder: EmbedderSpec
-    grid: list[ChunkerConfig]
-    stitch_target: int
-    generation: GenerationConfig | None
-    segmenter: RuleSegmenter
+    """A run config file's keys, types and defaults; a null grid is the default
+    grid. configs is the expanded grid; segmenter comes from --abbrev."""
+
+    dataset: Path = Path("data/mini")
+    out: Path = Path("out")
+    seed: int = 7
+    k_list: list[int] = field(default_factory=lambda: [1, 3, 5, 10])
+    query_sample: int = 100
+    jobs: int = DEFAULT_CONCURRENCY
+    embedder: EmbedderSpec = EmbedderSpec()
+    grid: dict | None = None
+    stitch: StitchConfig = StitchConfig()
+    generation: GenerationConfig | None = None
+    configs: list[ChunkerConfig] = field(init=False)
+    segmenter: RuleSegmenter = field(init=False, default_factory=RuleSegmenter)
+
+    def __post_init__(self) -> None:
+        for key, minimum in (("seed", 0), ("query_sample", 1), ("jobs", 1)):
+            value = getattr(self, key)
+            if value < minimum:
+                raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        if not self.k_list or self.k_list[0] < 1 or sorted(set(self.k_list)) != self.k_list:
+            raise ValueError("k_list must be a strictly ascending list of integers >= 1")
+        try:
+            self.configs = default_grid() if self.grid is None else grid_from_dict(self.grid)
+        except ValueError as exc:
+            raise ValueError(f"bad grid config: {exc}") from exc
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge built-in defaults, the --config file, and command-line overrides."""
-    data: dict = {
-        "dataset": "data/mini",
-        "out": "out",
-        "seed": 7,
-        "k_list": [1, 3, 5, 10],
-        "query_sample": 100,
-        "jobs": DEFAULT_CONCURRENCY,
-        "embedder": {},
-        "grid": None,
-        "stitch": {},
-        "generation": None,
-    }
+    """The --config file with the command line's overrides, read into a RunConfig."""
+    data: dict = {}
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text("utf-8"))
+            data = json.loads(Path(args.config).read_text("utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
-        for key, value in loaded.items():
-            if key not in data:
-                raise ConfigError(f"unknown config key {key!r}")
-            data[key] = value
 
-    if args.dataset is not None:
-        data["dataset"] = str(args.dataset)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
-    if args.out is not None:
-        data["out"] = str(args.out)
-
-    k_list = data["k_list"]
-    if (
-        not isinstance(k_list, list)
-        or not k_list
-        or any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in k_list)
-        or sorted(set(k_list)) != k_list
+    for key in ("dataset", "out", "seed", "jobs"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
+    for section, key, value in (
+        ("embedder", "backend", args.embedder),
+        ("stitch", "target_sentences", getattr(args, "target", None)),
     ):
-        raise ConfigError("k_list must be a strictly ascending list of integers >= 1")
-
-    embedder = _section(data, "embedder", [f.name for f in fields(EmbedderSpec)])
-    if args.embedder is not None:
-        embedder = {**embedder, "backend": args.embedder}
-    spec = _from_section(EmbedderSpec, embedder, "embedder")
+        # A section that is not an object is left for from_json to reject.
+        if value is not None and isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
 
     try:
-        grid = default_grid() if data["grid"] is None else grid_from_dict(data["grid"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"bad grid config: {exc}") from exc
-
-    target = _section(data, "stitch", ("target_sentences",)).get("target_sentences", 100)
-
-    generation = None
-    if data["generation"] is not None:
-        section = _section(data, "generation", [f.name for f in fields(GenerationConfig)])
-        if section.get("endpoint"):
-            generation = _from_section(GenerationConfig, section, "generation")
-
-    try:
-        segmenter = (
-            RuleSegmenter(load_abbreviations(args.abbrev))
-            if args.abbrev is not None
-            else RuleSegmenter()
-        )
-    except OSError as exc:
-        raise ConfigError(f"cannot read abbreviation list: {exc}") from exc
-
-    return RunConfig(
-        dataset=Path(_string(data["dataset"], "dataset")),
-        out=Path(_string(data["out"], "out")),
-        seed=_integer(data["seed"], "seed", 0),
-        k_list=list(k_list),
-        query_sample=_integer(data["query_sample"], "query_sample", 1),
-        jobs=_integer(data["jobs"], "jobs", 1),
-        embedder=spec,
-        grid=grid,
-        stitch_target=_integer(target, "stitch.target_sentences", 1),
-        generation=generation,
-        segmenter=segmenter,
-    )
-
-
-def _integer(value: object, key: str, minimum: int) -> int:
-    """value, which must be an int (not a bool) >= minimum."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _string(value: object, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _section(data: dict, name: str, keys: Sequence[str]) -> dict:
-    """data[name], which must be an object with no keys outside keys."""
-    section = data[name]
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name!r} must be an object")
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown {name} key {key!r}")
-    return section
-
-
-def _from_section(cls: type, section: dict, name: str):
-    """cls from a config section; omitted keys take cls's defaults."""
-    try:
-        return cls(**section)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {name} config: {exc}") from exc
+        cfg = from_json(RunConfig, data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.abbrev is not None:
+        try:
+            cfg.segmenter = RuleSegmenter(load_abbreviations(args.abbrev))
+        except OSError as exc:
+            raise ConfigError(f"cannot read abbreviation list: {exc}") from exc
+    return cfg
 
 
 def _parse_chunker_arg(raw: str) -> ChunkerConfig:
@@ -311,7 +254,7 @@ def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> N
 
 def cmd_stitch(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    target = cfg.stitch_target if args.target is None else _integer(args.target, "--target", 1)
+    target = cfg.stitch.target_sentences
     documents, queries = load_corpus(cfg.dataset)
     if not documents:
         raise ConfigError(f"corpus at {cfg.dataset} has no documents")
@@ -359,12 +302,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"no queries with usable ground truth for task {task!r}")
     eligible.sort(key=lambda q: q.query_id)
 
-    spec = cfg.embedder
-    chunk_corpus = _corpus_chunker(segdocs, cfg.grid, spec)
+    spec, grid = cfg.embedder, cfg.configs
+    chunk_corpus = _corpus_chunker(segdocs, grid, spec)
     kmax = max(cfg.k_list)
     dataset_name = cfg.dataset.name or str(cfg.dataset)
     logger.info(
-        "bench task=%s: %d configs x %d queries, k=%s", task, len(cfg.grid), len(eligible), cfg.k_list
+        "bench task=%s: %d configs x %d queries, k=%s", task, len(grid), len(eligible), cfg.k_list
     )
 
     summary: list[MetricRow] = []
@@ -372,7 +315,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def rows() -> Iterator[dict]:
         """The results.jsonl rows, config by config; fills summary and failures."""
-        for config in cfg.grid:
+        for config in grid:
             config_id = canonical_config(config)
             try:
                 index = build_index(chunk_corpus(config), spec)
@@ -441,7 +384,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with replacing(cfg.out / BEST_CONFIGS_FILENAME) as fh:
             fh.write(json.dumps(best_payload, sort_keys=True, indent=2) + "\n")
 
-    total_attempts = len(cfg.grid) * len(eligible)
+    total_attempts = len(grid) * len(eligible)
     elapsed = time.perf_counter() - started
     logger.info(
         "bench task=%s done: %d records, %d/%d failed evaluations, %.1fs",
@@ -545,7 +488,11 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for path in files:
         with path.open(encoding="utf-8", newline="") as fh:
-            for line in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for line in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in line or None in line.values():
+                    raise ConfigError(f"{where}: bad summary row: fields do not match the header")
                 try:
                     config = config_to_dict(config_from_dict(json.loads(line["config"])))
                     rows.append(
@@ -559,7 +506,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
                         }
                     )
                 except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"{path}: bad summary row: {exc}") from exc
+                    raise ConfigError(f"{where}: bad summary row: {exc}") from exc
 
     metrics = ("recall", "precision", "f1")
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
@@ -619,16 +566,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         configs = [_parse_chunker_arg(raw) for raw in args.chunker]
     else:
         configs = [
-            config_from_dict({"kind": "fixed_size", "n_chunks": 3, "overlap": 0}),
-            config_from_dict(
-                {"kind": "breakpoint", "policy": {"kind": "percentile", "amount": 90}}
-            ),
-            config_from_dict(
-                {"kind": "single_linkage", "n_clusters": 3, "positional_weight": 0.5}
-            ),
-            config_from_dict(
-                {"kind": "dbscan", "eps": 0.3, "min_samples": 2, "positional_weight": 0.5}
-            ),
+            config_from_dict(raw)
+            for raw in (
+                {"kind": "fixed_size", "n_chunks": 3, "overlap": 0},
+                {"kind": "breakpoint", "policy": {"kind": "percentile", "amount": 90}},
+                {"kind": "single_linkage", "n_clusters": 3, "positional_weight": 0.5},
+                {"kind": "dbscan", "eps": 0.3, "min_samples": 2, "positional_weight": 0.5},
+            )
         ]
     chunk_corpus = _corpus_chunker(segdocs, configs, cfg.embedder)
     for config in configs:
@@ -649,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON run config file")
-    common.add_argument("--dataset", type=Path, default=None, help="corpus directory override")
+    common.add_argument("--dataset", default=None, help="corpus directory override")
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument(
         "--jobs", type=int, default=None, help="gen: concurrent generation requests"
@@ -657,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--embedder", choices=("remote", "test"), default=None, help="embedder backend override"
     )
-    common.add_argument("--out", type=Path, default=None, help="output directory override")
+    common.add_argument("--out", default=None, help="output directory override")
     common.add_argument(
         "--abbrev", type=Path, default=None, help="abbreviation list file override"
     )

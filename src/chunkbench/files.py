@@ -1,16 +1,21 @@
-"""The one file layer: whole-or-nothing writes and the JSON-lines format.
+"""The one file layer: whole-or-nothing writes, JSON lines, and the config reader.
 
 Standard library only, so every module may use it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import threading
+import typing
 from contextlib import contextmanager
+from dataclasses import MISSING
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from types import UnionType
+from typing import IO, Any, Callable, Iterable, Iterator
 
 
 @contextmanager
@@ -55,3 +60,77 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[str, 
             if not isinstance(obj, dict):
                 raise error(f"{where}: expected a JSON object")
             yield where, obj
+
+
+def from_json(cls: type, data: object, name: str = "") -> Any:
+    """cls built from the JSON object data, each value checked against its field.
+
+    Each key must name an __init__ field, and each value have the field's
+    type: int, float, str, dict, None, a Path (from a string), a list[T], a
+    nested dataclass (from an object) or a union of these. An int is taken
+    for a float field and becomes a float; a bool is never a number. Omitted
+    fields keep their defaults; range checks are cls's own. A ValueError
+    names the value by its dotted path below name ("embedder.dimension").
+    """
+    if type(data) is not dict:
+        raise ValueError(f"{name or cls.__name__} must be an object, got {data!r}")
+    kinds, required = _fields(cls)
+    path = f"{name}." if name else ""
+    for key in data:
+        if key not in kinds:
+            raise ValueError(f"unknown {name or 'config'} key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{path}{key} is required")
+    values = {key: _read(kinds[key], value, path + key) for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}" if name else exc) from exc
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[dict[str, tuple], list[str]]:
+    """(field name -> _kind, fields without a default) of cls, built once per class."""
+    hints = typing.get_type_hints(cls)
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    required = [f.name for f in init if f.default is MISSING and f.default_factory is MISSING]
+    return {f.name: _kind(hints[f.name]) for f in init}, required
+
+
+# What a message calls each JSON type, matched exactly: a bool is no int here.
+_JSON_TYPES = {int: "an integer", str: "a string", dict: "an object", type(None): "null"}
+
+
+def _kind(hint: Any) -> tuple[tuple[type, ...], Callable[[Any, str], Any], str]:
+    """(the JSON types a field of type hint takes, their reader, their name)."""
+    origin = typing.get_origin(hint) or hint
+    if origin in (typing.Union, UnionType):
+        kinds = [_kind(arg) for arg in typing.get_args(hint)]
+        return (
+            sum((kind[0] for kind in kinds), ()),
+            lambda value, key: next(r for t, r, _ in kinds if type(value) in t)(value, key),
+            " or ".join(dict.fromkeys(kind[2] for kind in kinds)),
+        )
+    if dataclasses.is_dataclass(hint):
+        return (dict,), functools.partial(from_json, hint), "an object"
+    if hint is Path:
+        return (str,), lambda value, _: Path(value), "a string"
+    if origin is list:
+        item = _kind(typing.get_args(hint)[0])
+        return (
+            (list,),
+            lambda value, key: [_read(item, v, f"{key}[{i}]") for i, v in enumerate(value)],
+            "a list",
+        )
+    if hint is float:
+        return (int, float), lambda value, _: float(value), "a number"
+    return (hint,), lambda value, _: value, _JSON_TYPES[hint]
+
+
+def _read(kind: tuple, value: Any, key: str) -> Any:
+    """The field value that a _kind reads from value, named key in errors."""
+    types, read, wanted = kind
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {wanted}, got {value!r}")
+    return read(value, key)

@@ -1,6 +1,10 @@
+import copy
 import hashlib
 import json
 import math
+import re
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -497,6 +501,26 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             config_from_dict({"n_chunks": 3})
 
+    def test_a_wrong_typed_value_names_its_kind_and_field(self):
+        for config in self.all_kinds():
+            base = config_to_dict(config)
+            for path, hint in scalar_fields(type(config)):
+                where = re.escape(".".join((config.kind, *path)))
+                wrong = {int: [True, "3", 2.7, 3.0], float: [True, "0.5"], str: [5, None]}[hint]
+                for value in wrong:
+                    with pytest.raises(ValueError, match=f"^{where} must be"):
+                        config_from_dict(with_value(base, path, value))
+
+    def test_an_int_for_a_float_field_keeps_the_canonical_id(self):
+        for config in self.all_kinds():
+            base = config_to_dict(config)
+            for path, hint in scalar_fields(type(config)):
+                if hint is float:
+                    as_int = config_from_dict(with_value(base, path, 1))
+                    as_float = config_from_dict(with_value(base, path, 1.0))
+                    assert canonical_config(as_int) == canonical_config(as_float)
+                    assert type(as_int) is type(as_float) and as_int == as_float
+
     def test_defaults_fill_in(self):
         config = config_from_dict({"kind": "fixed_size", "n_chunks": 3})
         assert config == FixedSizeConfig(n_chunks=3, overlap=0)
@@ -504,6 +528,26 @@ class TestConfigPlumbing:
             {"kind": "single_linkage", "n_clusters": 2, "positional_weight": 0.5}
         )
         assert config.stop_distance == 0.5
+
+
+def scalar_fields(cls, prefix=()):
+    """(field path, declared type) of every field of cls, nested configs flattened."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from scalar_fields(hints[f.name], (*prefix, f.name))
+        else:
+            yield (*prefix, f.name), hints[f.name]
+
+
+def with_value(data, path, value):
+    """A copy of the config dict data with the field at path set to value."""
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
 
 
 class TestDefaultGrid:
@@ -541,6 +585,27 @@ class TestDefaultGrid:
     def test_grid_from_dict_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             grid_from_dict({"magic": {"x": [1]}})
+
+    @pytest.mark.parametrize(
+        "grid, where",
+        [
+            ({"fixed_size": {"n_chunks": [True]}}, "fixed_size.n_chunks"),
+            ({"fixed_size": {"n_chunks": [2], "overlap": 2.0}}, "fixed_size.overlap"),
+            ({"breakpoint": {"percentile": ["50"]}}, "breakpoint.policy.amount"),
+            (
+                {"dbscan": {"eps": [True], "min_samples": [1], "positional_weight": [0]}},
+                "dbscan.eps",
+            ),
+        ],
+    )
+    def test_grid_from_dict_names_a_wrong_typed_value(self, grid, where):
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} must be"):
+            grid_from_dict(grid)
+
+    def test_a_bare_value_is_a_one_value_axis(self):
+        assert grid_from_dict({"breakpoint": {"percentile": 50}}) == grid_from_dict(
+            {"breakpoint": {"percentile": [50.0]}}
+        )
 
     def test_grid_from_dict_rejects_empty(self):
         with pytest.raises(ValueError):

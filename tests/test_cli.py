@@ -5,11 +5,12 @@ import json
 import pytest
 
 from chunkbench import embedding
-from chunkbench.chunkers import read_chunks
-from chunkbench.cli import main
+from chunkbench.chunkers import canonical_config, default_grid, read_chunks
+from chunkbench.cli import StitchConfig, build_parser, load_run_config, main
 from chunkbench.corpus import load_corpus
+from chunkbench.embedding import EmbedderSpec
 
-from conftest import MINI_DATASET
+from conftest import MINI_DATASET, REPO_ROOT
 
 SMALL_GRID = {
     "fixed_size": {"n_chunks": [3], "overlap": [0, 1]},
@@ -130,6 +131,83 @@ class TestExitCodes:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, chunker, key",
+        [
+            pytest.param({"embedder": {"dimension": 64.0}}, None, "embedder.dimension", id="dim"),
+            pytest.param(
+                {"embedder": {"batch_size": True}}, None, "embedder.batch_size", id="batch"
+            ),
+            pytest.param({"embedder": {"model_id": 5}}, None, "embedder.model_id", id="model"),
+            pytest.param(
+                {"generation": {"endpoint": "http://localhost:1", "max_retries": True}},
+                None,
+                "generation.max_retries",
+                id="retries",
+            ),
+            pytest.param(
+                {"grid": {"fixed_size": {"n_chunks": [True]}}},
+                None,
+                "fixed_size.n_chunks",
+                id="grid-true",
+            ),
+            pytest.param(
+                {"grid": {"fixed_size": {"n_chunks": [2.7]}}},
+                None,
+                "fixed_size.n_chunks",
+                id="grid-float",
+            ),
+            pytest.param(
+                {"grid": {"fixed_size": {"n_chunks": ["3"]}}},
+                None,
+                "fixed_size.n_chunks",
+                id="grid-string",
+            ),
+            pytest.param(
+                {"grid": {"dbscan": {"eps": [True], "min_samples": 2, "positional_weight": 0}}},
+                None,
+                "dbscan.eps",
+                id="grid-eps",
+            ),
+            pytest.param(
+                {}, {"kind": "fixed_size", "n_chunks": True}, "fixed_size.n_chunks", id="chunker"
+            ),
+        ],
+    )
+    def test_wrong_typed_value_exits_2_naming_its_key(
+        self, tmp_path, capsys, overrides, chunker, key
+    ):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, **overrides)
+        argv = ["--config", cfg, "--dataset", MINI_DATASET, "--out", out]
+        if chunker is None:
+            code = run(["bench", "--task", "doc", *argv])
+        else:
+            code = run(["chunk", "--chunker", json.dumps(chunker), *argv])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "generation, message",
+        [
+            ({}, "generation.endpoint is required"),
+            ({"model_id": "m"}, "generation.endpoint is required"),
+            ({"endpoint": ""}, "generation: endpoint must be non-empty"),
+            (5, "generation must be an object or null, got 5"),
+        ],
+        ids=["empty", "model-only", "blank-endpoint", "number"],
+    )
+    def test_generation_object_must_name_an_endpoint(self, tmp_path, capsys, generation, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, generation=generation)
+        code = run(
+            ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET, "--out", out]
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whitespace_only_document_names_file_and_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -147,6 +225,39 @@ class TestExitCodes:
         )
         assert code == 2
         assert "generation" in capsys.readouterr().err
+
+
+class TestRunConfig:
+    def test_checked_in_config_file_loads_whole(self):
+        path = REPO_ROOT / "configs" / "default.json"
+        args = build_parser().parse_args(["bench", "--task", "doc", "--config", str(path)])
+        cfg = load_run_config(args)
+        assert cfg.configs == default_grid()
+        assert [canonical_config(c) for c in cfg.configs] == [
+            canonical_config(c) for c in default_grid()
+        ]
+        assert cfg.embedder == EmbedderSpec()
+        assert cfg.stitch == StitchConfig()
+        assert cfg.generation is None
+        assert (str(cfg.dataset), str(cfg.out), cfg.seed, cfg.k_list) == (
+            "data/mini", "out", 7, [1, 3, 5, 10]
+        )
+
+    def test_no_file_gives_the_defaults(self):
+        cfg = load_run_config(build_parser().parse_args(["bench", "--task", "doc"]))
+        assert cfg.configs == default_grid()
+        assert cfg.embedder == EmbedderSpec()
+        assert cfg.stitch.target_sentences == 100
+
+    def test_command_line_overrides_the_file(self, tmp_path):
+        cfg_path = write_config(tmp_path, seed=3, stitch={"target_sentences": 40})
+        args = build_parser().parse_args(
+            ["stitch", "--config", str(cfg_path), "--seed", "5", "--target", "20",
+             "--embedder", "test", "--out", str(tmp_path / "o")]
+        )
+        cfg = load_run_config(args)
+        assert (cfg.seed, cfg.stitch.target_sentences, cfg.out) == (5, 20, tmp_path / "o")
+        assert cfg.embedder == EmbedderSpec(backend="test", dimension=64)
 
 
 class TestStitchCommand:
@@ -406,6 +517,21 @@ class TestSweepReportCommand:
         assert hashlib.sha256((out / "trends.csv").read_bytes()).hexdigest() == (
             "e6ecc5c84e71149b9a6fe349521ab25ec4a8d7646b4ee255e95294e7917378c1"
         )
+
+    @pytest.mark.parametrize("tail", [",1", ",1,0.5,0.5,0.5,10,extra"], ids=["short", "long"])
+    def test_summary_row_of_the_wrong_length_names_file_and_line(self, tmp_path, capsys, tail):
+        summary = tmp_path / "runs" / "summary.csv"
+        summary.parent.mkdir()
+        summary.write_text(
+            "dataset,chunker,config,k,recall,precision,f1,n_queries\n"
+            f'mini,fixed_size,"{{""kind"":""fixed_size"",""n_chunks"":3}}"{tail}\n',
+            encoding="utf-8",
+        )
+        code = run(["sweep-report", tmp_path / "runs", "--out", tmp_path / "r"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {summary}:2: bad summary row: fields do not match the header" in err
+        assert not (tmp_path / "r").exists()
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -1,18 +1,75 @@
 import ast
 import os
 import threading
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
 from chunkbench.chunkers import Chunk, write_chunks
 from chunkbench.corpus import Document, QueryRecord, write_corpus
-from chunkbench.files import read_jsonl, replacing, write_jsonl
+from chunkbench.files import from_json, read_jsonl, replacing, write_jsonl
 
 from conftest import REPO_ROOT
 
 SRC = REPO_ROOT / "src" / "chunkbench"
 # A value json.dumps cannot serialise: a writer meeting it fails partway through.
 UNSERIALISABLE = {1, 2}
+
+
+@dataclass(frozen=True)
+class Inner:
+    size: int
+    weight: float = 0.5
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+
+
+@dataclass(frozen=True)
+class Outer:
+    where: Path = Path("here")
+    label: str | None = None
+    sizes: list[int] = field(default_factory=list)
+    inner: Inner | None = None
+
+
+class TestFromJson:
+    def test_reads_every_kind_of_field(self):
+        outer = from_json(
+            Outer, {"where": "a/b", "sizes": [1, 2], "inner": {"size": 3, "weight": 1}}
+        )
+        assert outer == Outer(Path("a/b"), None, [1, 2], Inner(3, 1.0))
+        assert type(outer.inner.weight) is float
+        assert from_json(Outer, {"inner": None}) == Outer()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"where": 5}, "where must be a string, got 5"),
+            ({"label": True}, "label must be a string or null, got True"),
+            ({"sizes": [1, True]}, r"sizes\[1\] must be an integer, got True"),
+            ({"sizes": (1,)}, "sizes must be a list, got"),
+            ({"inner": {"size": 2.0}}, "inner.size must be an integer, got 2.0"),
+            ({"inner": {"size": 1, "weight": "1"}}, "inner.weight must be a number, got '1'"),
+            ({"inner": {"size": 1, "weight": False}}, "inner.weight must be a number, got False"),
+            ({"inner": {}}, "inner.size is required"),
+            ({"inner": {"size": 0}}, "inner: size must be >= 1, got 0"),
+            ({"inner": {"size": 1, "sise": 1}}, "unknown inner key 'sise'"),
+            ({"inner": []}, r"inner must be an object or null, got \[\]"),
+            ({"wher": "x"}, "unknown config key 'wher'"),
+        ],
+    )
+    def test_a_bad_value_is_named_by_its_path(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            from_json(Outer, data)
+
+    def test_a_non_object_names_the_class_or_the_path(self):
+        with pytest.raises(ValueError, match="^Outer must be an object"):
+            from_json(Outer, [1])
+        with pytest.raises(ValueError, match="^outer must be an object"):
+            from_json(Outer, "x", "outer")
 
 
 class TestReplacing:
