@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union
 
@@ -399,23 +399,8 @@ _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator
 
 
 def config_to_dict(config: ChunkerConfig) -> dict:
-    """JSON-friendly tagged representation of a chunker config.
-
-    Every field is written; a nested policy leaves out fields at their
-    default, so std_mode appears only when it is not "population".
-    """
-    out: dict = {"kind": config.kind}
-    for name, value in vars(config).items():
-        out[name] = _non_default_fields(value) if is_dataclass(value) else value
-    return out
-
-
-def _non_default_fields(obj: object) -> dict:
-    return {
-        f.name: getattr(obj, f.name)
-        for f in fields(obj)
-        if f.default is MISSING or getattr(obj, f.name) != f.default
-    }
+    """JSON-friendly tagged representation of a chunker config: every field."""
+    return {"kind": config.kind, **asdict(config)}
 
 
 def config_from_dict(data: dict) -> ChunkerConfig:
@@ -493,16 +478,6 @@ def write_chunks(chunks: Sequence[Chunk], path: str | Path) -> None:
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read a chunks.jsonl dump back into Chunk objects; a line that is not a
-    JSON object or lacks a Chunk field raises ValueError naming it."""
-    chunks: list[Chunk] = []
-    for where, obj in read_jsonl(path, ValueError):
-        missing = [f.name for f in fields(Chunk) if f.name not in obj]
-        if missing:
-            raise ValueError(f"{where}: missing field {missing[0]!r}")
-        if not isinstance(obj["sentence_indices"], list):
-            raise ValueError(f"{where}: field 'sentence_indices' must be a list")
-        chunks.append(
-            Chunk(obj["chunk_id"], obj["doc_id"], tuple(obj["sentence_indices"]), obj["text"])
-        )
-    return chunks
+    """Read a chunks.jsonl dump back into Chunk objects; a bad line raises
+    ValueError naming the file, line and field."""
+    return [chunk for _, chunk in read_jsonl(path, Chunk, ValueError)]

@@ -38,7 +38,7 @@ from .corpus import (
     write_corpus,
     write_stitch_map,
 )
-from .embedding import EmbedderSpec, embed_batch
+from .embedding import BACKENDS, EmbedderSpec, embed_batch
 from .evaluation import (
     EvalRecord,
     MetricRow,
@@ -383,6 +383,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         best_payload = {fam: config_to_dict(config) for fam, config in best.items()}
         with replacing(cfg.out / BEST_CONFIGS_FILENAME) as fh:
             fh.write(json.dumps(best_payload, sort_keys=True, indent=2) + "\n")
+    else:
+        # An older run's winners would not be this run's.
+        (cfg.out / BEST_CONFIGS_FILENAME).unlink(missing_ok=True)
 
     total_attempts = len(grid) * len(eligible)
     elapsed = time.perf_counter() - started
@@ -599,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, help="gen: concurrent generation requests"
     )
     common.add_argument(
-        "--embedder", choices=("remote", "test"), default=None, help="embedder backend override"
+        "--embedder", choices=BACKENDS, default=None, help="embedder backend override"
     )
     common.add_argument("--out", default=None, help="output directory override")
     common.add_argument(

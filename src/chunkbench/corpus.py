@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -23,11 +23,23 @@ class CorpusError(ValueError):
     """Malformed corpus data or broken referential integrity."""
 
 
+def _non_blank(**values: str) -> None:
+    """Raise ValueError naming the first field that is empty or whitespace only."""
+    for name, value in values.items():
+        if not value.strip():
+            raise ValueError(f"field {name!r} is empty or whitespace only")
+
+
 @dataclass(frozen=True)
 class Document:
+    """One corpus document; extra per-document fields belong in meta."""
+
     doc_id: str
     text: str
     meta: dict | None = None
+
+    def __post_init__(self) -> None:
+        _non_blank(doc_id=self.doc_id, text=self.text)
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,30 @@ class QueryRecord:
     relevant_doc_ids: frozenset[str] = frozenset()
     evidence: tuple[tuple[str, int], ...] = ()
     reference_answer: str | None = None
+
+
+@dataclass(frozen=True)
+class _Evidence:
+    doc_id: str
+    sentence_index: int
+
+    def __post_init__(self) -> None:
+        if self.sentence_index < 0:
+            raise ValueError(f"sentence_index must be >= 0, got {self.sentence_index}")
+
+
+@dataclass(frozen=True)
+class _QueryLine:
+    """One queries.jsonl line as written."""
+
+    query_id: str
+    text: str
+    relevant_doc_ids: list[str] = field(default_factory=list)
+    evidence: list[_Evidence] = field(default_factory=list)
+    reference_answer: str | None = None
+
+    def __post_init__(self) -> None:
+        _non_blank(query_id=self.query_id, text=self.text)
 
 
 @dataclass(frozen=True)
@@ -58,18 +94,12 @@ class StitchedDocument:
         return Document(doc_id=self.doc_id, text=self.text)
 
 
-def _require_str(obj: dict, key: str, where: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise CorpusError(f"{where}: field {key!r} must be a non-empty string")
-    return value
-
-
 def load_corpus(path: str | Path) -> tuple[list[Document], list[QueryRecord]]:
     """Read docs.jsonl and queries.jsonl from a corpus directory.
 
-    Validates uniqueness of ids and that every doc_id a query references
-    exists. A missing or empty queries file yields an empty query list.
+    Each line is checked by files.read_jsonl; this checks that ids are unique
+    and that every doc_id a query references exists. A missing or empty
+    queries file yields an empty query list.
     """
     directory = Path(path)
     docs_path = directory / DOCS_FILENAME
@@ -78,71 +108,33 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[QueryRecord]]:
 
     documents: list[Document] = []
     seen_docs: set[str] = set()
-    for where, obj in read_jsonl(docs_path, CorpusError):
-        doc_id = _require_str(obj, "doc_id", where)
-        text = _require_str(obj, "text", where)
-        if not text.strip():
-            raise CorpusError(f"{where}: field 'text' is whitespace only")
-        if doc_id in seen_docs:
-            raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
-        seen_docs.add(doc_id)
-        meta = obj.get("meta")
-        if meta is not None and not isinstance(meta, dict):
-            raise CorpusError(f"{where}: field 'meta' must be an object")
-        documents.append(Document(doc_id=doc_id, text=text, meta=meta))
+    for where, doc in read_jsonl(docs_path, Document, CorpusError):
+        if doc.doc_id in seen_docs:
+            raise CorpusError(f"{where}: duplicate doc_id {doc.doc_id!r}")
+        seen_docs.add(doc.doc_id)
+        documents.append(doc)
 
     queries: list[QueryRecord] = []
     queries_path = directory / QUERIES_FILENAME
     if queries_path.exists():
         seen_queries: set[str] = set()
-        for where, obj in read_jsonl(queries_path, CorpusError):
-            query_id = _require_str(obj, "query_id", where)
-            text = _require_str(obj, "text", where)
-            if query_id in seen_queries:
-                raise CorpusError(f"{where}: duplicate query_id {query_id!r}")
-            seen_queries.add(query_id)
-
-            raw_relevant = obj.get("relevant_doc_ids", [])
-            if not isinstance(raw_relevant, list):
-                raise CorpusError(f"{where}: 'relevant_doc_ids' must be a list")
-            for ref in raw_relevant:
+        for where, line in read_jsonl(queries_path, _QueryLine, CorpusError):
+            if line.query_id in seen_queries:
+                raise CorpusError(f"{where}: duplicate query_id {line.query_id!r}")
+            seen_queries.add(line.query_id)
+            evidence = tuple((item.doc_id, item.sentence_index) for item in line.evidence)
+            for ref in [*line.relevant_doc_ids, *(doc_id for doc_id, _ in evidence)]:
                 if ref not in seen_docs:
                     raise CorpusError(
-                        f"query {query_id!r} references unknown document {ref!r}"
+                        f"{where}: query {line.query_id!r} references unknown document {ref!r}"
                     )
-
-            evidence: list[tuple[str, int]] = []
-            raw_evidence = obj.get("evidence", [])
-            if not isinstance(raw_evidence, list):
-                raise CorpusError(f"{where}: 'evidence' must be a list")
-            for item in raw_evidence:
-                if (
-                    not isinstance(item, dict)
-                    or not isinstance(item.get("doc_id"), str)
-                    or not isinstance(item.get("sentence_index"), int)
-                    or isinstance(item.get("sentence_index"), bool)
-                ):
-                    raise CorpusError(
-                        f"{where}: evidence entries need a doc_id and an integer sentence_index"
-                    )
-                if item["doc_id"] not in seen_docs:
-                    raise CorpusError(
-                        f"query {query_id!r} has evidence for unknown document {item['doc_id']!r}"
-                    )
-                if item["sentence_index"] < 0:
-                    raise CorpusError(f"{where}: sentence_index must be >= 0")
-                evidence.append((item["doc_id"], item["sentence_index"]))
-
-            answer = obj.get("reference_answer")
-            if answer is not None and not isinstance(answer, str):
-                raise CorpusError(f"{where}: 'reference_answer' must be a string")
             queries.append(
                 QueryRecord(
-                    query_id=query_id,
-                    text=text,
-                    relevant_doc_ids=frozenset(raw_relevant),
-                    evidence=tuple(evidence),
-                    reference_answer=answer,
+                    query_id=line.query_id,
+                    text=line.text,
+                    relevant_doc_ids=frozenset(line.relevant_doc_ids),
+                    evidence=evidence,
+                    reference_answer=line.reference_answer,
                 )
             )
     return documents, queries

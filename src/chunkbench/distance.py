@@ -16,7 +16,6 @@ _DISTANCE_DOMAIN_KINDS = ("percentile", "std_dev", "interquartile", "absolute_di
 _GRADIENT_DOMAIN_KINDS = ("gradient_percentile", "absolute_gradient")
 THRESHOLD_KINDS = _DISTANCE_DOMAIN_KINDS + _GRADIENT_DOMAIN_KINDS
 _PERCENTILE_KINDS = ("percentile", "gradient_percentile")
-_STD_MODES = ("population", "sample")
 
 
 @dataclass(frozen=True)
@@ -27,14 +26,10 @@ class ThresholdPolicy:
     produce a cutoff compared against the distance array itself;
     ``gradient_percentile`` / ``absolute_gradient`` produce a cutoff
     compared against the gradient of the distance array.
-
-    ``std_mode`` selects population (default) or sample standard deviation
-    and only affects the ``std_dev`` kind.
     """
 
     kind: str
     amount: float
-    std_mode: str = "population"
 
     def __post_init__(self) -> None:
         if self.kind not in THRESHOLD_KINDS:
@@ -44,8 +39,6 @@ class ThresholdPolicy:
                 raise ValueError(f"percentile amount must be in [0, 100], got {self.amount}")
         elif self.amount < 0.0:
             raise ValueError(f"threshold amount must be >= 0, got {self.amount}")
-        if self.std_mode not in _STD_MODES:
-            raise ValueError(f"std_mode must be one of {_STD_MODES}, got {self.std_mode!r}")
 
     @property
     def gradient_domain(self) -> bool:
@@ -103,10 +96,7 @@ def threshold(values: np.ndarray, policy: ThresholdPolicy) -> float:
     if policy.kind == "percentile":
         return float(np.percentile(arr, policy.amount))
     if policy.kind == "std_dev":
-        ddof = 0 if policy.std_mode == "population" else 1
-        if ddof == 1 and arr.size < 2:
-            raise ValueError("sample standard deviation needs at least two values")
-        return float(arr.mean() + policy.amount * arr.std(ddof=ddof))
+        return float(arr.mean() + policy.amount * arr.std())
     if policy.kind == "interquartile":
         q25, q75 = np.percentile(arr, [25.0, 75.0])
         return float(arr.mean() + policy.amount * (q75 - q25))

@@ -1,4 +1,4 @@
-"""The one file layer: whole-or-nothing writes, JSON lines, and the config reader.
+"""The one file layer: whole-or-nothing writes, JSON lines, and the typed reader.
 
 Standard library only, so every module may use it.
 """
@@ -44,9 +44,10 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[str, dict]]:
-    """Yield ("<file name>:<line>", object) per non-blank line; raise error,
-    naming the file and line, for malformed JSON or a non-object line."""
+def read_jsonl(path: str | Path, cls: type, error: type[Exception]) -> Iterator[tuple[str, Any]]:
+    """Yield ("<file name>:<line>", from_json(cls, line)) per non-blank line;
+    raise error, naming the file and line, for malformed JSON or anything
+    from_json rejects."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -54,35 +55,37 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[str, 
                 continue
             where = f"{path.name}:{lineno}"
             try:
-                obj = json.loads(line)
+                record = from_json(cls, json.loads(line))
             except json.JSONDecodeError as exc:
                 raise error(f"{where}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise error(f"{where}: expected a JSON object")
-            yield where, obj
+            except ValueError as exc:
+                raise error(f"{where}: {exc}") from exc
+            yield where, record
 
 
 def from_json(cls: type, data: object, name: str = "") -> Any:
     """cls built from the JSON object data, each value checked against its field.
 
     Each key must name an __init__ field, and each value have the field's
-    type: int, float, str, dict, None, a Path (from a string), a list[T], a
-    nested dataclass (from an object) or a union of these. An int is taken
-    for a float field and becomes a float; a bool is never a number. Omitted
-    fields keep their defaults; range checks are cls's own. A ValueError
-    names the value by its dotted path below name ("embedder.dimension").
+    type: int, float, str, dict, None, a Path (from a string), a list[T] or
+    tuple[T, ...] (from a list), a nested dataclass (from an object) or a
+    union of these. An int is taken for a float field and becomes a float;
+    a bool is never a number. Omitted fields keep their defaults; range
+    checks are cls's own. A ValueError names the value by its dotted path
+    below name ("embedder.dimension").
     """
     if type(data) is not dict:
         raise ValueError(f"{name or cls.__name__} must be an object, got {data!r}")
     kinds, required = _fields(cls)
     path = f"{name}." if name else ""
-    for key in data:
+    values = {}
+    for key, value in data.items():
         if key not in kinds:
-            raise ValueError(f"unknown {name or 'config'} key {key!r}")
+            raise ValueError(f"unknown {name + ' ' if name else ''}key {key!r}")
+        values[key] = _read(kinds[key], value, path + key)
     for key in required:
         if key not in data:
             raise ValueError(f"{path}{key} is required")
-    values = {key: _read(kinds[key], value, path + key) for key, value in data.items()}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -116,11 +119,11 @@ def _kind(hint: Any) -> tuple[tuple[type, ...], Callable[[Any, str], Any], str]:
         return (dict,), functools.partial(from_json, hint), "an object"
     if hint is Path:
         return (str,), lambda value, _: Path(value), "a string"
-    if origin is list:
+    if origin in (list, tuple):
         item = _kind(typing.get_args(hint)[0])
         return (
             (list,),
-            lambda value, key: [_read(item, v, f"{key}[{i}]") for i, v in enumerate(value)],
+            lambda value, key: origin(_read(item, v, f"{key}[{i}]") for i, v in enumerate(value)),
             "a list",
         )
     if hint is float:

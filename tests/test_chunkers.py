@@ -198,7 +198,6 @@ class TestBreakpoint:
             ThresholdPolicy("percentile", 30.0),
             ThresholdPolicy("percentile", 90.0),
             ThresholdPolicy("std_dev", 1.0),
-            ThresholdPolicy("std_dev", 1.0, std_mode="sample"),
             ThresholdPolicy("interquartile", 1.0),
             ThresholdPolicy("gradient_percentile", 70.0),
             ThresholdPolicy("absolute_distance", 0.3),
@@ -214,11 +213,6 @@ class TestBreakpoint:
                 ]
             )
             for policy in policies:
-                if policy.kind == "std_dev" and policy.std_mode == "sample" and n < 3:
-                    # sample sigma is undefined on a single-value profile
-                    with pytest.raises(ValueError):
-                        breakpoint_chunk(doc_of(n), emb, policy)
-                    continue
                 if policy.gradient_domain:
                     if profile.size < 2:
                         compare = np.zeros(0)
@@ -236,8 +230,7 @@ class TestBreakpoint:
                     if policy.kind == "percentile":
                         cut = np.percentile(profile, policy.amount)
                     elif policy.kind == "std_dev":
-                        ddof = 1 if policy.std_mode == "sample" else 0
-                        cut = profile.mean() + policy.amount * profile.std(ddof=ddof)
+                        cut = profile.mean() + policy.amount * profile.std()
                     elif policy.kind == "interquartile":
                         q25, q75 = np.percentile(profile, [25, 75])
                         cut = profile.mean() + policy.amount * (q75 - q25)
@@ -474,7 +467,7 @@ class TestConfigPlumbing:
     def all_kinds(self):
         return [
             FixedSizeConfig(n_chunks=4, overlap=1),
-            BreakpointConfig(policy=ThresholdPolicy("std_dev", 1.5, std_mode="sample")),
+            BreakpointConfig(policy=ThresholdPolicy("std_dev", 1.5)),
             SingleLinkageConfig(n_clusters=3, positional_weight=0.25, stop_distance=0.4),
             DbscanConfig(eps=0.2, min_samples=3, positional_weight=0.75),
         ]
@@ -629,12 +622,21 @@ class TestChunkFiles:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"chunk_id": "d-1", "doc_id": "d", "text": "x"}', "missing field 'sentence_indices'"),
-            ('["d-1", "d", [1], "x"]', "expected a JSON object"),
+            ('{"chunk_id": "d-1", "doc_id": "d", "text": "x"}', "sentence_indices is required"),
+            ('["d-1", "d", [1], "x"]', "Chunk must be an object"),
             ('{"chunk_id": "d-1", "doc_id": "d", "sentence_indices": 1, "text": "x"}',
-             "field 'sentence_indices' must be a list"),
+             "sentence_indices must be a list, got 1"),
+            ('{"chunk_id": 5, "doc_id": "d", "sentence_indices": ["a", true], "text": "x", '
+             '"extra": 1}', "chunk_id must be a string, got 5"),
+            ('{"chunk_id": "d-1", "doc_id": "d", "sentence_indices": [0, true], "text": "x"}',
+             r"sentence_indices\[1\] must be an integer, got True"),
+            ('{"chunk_id": "d-1", "doc_id": "d", "sentence_indices": [0], "text": "x", '
+             '"extra": 1}', "unknown key 'extra'"),
         ],
-        ids=["missing-field", "not-an-object", "indices-not-a-list"],
+        ids=[
+            "missing-field", "not-an-object", "indices-not-a-list", "wrong-typed-id",
+            "bool-index", "unknown-key",
+        ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "chunks.jsonl"

@@ -70,6 +70,20 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_queries_line_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "docs.jsonl").write_text(
+            json.dumps({"doc_id": "d1", "text": "One. Two."}) + "\n", encoding="utf-8"
+        )
+        (tmp_path / "queries.jsonl").write_text(
+            json.dumps({"query_id": "q1", "text": "x", "relevant_doc_ids": [["d1"]]}) + "\n",
+            encoding="utf-8",
+        )
+        code = run(["bench", "--task", "doc", "--dataset", tmp_path, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "error: queries.jsonl:1: relevant_doc_ids[0] must be a string" in (
+            capsys.readouterr().err
+        )
+
     def test_unsorted_k_list_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, k_list=[3, 1])
         code = run(
@@ -97,8 +111,13 @@ class TestExitCodes:
             ({"embedder": {"dimensions": 64}}, None, "dimensions"),
             ({"generation": {"endpoint": "http://x", "top_k": 3}}, None, "top_k"),
             ({"stitch": {"target": 30}}, None, "target"),
+            (
+                {},
+                {"kind": "breakpoint", "policy": {"kind": "std_dev", "amount": 1, "std_mode": "x"}},
+                "std_mode",
+            ),
         ],
-        ids=["chunker", "grid", "embedder", "generation", "stitch"],
+        ids=["chunker", "grid", "embedder", "generation", "stitch", "policy"],
     )
     def test_unknown_section_key_names_it(self, tmp_path, capsys, overrides, chunker, key):
         cfg = write_config(tmp_path, **overrides)
@@ -383,6 +402,21 @@ class TestBenchCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "best_configs.json", "results.jsonl", "summary.csv"
         ]
+
+    def test_a_run_that_scores_nothing_removes_old_best_configs(self, tmp_path, monkeypatch):
+        out = self.bench(tmp_path, "doc", "out")
+        assert (out / "best_configs.json").exists()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("index build failed")
+
+        monkeypatch.setattr("chunkbench.cli.build_index", fail)
+        assert run(["bench", "--task", "doc", "--config", tmp_path / "run.json",
+                    "--dataset", MINI_DATASET, "--out", out]) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "failures.jsonl", "results.jsonl", "summary.csv"
+        ]
+        assert (out / "results.jsonl").read_text(encoding="utf-8") == ""
 
     def test_torn_cache_entry_heals(self, tmp_path):
         cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(tmp_path / "c")})

@@ -130,6 +130,56 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=r"docs\.jsonl:2: .*'text'"):
             load_corpus(corpus_dir(tmp_path, docs))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"relevant_doc_ids": [["d1"]]},
+                r"relevant_doc_ids\[0\] must be a string, got \['d1'\]",
+            ),
+            ({"relevant_doc_ids": [{"a": 1}]}, r"relevant_doc_ids\[0\] must be a string"),
+            ({"evidense": [{"doc_id": "d1", "sentence_index": 0}]}, "unknown key 'evidense'"),
+            ({"relevant_doc_ids": ["ghost"]}, "query 'q1' references unknown document 'ghost'"),
+            (
+                {"evidence": [{"doc_id": "ghost", "sentence_index": 0}]},
+                "query 'q1' references unknown document 'ghost'",
+            ),
+            ({"evidence": [["d1", 0]]}, r"evidence\[0\] must be an object"),
+            (
+                {"evidence": [{"doc_id": "d1", "sentence_index": True}]},
+                r"evidence\[0\]\.sentence_index must be an integer, got True",
+            ),
+            ({"reference_answer": 5}, "reference_answer must be a string or null, got 5"),
+            ({"query_id": ""}, "field 'query_id' is empty"),
+            ({"text": ""}, "field 'text' is empty"),
+        ],
+        ids=[
+            "nested-list-id", "object-id", "misspelt-key", "unknown-relevant-doc",
+            "unknown-evidence-doc", "evidence-as-pair", "bool-sentence-index",
+            "non-string-answer", "empty-query-id", "empty-text",
+        ],
+    )
+    def test_bad_query_line_names_file_line_and_field(self, tmp_path, fields, message):
+        docs = [{"doc_id": "d1", "text": "a"}]
+        queries = [{"query_id": "q0", "text": "fine"}, {"query_id": "q1", "text": "x", **fields}]
+        with pytest.raises(CorpusError, match=rf"^queries\.jsonl:2: {message}"):
+            load_corpus(corpus_dir(tmp_path, docs, queries))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"title": "t"}, "unknown key 'title'"),
+            ({"doc_id": 5}, "doc_id must be a string, got 5"),
+            ({"doc_id": ""}, "field 'doc_id' is empty"),
+            ({"meta": []}, r"meta must be an object or null, got \[\]"),
+        ],
+        ids=["extra-field", "non-string-id", "empty-id", "meta-not-an-object"],
+    )
+    def test_bad_doc_line_names_file_line_and_field(self, tmp_path, fields, message):
+        docs = [{"doc_id": "d0", "text": "Fine."}, {"doc_id": "d1", "text": "a", **fields}]
+        with pytest.raises(CorpusError, match=rf"^docs\.jsonl:2: {message}"):
+            load_corpus(corpus_dir(tmp_path, docs))
+
     def test_mini_dataset_loads(self):
         documents, records = load_corpus(MINI_DATASET)
         assert len(documents) == 12

@@ -189,10 +189,6 @@ class TestThresholdPolicyValidation:
         with pytest.raises(ValueError):
             ThresholdPolicy(kind="std_dev", amount=-0.5)
 
-    def test_std_mode_checked(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy(kind="std_dev", amount=1.0, std_mode="bessel")
-
     def test_gradient_domain_flag(self):
         assert ThresholdPolicy(kind="gradient_percentile", amount=50.0).gradient_domain
         assert ThresholdPolicy(kind="absolute_gradient", amount=0.1).gradient_domain
@@ -218,15 +214,6 @@ class TestThresholdValues:
         got = threshold(values, ThresholdPolicy("std_dev", 2.0))
         # mean 0.5, population sigma 0.5
         assert got == pytest.approx(1.5, abs=1e-12)
-
-    def test_std_dev_sample_mode(self):
-        values = np.array([0.0, 1.0])
-        got = threshold(values, ThresholdPolicy("std_dev", 2.0, std_mode="sample"))
-        np.testing.assert_allclose(got, 0.5 + 2.0 * np.sqrt(0.5), atol=1e-12)
-
-    def test_std_dev_sample_needs_two_values(self):
-        with pytest.raises(ValueError):
-            threshold(np.array([0.4]), ThresholdPolicy("std_dev", 1.0, std_mode="sample"))
 
     def test_interquartile_frozen_example(self):
         values = np.array([0.1, 0.2, 0.3, 0.4, 0.5])

@@ -33,15 +33,28 @@ class Outer:
     label: str | None = None
     sizes: list[int] = field(default_factory=list)
     inner: Inner | None = None
+    offsets: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Row:
+    a: list[int]
+    b: int = 0
+
+    def __post_init__(self):
+        if self.b < 0:
+            raise ValueError(f"b must be >= 0, got {self.b}")
 
 
 class TestFromJson:
     def test_reads_every_kind_of_field(self):
         outer = from_json(
-            Outer, {"where": "a/b", "sizes": [1, 2], "inner": {"size": 3, "weight": 1}}
+            Outer,
+            {"where": "a/b", "sizes": [1, 2], "inner": {"size": 3, "weight": 1}, "offsets": [4]},
         )
-        assert outer == Outer(Path("a/b"), None, [1, 2], Inner(3, 1.0))
+        assert outer == Outer(Path("a/b"), None, [1, 2], Inner(3, 1.0), (4,))
         assert type(outer.inner.weight) is float
+        assert type(outer.offsets) is tuple
         assert from_json(Outer, {"inner": None}) == Outer()
 
     @pytest.mark.parametrize(
@@ -58,7 +71,9 @@ class TestFromJson:
             ({"inner": {"size": 0}}, "inner: size must be >= 1, got 0"),
             ({"inner": {"size": 1, "sise": 1}}, "unknown inner key 'sise'"),
             ({"inner": []}, r"inner must be an object or null, got \[\]"),
-            ({"wher": "x"}, "unknown config key 'wher'"),
+            ({"wher": "x"}, "unknown key 'wher'"),
+            ({"offsets": [1, True]}, r"offsets\[1\] must be an integer, got True"),
+            ({"offsets": 1}, "offsets must be a list, got 1"),
         ],
     )
     def test_a_bad_value_is_named_by_its_path(self, data, message):
@@ -117,14 +132,14 @@ class TestJsonLines:
         path = tmp_path / "rows.jsonl"
         write_jsonl(path, ({"b": i, "a": [i]} for i in range(3)))
         assert path.read_text(encoding="utf-8").splitlines()[0] == '{"a": [0], "b": 0}'
-        assert list(read_jsonl(path, ValueError)) == [
-            (f"rows.jsonl:{i + 1}", {"a": [i], "b": i}) for i in range(3)
+        assert list(read_jsonl(path, Row, ValueError)) == [
+            (f"rows.jsonl:{i + 1}", Row([i], i)) for i in range(3)
         ]
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\n\n  \n{"a": 2}\n', encoding="utf-8")
-        assert [where for where, _ in read_jsonl(path, ValueError)] == [
+        path.write_text('{"a": [1]}\n\n  \n{"a": [2]}\n', encoding="utf-8")
+        assert [where for where, _ in read_jsonl(path, Row, ValueError)] == [
             "rows.jsonl:1", "rows.jsonl:4"
         ]
 
@@ -132,7 +147,11 @@ class TestJsonLines:
         "line, message",
         [
             ("{not json", "rows.jsonl:2: malformed JSON"),
-            ("[1, 2]", "rows.jsonl:2: expected a JSON object"),
+            ("[1, 2]", "rows.jsonl:2: Row must be an object"),
+            ('{"b": 1}', "rows.jsonl:2: a is required"),
+            ('{"a": [1], "c": 2}', "rows.jsonl:2: unknown key 'c'"),
+            ('{"a": ["1"]}', r"rows.jsonl:2: a\[0\] must be an integer, got '1'"),
+            ('{"a": [], "b": -1}', "rows.jsonl:2: b must be >= 0, got -1"),
         ],
     )
     def test_bad_line_raises_the_given_error(self, tmp_path, line, message):
@@ -140,9 +159,9 @@ class TestJsonLines:
             pass
 
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(Custom, match=message):
-            list(read_jsonl(path, Custom))
+        path.write_text('{"a": [1]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(Custom, match=f"^{message}"):
+            list(read_jsonl(path, Row, Custom))
 
 
 class TestInterruptedWriters:
