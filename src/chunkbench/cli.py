@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
@@ -117,38 +118,45 @@ class RunConfig:
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """The --config file with the command line's overrides, read into a RunConfig."""
+    """The --config file with the command line's overrides, read into a RunConfig; an
+    error names the file if the file alone fails the same way, else the command line."""
     data: dict = {}
     if args.config is not None:
         try:
             data = json.loads(Path(args.config).read_text("utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ConfigError(f"{args.config}: must contain a JSON object")
 
+    merged = dict(data)
     for key in ("dataset", "out", "seed", "jobs"):
         if getattr(args, key) is not None:
-            data[key] = getattr(args, key)
+            merged[key] = getattr(args, key)
     for section, key, value in (
         ("embedder", "backend", args.embedder),
         ("stitch", "target_sentences", getattr(args, "target", None)),
     ):
         # A section that is not an object is left for from_json to reject.
-        if value is not None and isinstance(data.setdefault(section, {}), dict):
-            data[section][key] = value
+        if value is not None and isinstance(merged.get(section, {}), dict):
+            merged[section] = {**merged.get(section, {}), key: value}
 
     try:
-        cfg = from_json(RunConfig, data)
+        cfg = from_json(RunConfig, merged)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        source = "command line"
+        try:
+            from_json(RunConfig, data)
+        except ValueError as file_exc:
+            source = args.config if str(file_exc) == str(exc) else source
+        raise ConfigError(f"{source}: {exc}") from exc
     if args.abbrev is not None:
         try:
             cfg.segmenter = RuleSegmenter(load_abbreviations(args.abbrev))
-        except OSError as exc:
-            raise ConfigError(f"cannot read abbreviation list: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read abbreviation list {args.abbrev}: {exc}") from exc
     return cfg
 
 
@@ -439,30 +447,42 @@ def cmd_gen(args: argparse.Namespace) -> int:
     sampled = sorted(
         sample_queries(queries, cfg.query_sample, cfg.seed), key=lambda q: q.query_id
     )
-    index = build_index(_corpus_chunker(segdocs, [config], cfg.embedder)(config), cfg.embedder)
+    spec = cfg.embedder
+    index = build_index(_corpus_chunker(segdocs, [config], spec)(config), spec)
 
-    def answer_one(query: QueryRecord) -> dict:
-        hits = retrieve(index, query.text, gen_cfg.top_k_context, cfg.embedder)
-        texts = [index.get(chunk_id).text for chunk_id, _ in hits]
-        answer = generate_answer(gen_cfg, query.text, texts)
-        return {
-            "query_id": query.query_id,
-            "answer": answer,
-            "qa_similarity": qa_similarity(query.text, answer, cfg.embedder),
-        }
-
+    # Embedding runs here, one batch at a time, and a failed batch fails each
+    # query it covers; the pool only sends generation requests.
+    errors: dict[QueryRecord, Exception] = {}
+    contexts: dict[QueryRecord, list[str]] = {}
+    try:
+        embed_batch(spec, [query.text for query in sampled])
+        for query in sampled:
+            hits = retrieve(index, query.text, gen_cfg.top_k_context, spec)
+            contexts[query] = [index.get(chunk_id).text for chunk_id, _ in hits]
+    except Exception as exc:
+        contexts, errors = {}, dict.fromkeys(sampled, exc)
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [pool.submit(answer_one, query) for query in sampled]
-    answers: list[dict] = []
-    failures: list[dict] = []
-    for query, future in zip(sampled, futures):
-        try:
-            answers.append(future.result())
-        except Exception as exc:
-            logger.warning("query %s failed: %s", query.query_id, exc)
-            failures.append(_failure(config_id, query, exc))
+        futures = {
+            query: pool.submit(generate_answer, gen_cfg, query.text, context)
+            for query, context in contexts.items()
+        }
+    answers = {query: f.result() for query, f in futures.items() if f.exception() is None}
+    errors.update((query, f.exception()) for query, f in futures.items() if query not in answers)
+    try:
+        similarities = qa_similarity([query.text for query in answers], [*answers.values()], spec)
+    except Exception as exc:
+        errors.update(dict.fromkeys(answers, exc))
+        answers, similarities = {}, []
 
-    write_jsonl(cfg.out / ANSWERS_FILENAME, answers)
+    failures: list[dict] = []
+    for query in sorted(errors, key=lambda query: query.query_id):
+        logger.warning("query %s failed: %s", query.query_id, errors[query])
+        failures.append(_failure(config_id, query, errors[query]))
+    rows = zip(answers.items(), similarities)
+    write_jsonl(
+        cfg.out / ANSWERS_FILENAME,
+        ({"query_id": q.query_id, "answer": a, "qa_similarity": s} for (q, a), s in rows),
+    )
     logger.info("generated %d answers -> %s", len(answers), cfg.out / ANSWERS_FILENAME)
     return _failure_budget(cfg.out, failures, len(sampled), "queries")
 
@@ -490,26 +510,29 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
 
     rows: list[dict] = []
     for path in files:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for line in reader:
-                where = f"{path}:{reader.line_num}"
-                if None in line or None in line.values():
-                    raise ConfigError(f"{where}: bad summary row: fields do not match the header")
-                try:
-                    config = config_to_dict(config_from_dict(json.loads(line["config"])))
-                    rows.append(
-                        {
-                            "dataset": line["dataset"],
-                            "k": int(line["k"]),
-                            "axes": dict(_hyperparameters(config)),
-                            "recall": float(line["recall"]),
-                            "precision": float(line["precision"]),
-                            "f1": float(line["f1"]),
-                        }
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"{where}: bad summary row: {exc}") from exc
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8") from exc
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        for line in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in line or None in line.values():
+                raise ConfigError(f"{where}: bad summary row: fields do not match the header")
+            try:
+                config = config_to_dict(config_from_dict(json.loads(line["config"])))
+                rows.append(
+                    {
+                        "dataset": line["dataset"],
+                        "k": int(line["k"]),
+                        "axes": dict(_hyperparameters(config)),
+                        "recall": float(line["recall"]),
+                        "precision": float(line["precision"]),
+                        "f1": float(line["f1"]),
+                    }
+                )
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{where}: bad summary row: {exc}") from exc
 
     metrics = ("recall", "precision", "f1")
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
@@ -546,17 +569,8 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
         for name in sorted(trends):
             for value in sorted(trends[name]):
                 cell = trends[name][value]
-                count = cell["count"]
-                writer.writerow(
-                    [
-                        name,
-                        value,
-                        f"{cell['recall'] / count:.6f}",
-                        f"{cell['precision'] / count:.6f}",
-                        f"{cell['f1'] / count:.6f}",
-                        1 if cell["degenerate"] else 0,
-                    ]
-                )
+                means = [f"{cell[metric] / cell['count']:.6f}" for metric in metrics]
+                writer.writerow([name, value, *means, 1 if cell["degenerate"] else 0])
     logger.info("wrote trend report for %d hyperparameters -> %s", len(trends), out_path)
     return 0
 
@@ -654,12 +668,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, CorpusError)) else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -223,15 +223,7 @@ def stitch(
                 )
             stitched_id, offset = placement[doc_id]
             evidence.append((stitched_id, offset + index))
-        remapped.append(
-            QueryRecord(
-                query_id=query.query_id,
-                text=query.text,
-                relevant_doc_ids=relevant,
-                evidence=tuple(evidence),
-                reference_answer=query.reference_answer,
-            )
-        )
+        remapped.append(replace(query, relevant_doc_ids=relevant, evidence=tuple(evidence)))
     return stitched, remapped
 
 

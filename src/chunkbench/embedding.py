@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import struct
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -39,10 +38,8 @@ _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 0.5
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
-_CACHE_WRITE_LOCK = threading.Lock()
 # Every vector embedded in this process, per spec; see embed_batch.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
-_MEMO_LOCK = threading.Lock()
 
 
 class EmbeddingError(RuntimeError):
@@ -128,7 +125,8 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     asked, and fresh results are persisted; a second identical call does no
     backend work and returns bit-identical rows. Within one call each
     distinct text is looked up and computed at most once. The returned array
-    is always a fresh copy that callers may modify.
+    is always a fresh copy that callers may modify. The memo and the cache
+    take no locks, so call this from one thread at a time.
     """
     items = list(texts)
     for t in items:
@@ -137,7 +135,7 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     if not items:
         return np.zeros((0, spec.dimension), dtype=np.float32)
 
-    memo = _memo_for(spec)
+    memo = _MEMO.setdefault(spec, {})
     cache = _VectorCache(spec) if spec.cache_dir else None
     missing: list[str] = []
     for text in dict.fromkeys(items):
@@ -156,16 +154,6 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
                 cache.put(text, row)
             memo[text] = row
     return np.stack([memo[text] for text in items])
-
-
-def _memo_for(spec: EmbedderSpec) -> dict[str, np.ndarray]:
-    """The process-wide text -> vector memo of one spec.
-
-    Rows only enter it after a successful lookup or computation. Two threads
-    missing the same text may both compute it; they store equal rows.
-    """
-    with _MEMO_LOCK:
-        return _MEMO.setdefault(spec, {})
 
 
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
@@ -375,5 +363,5 @@ class _VectorCache:
 
     def put(self, text: str, vector: np.ndarray) -> None:
         blob = encode_vectors(vector[None, :], self.model_id)
-        with _CACHE_WRITE_LOCK, replacing(self._path(text), "wb") as fh:
+        with replacing(self._path(text), "wb") as fh:
             fh.write(blob)

@@ -46,16 +46,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def read_jsonl(path: str | Path, cls: type, error: type[Exception]) -> Iterator[tuple[str, Any]]:
     """Yield ("<file name>:<line>", from_json(cls, line)) per non-blank line;
-    raise error, naming the file and line, for malformed JSON or anything
-    from_json rejects."""
+    raise error, naming the file and line, for bytes that are not UTF-8,
+    malformed JSON or anything from_json rejects."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 read as lone surrogates, which encode() rejects.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path.name}:{lineno}"
             try:
+                line.encode("utf-8")
                 record = from_json(cls, json.loads(line))
+            except UnicodeEncodeError as exc:
+                raise error(f"{where}: not UTF-8") from exc
             except json.JSONDecodeError as exc:
                 raise error(f"{where}: malformed JSON ({exc.msg})") from exc
             except ValueError as exc:

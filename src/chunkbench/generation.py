@@ -69,7 +69,8 @@ def generate_answer(
     """POST the rendered prompt to the generation endpoint and return its text.
 
     Transient failures (connection errors, 5xx) are retried with
-    exponential backoff up to max_retries attempts.
+    exponential backoff up to max_retries attempts. A reply without a
+    non-empty "text" string raises GenerationError.
     """
     body = post_with_retries(
         "generation",
@@ -82,11 +83,15 @@ def generate_answer(
     )
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
         raise GenerationError('generation response is missing the "text" field')
+    if not body["text"]:
+        raise GenerationError('generation response has an empty "text" field')
     return body["text"]
 
 
-def qa_similarity(query_text: str, answer_text: str, spec: EmbedderSpec) -> float:
-    """Unclipped cosine similarity between query and answer embeddings; [-1, 1]."""
-    vectors = embed_batch(spec, [query_text, answer_text]).astype(np.float64)
-    cos = float(np.dot(vectors[0], vectors[1]))
-    return min(1.0, max(-1.0, cos))
+def qa_similarity(
+    query_texts: Sequence[str], answer_texts: Sequence[str], spec: EmbedderSpec
+) -> list[float]:
+    """Each query's cosine with its answer, clamped to [-1, 1]; one embed_batch call."""
+    vectors = embed_batch(spec, [*query_texts, *answer_texts]).astype(np.float64)
+    pairs = zip(vectors[: len(query_texts)], vectors[len(query_texts) :], strict=True)
+    return [min(1.0, max(-1.0, float(np.dot(q, a)))) for q, a in pairs]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -50,16 +51,20 @@ class SegmentedDocument:
         return [s.text for s in self.sentences]
 
 
+def _abbreviation_set(lines: Iterable[str]) -> frozenset[str]:
+    """The lower-cased, stripped, non-blank entries of lines."""
+    return frozenset(line.strip().lower() for line in lines if line.strip())
+
+
 def load_default_abbreviations() -> frozenset[str]:
     """Read the bundled abbreviation list (one token per line)."""
     data = resources.files("chunkbench").joinpath("data/abbreviations.txt").read_text("utf-8")
-    return frozenset(line.strip().lower() for line in data.splitlines() if line.strip())
+    return _abbreviation_set(data.splitlines())
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Read an abbreviation list from a plain text file, one token per line."""
-    lines = Path(path).read_text("utf-8").splitlines()
-    return frozenset(line.strip().lower() for line in lines if line.strip())
+    return _abbreviation_set(Path(path).read_text("utf-8").splitlines())
 
 
 class RuleSegmenter:
@@ -77,11 +82,8 @@ class RuleSegmenter:
 
     def __init__(self, abbreviations: Iterable[str] | None = None) -> None:
         if abbreviations is None:
-            self._abbreviations = load_default_abbreviations()
-        else:
-            self._abbreviations = frozenset(
-                a.strip().lower() for a in abbreviations if a.strip()
-            )
+            abbreviations = load_default_abbreviations()
+        self._abbreviations = _abbreviation_set(abbreviations)
 
     def segment(self, text: str) -> list[Sentence]:
         """Split text into sentences; raises SegmentationError on empty input."""
@@ -139,14 +141,9 @@ class RuleSegmenter:
         return token.lower() in self._abbreviations
 
 
-_DEFAULT_SEGMENTER: RuleSegmenter | None = None
-
-
+@functools.cache
 def _default_segmenter() -> RuleSegmenter:
-    global _DEFAULT_SEGMENTER
-    if _DEFAULT_SEGMENTER is None:
-        _DEFAULT_SEGMENTER = RuleSegmenter()
-    return _DEFAULT_SEGMENTER
+    return RuleSegmenter()
 
 
 def segment(text: str) -> list[Sentence]:

@@ -1,14 +1,15 @@
 import csv
 import hashlib
 import json
+import threading
 
 import pytest
 
-from chunkbench import embedding
+from chunkbench import cli, embedding, generation, retrieval
 from chunkbench.chunkers import canonical_config, default_grid, read_chunks
 from chunkbench.cli import StitchConfig, build_parser, load_run_config, main
 from chunkbench.corpus import load_corpus
-from chunkbench.embedding import EmbedderSpec
+from chunkbench.embedding import EmbedderSpec, deterministic_embed
 
 from conftest import MINI_DATASET, REPO_ROOT
 
@@ -46,6 +47,51 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, flags, source, message",
+        [
+            ({"datsaet": "x"}, [], "file", "unknown key 'datsaet'"),
+            ({"seed": -1}, [], "file", "seed must be >= 0, got -1"),
+            ({"seed": -1}, ["--seed", "-2"], "command line", "seed must be >= 0, got -2"),
+            ({}, ["--seed", "-2"], "command line", "seed must be >= 0, got -2"),
+            ({"seed": -1}, ["--seed", "3", "--jobs", "0"], "command line", "jobs must be >= 1"),
+            ({}, ["--embedder", "remote"], "command line", "embedder: remote backend requires"),
+        ],
+        ids=["file-key", "file-value", "flag-over-file", "flag", "second-flag", "flag-section"],
+    )
+    def test_run_config_errors_name_their_source(
+        self, tmp_path, capsys, payload, flags, source, message
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        code = run(["stitch", "--config", cfg, "--dataset", MINI_DATASET,
+                    "--out", tmp_path / "out", *flags])
+        assert code == 2
+        prefix = f"{cfg}: " if source == "file" else "command line: "
+        assert f"error: {prefix}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--config", None, "cannot read config file {path}: [Errno 21] Is a directory"),
+            ("--config", b"\xff{}", "cannot read config file {path}: 'utf-8' codec"),
+            ("--config", b"[1]", "{path}: must contain a JSON object"),
+            ("--abbrev", None, "cannot read abbreviation list {path}: [Errno 21] Is a dir"),
+            ("--abbrev", b"e.g.\n\xff\n", "cannot read abbreviation list {path}: 'utf-8'"),
+        ],
+        ids=["config-dir", "config-bytes", "config-list", "abbrev-dir", "abbrev-bytes"],
+    )
+    def test_unreadable_file_names_it(self, tmp_path, capsys, flag, content, message):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code = run(["stitch", flag, path, "--dataset", MINI_DATASET, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"error: {message.format(path=path)}" in capsys.readouterr().err
 
     def test_bad_chunker_json(self, tmp_path, capsys):
         code = run(
@@ -147,7 +193,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, **{"dataset": str(MINI_DATASET), "out": str(out), **overrides})
         assert run(["stitch", "--config", cfg]) == 2
-        assert f"error: {key} must be" in capsys.readouterr().err
+        assert f"error: {cfg}: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -224,7 +270,7 @@ class TestExitCodes:
             ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET, "--out", out]
         )
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_whitespace_only_document_names_file_and_line(self, tmp_path, capsys):
@@ -236,6 +282,16 @@ class TestExitCodes:
         code = run(["bench", "--task", "doc", "--dataset", corpus, "--out", tmp_path / "out"])
         assert code == 2
         assert "docs.jsonl:3" in capsys.readouterr().err
+
+    def test_document_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        docs = (MINI_DATASET / "docs.jsonl").read_bytes().splitlines(keepends=True)
+        docs[3] = docs[3].replace(b"a", b"\xff", 1)
+        (corpus / "docs.jsonl").write_bytes(b"".join(docs))
+        code = run(["bench", "--task", "doc", "--dataset", corpus, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "error: docs.jsonl:4: not UTF-8" in capsys.readouterr().err
 
     def test_gen_without_generation_section(self, tmp_path, capsys):
         code = run(
@@ -524,6 +580,88 @@ class TestGenCommand:
         assert run(argv) == 0
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["answers.jsonl"]
 
+    def gen_on_the_mock(self, tmp_path, mock_service, jobs, empty=()):
+        """Run gen with the remote embedder and the generator both on the mock;
+        the queries whose ids are in empty get an empty answer. Returns
+        (exit code, out dir, embedding requests)."""
+        _, queries = load_corpus(MINI_DATASET)
+        empty_texts = [q.text for q in queries if q.query_id in empty]
+
+        def handler(payload):
+            if "texts" in payload:
+                vectors = [deterministic_embed(t, 64).tolist() for t in payload["texts"]]
+                return 200, {"embeddings": vectors}
+            if any(text in payload["prompt"] for text in empty_texts):
+                return 200, {"text": ""}
+            return 200, {"text": "answer: " + payload["prompt"][-40:]}
+
+        mock_service.set_handler(handler)
+        embedding._MEMO.clear()
+        del mock_service.requests[:]
+        embedder = {"backend": "remote", "endpoint": mock_service.url, "dimension": 64}
+        cfg = write_config(tmp_path, embedder=embedder, generation={"endpoint": mock_service.url})
+        out = tmp_path / f"jobs{jobs}"
+        code = run(["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3}),
+                    "--config", cfg, "--dataset", MINI_DATASET, "--out", out, "--jobs", jobs])
+        requests = [r for r in mock_service.requests if "texts" in r["payload"]]
+        return code, out, requests
+
+    def test_embeds_on_the_main_thread_in_four_requests(
+        self, tmp_path, mock_service, monkeypatch
+    ):
+        threads = []
+        for module in (cli, retrieval, generation):
+
+            def recording(spec, texts, real=module.embed_batch):
+                threads.append(threading.current_thread())
+                return real(spec, texts)
+
+            monkeypatch.setattr(module, "embed_batch", recording)
+        code, _, requests = self.gen_on_the_mock(tmp_path, mock_service, 4)
+        assert code == 0
+        assert threads and set(threads) == {threading.main_thread()}
+        # 36 chunk texts in batches of 32, then every query, then every answer.
+        assert [len(r["payload"]["texts"]) for r in requests] == [32, 4, 10, 10]
+
+    def test_empty_answer_fails_only_its_query_at_any_jobs(self, tmp_path, mock_service):
+        outs = []
+        for jobs in (1, 4):
+            code, out, _ = self.gen_on_the_mock(tmp_path, mock_service, jobs, empty={"q03"})
+            assert code == 0
+            outs.append(out)
+        for name in ("answers.jsonl", "failures.jsonl"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        answers = (outs[0] / "answers.jsonl").read_text("utf-8").splitlines()
+        _, queries = load_corpus(MINI_DATASET)
+        assert [json.loads(a)["query_id"] for a in answers] == sorted(
+            q.query_id for q in queries if q.query_id != "q03"
+        )
+        (failure,) = map(json.loads, (outs[0] / "failures.jsonl").read_text("utf-8").splitlines())
+        assert failure["query_id"] == "q03"
+        assert failure["error"] == 'generation response has an empty "text" field'
+
+    @pytest.mark.parametrize("module", [cli, generation], ids=["queries", "answers"])
+    def test_a_failed_embedding_batch_fails_each_query(
+        self, tmp_path, mock_service, monkeypatch, module
+    ):
+        def fail(spec, texts):
+            raise embedding.EmbeddingError("embedding backend failed")
+
+        # cli embeds the query batch; generation embeds the answer batch.
+        monkeypatch.setattr(module, "embed_batch", fail)
+        mock_service.set_handler(lambda payload: (200, {"text": "an answer"}))
+        cfg = write_config(tmp_path, generation={"endpoint": mock_service.url})
+        out = tmp_path / "o"
+        assert run(["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3}),
+                    "--config", cfg, "--dataset", MINI_DATASET, "--out", out]) == 1
+        assert (out / "answers.jsonl").read_text("utf-8") == ""
+        failures = [
+            json.loads(line) for line in (out / "failures.jsonl").read_text("utf-8").splitlines()
+        ]
+        _, queries = load_corpus(MINI_DATASET)
+        assert [f["query_id"] for f in failures] == sorted(q.query_id for q in queries)
+        assert {f["error"] for f in failures} == {"embedding backend failed"}
+
 
 class TestSweepReportCommand:
     def test_trends_over_bench_outputs(self, tmp_path):
@@ -565,6 +703,15 @@ class TestSweepReportCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {summary}:2: bad summary row: fields do not match the header" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_summary_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        summary = tmp_path / "runs" / "summary.csv"
+        summary.parent.mkdir()
+        summary.write_bytes(b"dataset,chunker,config,k,recall,precision,f1,n_queries\n\xff\n")
+        code = run(["sweep-report", tmp_path / "runs", "--out", tmp_path / "r"])
+        assert code == 2
+        assert f"error: {summary}: not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):

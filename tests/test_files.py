@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -143,6 +144,16 @@ class TestJsonLines:
             "rows.jsonl:1", "rows.jsonl:4"
         ]
 
+    def test_line_endings_number_lines_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": [1]}\r\n{"a": [2]}\r{"a": [3]}\n\n{"b": "\xff"}\n')
+        rows = read_jsonl(path, Row, ValueError)
+        assert [where for where, _ in itertools.islice(rows, 3)] == [
+            "rows.jsonl:1", "rows.jsonl:2", "rows.jsonl:3"
+        ]
+        with pytest.raises(ValueError, match="^rows.jsonl:5: not UTF-8$"):
+            next(rows)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -152,6 +163,8 @@ class TestJsonLines:
             ('{"a": [1], "c": 2}', "rows.jsonl:2: unknown key 'c'"),
             ('{"a": ["1"]}', r"rows.jsonl:2: a\[0\] must be an integer, got '1'"),
             ('{"a": [], "b": -1}', "rows.jsonl:2: b must be >= 0, got -1"),
+            # Written as the single byte 0xff, which is not UTF-8.
+            ('{"a": [], "b": "\udcff"}', "rows.jsonl:2: not UTF-8"),
         ],
     )
     def test_bad_line_raises_the_given_error(self, tmp_path, line, message):
@@ -159,7 +172,7 @@ class TestJsonLines:
             pass
 
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": [1]}\n' + line + "\n", encoding="utf-8")
+        path.write_text('{"a": [1]}\n' + line + "\n", encoding="utf-8", errors="surrogateescape")
         with pytest.raises(Custom, match=f"^{message}"):
             list(read_jsonl(path, Row, Custom))
 

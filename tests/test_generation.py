@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from chunkbench import embedding
+from chunkbench import embedding, generation
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
 from chunkbench.generation import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -205,6 +205,11 @@ class TestGenerateAnswer:
         with pytest.raises(GenerationError):
             generate_answer(config, "q", ["c"])
 
+    def test_empty_text_rejected(self, mock_service):
+        mock_service.set_handler(lambda payload: (200, {"text": ""}))
+        with pytest.raises(GenerationError, match='empty "text"'):
+            generate_answer(config_for(mock_service.url), "q", ["c"])
+
 
 class TestQaSimilarity:
     def spec(self):
@@ -212,27 +217,49 @@ class TestQaSimilarity:
 
     def test_identical_texts_score_one(self):
         spec = self.spec()
-        assert qa_similarity("the same words", "the same words", spec) == pytest.approx(1.0)
+        assert qa_similarity(["the same words"], ["the same words"], spec) == [
+            pytest.approx(1.0)
+        ]
 
     def test_matches_embedding_dot_product(self, rng):
         spec = self.spec()
         texts = ["alpha beta gamma", "gamma beta", "delta epsilon", "alpha"]
-        for _ in range(20):
-            q, a = rng.choice(texts, size=2)
-            expected = float(
+        pairs = [tuple(str(t) for t in rng.choice(texts, size=2)) for _ in range(20)]
+        expected = []
+        for q, a in pairs:
+            cos = float(
                 np.dot(
-                    deterministic_embed(str(q), spec.dimension).astype(np.float64),
-                    deterministic_embed(str(a), spec.dimension).astype(np.float64),
+                    deterministic_embed(q, spec.dimension).astype(np.float64),
+                    deterministic_embed(a, spec.dimension).astype(np.float64),
                 )
             )
-            expected = min(1.0, max(-1.0, expected))
-            assert qa_similarity(str(q), str(a), spec) == pytest.approx(expected, abs=1e-12)
+            expected.append(min(1.0, max(-1.0, cos)))
+        queries, answers = zip(*pairs)
+        # The same bits as one dot product per pair.
+        assert qa_similarity(queries, answers, spec) == expected
 
     def test_range_clamped(self, rng):
         spec = self.spec()
         words = ["red", "green", "blue", "cyan", "violet", "amber"]
-        for _ in range(30):
-            q = " ".join(rng.choice(words, size=3))
-            a = " ".join(rng.choice(words, size=3))
-            value = qa_similarity(q, a, spec)
-            assert -1.0 <= value <= 1.0
+        queries = [" ".join(rng.choice(words, size=3)) for _ in range(30)]
+        answers = [" ".join(rng.choice(words, size=3)) for _ in range(30)]
+        values = qa_similarity(queries, answers, spec)
+        assert len(values) == 30
+        assert all(-1.0 <= value <= 1.0 for value in values)
+
+    def test_embeds_all_texts_in_one_batch(self, monkeypatch):
+        calls = []
+        real = generation.embed_batch
+
+        def recording(spec, texts):
+            calls.append(list(texts))
+            return real(spec, texts)
+
+        monkeypatch.setattr(generation, "embed_batch", recording)
+        assert len(qa_similarity(["q1", "q2"], ["a1", "a2"], self.spec())) == 2
+        assert calls == [["q1", "q2", "a1", "a2"]]
+        assert qa_similarity([], [], self.spec()) == []
+
+    def test_unpaired_lists_are_rejected(self):
+        with pytest.raises(ValueError, match="shorter"):
+            qa_similarity(["q1", "q2"], ["a1"], self.spec())
