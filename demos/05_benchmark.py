@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from chunkbench.chunkers import canonical_config, chunk_document, config_from_dict
 from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec
-from chunkbench.evaluation import EvalRecord, aggregate, doc_metrics, select_best_config
+from chunkbench.evaluation import aggregate, doc_metrics, select_best_config
 from chunkbench.retrieval import build_index, retrieve
 from chunkbench.segmenter import segment_document
 
@@ -40,32 +40,21 @@ def main():
         doc.doc_id: embed_batch(spec, [s.text for s in doc.sentences]) for doc in segdocs
     }
 
-    records = []
+    rows = []
     for raw in GRID:
         config = config_from_dict(raw)
         chunks = []
         for doc in segdocs:
             chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
         index = build_index(chunks, spec)
-        for query in queries:
+        # Per query, (recall, precision, f1) at each k, in query_id order.
+        scores = []
+        for query in sorted(queries, key=lambda q: q.query_id):
             hits = retrieve(index, query.text, max(K_VALUES), spec)
-            for k in K_VALUES:
-                top = [index.get(cid) for cid, _ in hits[:k]]
-                recall, precision, f1 = doc_metrics(top, set(query.relevant_doc_ids))
-                records.append(
-                    EvalRecord(
-                        query_id=query.query_id,
-                        k=k,
-                        retrieved_chunk_ids=tuple(c.chunk_id for c in top),
-                        recall=recall,
-                        precision=precision,
-                        f1=f1,
-                        chunker_kind=config.kind,
-                        config_id=canonical_config(config),
-                    )
-                )
+            top = [index.get(cid) for cid, _ in hits]
+            scores.append([doc_metrics(top[:k], set(query.relevant_doc_ids)) for k in K_VALUES])
+        rows.extend(aggregate(config, canonical_config(config), K_VALUES, scores))
 
-    rows = aggregate(records)
     print(f"{len(GRID)} configs x {len(queries)} queries x k in {K_VALUES}\n")
     print(f"{'config':<78} {'k':>2} {'recall':>7} {'prec':>6} {'f1':>6}")
     for row in rows:

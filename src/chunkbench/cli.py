@@ -41,7 +41,6 @@ from .corpus import (
 )
 from .embedding import BACKENDS, EmbedderSpec, embed_batch
 from .evaluation import (
-    EvalRecord,
     MetricRow,
     aggregate,
     doc_metrics,
@@ -249,7 +248,7 @@ def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> N
             writer.writerow(
                 [
                     dataset,
-                    row.chunker_kind,
+                    row.config.kind,
                     row.config_id,
                     row.k,
                     f"{row.recall:.6f}",
@@ -318,6 +317,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench task=%s: %d configs x %d queries, k=%s", task, len(grid), len(eligible), cfg.k_list
     )
 
+    score = doc_metrics if task == "doc" else evidence_metrics
+    truths = [q.relevant_doc_ids if task == "doc" else set(q.evidence) for q in eligible]
     summary: list[MetricRow] = []
     failures: list[dict] = []
 
@@ -331,59 +332,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 failures.extend(_failure(config_id, query, exc) for query in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
-
-            def evaluate(query: QueryRecord) -> list[EvalRecord]:
-                hits = retrieve(index, query.text, kmax, spec)
-                chunk_ids = tuple(chunk_id for chunk_id, _ in hits)
-                chunks = [index.get(chunk_id) for chunk_id in chunk_ids]
-                evidence = set(query.evidence)
-                out = []
-                for k in cfg.k_list:
-                    if task == "doc":
-                        recall, precision, f1 = doc_metrics(chunks[:k], query.relevant_doc_ids)
-                    else:
-                        recall, precision, f1 = evidence_metrics(chunks[:k], evidence)
-                    out.append(
-                        EvalRecord(
-                            query_id=query.query_id,
-                            k=k,
-                            retrieved_chunk_ids=chunk_ids[:k],
-                            recall=recall,
-                            precision=precision,
-                            f1=f1,
-                            chunker_kind=config.kind,
-                            config_id=config_id,
-                        )
-                    )
-                return out
-
-            config_json = json.loads(config_id)
-            records: list[EvalRecord] = []
-            for query in eligible:
+            head = {
+                "dataset": dataset_name,
+                "task": task,
+                "chunker": config.kind,
+                "config": config_to_dict(config),
+            }
+            scores: list[list[tuple[float, float, float]]] = []
+            for query, truth in zip(eligible, truths):
                 try:
-                    evaluated = evaluate(query)
+                    hits = retrieve(index, query.text, kmax, spec)
+                    chunk_ids = [chunk_id for chunk_id, _ in hits]
+                    chunks = [index.get(chunk_id) for chunk_id in chunk_ids]
+                    per_k = [score(chunks[:k], truth) for k in cfg.k_list]
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue
-                records.extend(evaluated)
-                for record in evaluated:
-                    yield {
-                        "dataset": dataset_name,
-                        "task": task,
-                        "chunker": record.chunker_kind,
-                        "config": config_json,
-                        "query_id": record.query_id,
-                        "k": record.k,
-                        "retrieved_chunk_ids": list(record.retrieved_chunk_ids),
-                        "recall": record.recall,
-                        "precision": record.precision,
-                        "f1": record.f1,
+                scores.append(per_k)
+                for k, (recall, precision, f1) in zip(cfg.k_list, per_k):
+                    yield head | {
+                        "query_id": query.query_id,
+                        "k": k,
+                        "retrieved_chunk_ids": chunk_ids[:k],
+                        "recall": recall,
+                        "precision": precision,
+                        "f1": f1,
                     }
-            summary.extend(aggregate(records))
+            summary.extend(aggregate(config, config_id, cfg.k_list, scores))
 
     write_jsonl(cfg.out / RESULTS_FILENAME, rows())
-    # Each config aggregates on its own; one sort gives aggregate's row order.
-    summary.sort(key=lambda row: (row.chunker_kind, row.config_id, row.k))
+    summary.sort(key=lambda row: (row.config.kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 
     if summary:
@@ -512,6 +490,8 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
     for path in files:
         try:
             text = path.read_bytes().decode("utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8") from exc
         reader = csv.DictReader(io.StringIO(text, newline=""))

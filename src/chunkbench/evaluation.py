@@ -8,13 +8,12 @@ over queries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Protocol, Sequence
+from typing import AbstractSet, Protocol, Sequence
 
 import numpy as np
 
-from .chunkers import ChunkerConfig, config_from_dict
+from .chunkers import ChunkerConfig
 
 
 class ChunkLike(Protocol):
@@ -25,24 +24,11 @@ class ChunkLike(Protocol):
 
 
 @dataclass(frozen=True)
-class EvalRecord:
-    """One query evaluated at one k under one chunker config."""
-
-    query_id: str
-    k: int
-    retrieved_chunk_ids: tuple[str, ...]
-    recall: float
-    precision: float
-    f1: float
-    chunker_kind: str
-    config_id: str
-
-
-@dataclass(frozen=True)
 class MetricRow:
-    """Macro-averaged metrics for one (config, k) cell."""
+    """Macro-averaged metrics for one (config, k) cell; config_id is the
+    config's canonical_config string."""
 
-    chunker_kind: str
+    config: ChunkerConfig
     config_id: str
     k: int
     recall: float
@@ -91,33 +77,24 @@ def evidence_metrics(
     return recall, precision, f1_score(precision, recall)
 
 
-def aggregate(records: Iterable[EvalRecord]) -> list[MetricRow]:
-    """Macro-average per-query metrics into one row per (config, k).
+def aggregate(
+    config: ChunkerConfig,
+    config_id: str,
+    k_values: Sequence[int],
+    scores: Sequence[Sequence[tuple[float, float, float]]],
+) -> list[MetricRow]:
+    """Macro-average one config's per-query scores into one row per k.
 
-    Order-insensitive: records are grouped and averaged over queries
-    sorted by query_id, and rows come out sorted by (kind, config, k).
+    scores holds one entry per query: its (recall, precision, f1) at each
+    k of k_values. Each mean sums the queries in the given order, so the
+    caller fixes the bits by its query order. No scores give no rows.
     """
-    groups: dict[tuple[str, str, int], list[EvalRecord]] = {}
-    for record in records:
-        groups.setdefault(
-            (record.chunker_kind, record.config_id, record.k), []
-        ).append(record)
+    if not scores:
+        return []
     rows: list[MetricRow] = []
-    for key in sorted(groups):
-        kind, config_id, k = key
-        members = sorted(groups[key], key=lambda r: r.query_id)
-        count = len(members)
-        rows.append(
-            MetricRow(
-                chunker_kind=kind,
-                config_id=config_id,
-                k=k,
-                recall=sum(r.recall for r in members) / count,
-                precision=sum(r.precision for r in members) / count,
-                f1=sum(r.f1 for r in members) / count,
-                n_queries=count,
-            )
-        )
+    for k, per_query in zip(k_values, zip(*scores, strict=True), strict=True):
+        recall, precision, f1 = (sum(values) / len(scores) for values in zip(*per_query))
+        rows.append(MetricRow(config, config_id, k, recall, precision, f1, len(scores)))
     return rows
 
 
@@ -132,31 +109,27 @@ def select_best_config(
     k_values = list(k_values)
     if not k_values:
         raise ValueError("k_values must be non-empty")
-    by_config: dict[str, dict[int, float]] = {}
+    by_config: dict[str, tuple[ChunkerConfig, dict[int, float]]] = {}
     for row in rows:
-        by_config.setdefault(row.config_id, {})[row.k] = row.f1
+        by_config.setdefault(row.config_id, (row.config, {}))[1][row.k] = row.f1
     if not by_config:
         raise ValueError("no metric rows to select from")
 
-    best: dict[str, tuple[float, str]] = {}
+    best: dict[str, tuple[float, ChunkerConfig]] = {}
     for config_id in sorted(by_config):
-        f1_by_k = by_config[config_id]
+        config, f1_by_k = by_config[config_id]
         missing = [k for k in k_values if k not in f1_by_k]
         if missing:
             raise ValueError(
                 f"config {config_id} is missing rows for k={missing}"
             )
         mean_f1 = sum(f1_by_k[k] for k in k_values) / len(k_values)
-        fam = config_from_dict(json.loads(config_id)).family
-        incumbent = best.get(fam)
+        incumbent = best.get(config.family)
         if incumbent is None or mean_f1 > incumbent[0]:
-            best[fam] = (mean_f1, config_id)
+            best[config.family] = (mean_f1, config)
         # On an exact tie the earlier (canonically smaller) config_id wins,
         # which the sorted iteration already guarantees.
-    return {
-        fam: config_from_dict(json.loads(config_id))
-        for fam, (_, config_id) in sorted(best.items())
-    }
+    return {fam: config for fam, (_, config) in sorted(best.items())}
 
 
 def paired_permutation_test(

@@ -46,11 +46,16 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def read_jsonl(path: str | Path, cls: type, error: type[Exception]) -> Iterator[tuple[str, Any]]:
     """Yield ("<file name>:<line>", from_json(cls, line)) per non-blank line;
-    raise error, naming the file and line, for bytes that are not UTF-8,
-    malformed JSON or anything from_json rejects."""
+    raise error naming the file when it cannot be opened, and naming the file
+    and line for bytes that are not UTF-8, malformed JSON or anything
+    from_json rejects."""
     path = Path(path)
-    # Bytes that are not UTF-8 read as lone surrogates, which encode() rejects.
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        # Bytes that are not UTF-8 read as lone surrogates, which encode() rejects.
+        fh = path.open(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

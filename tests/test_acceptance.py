@@ -1,5 +1,6 @@
 """Acceptance gate: ten timed criteria, one pass line each (run with -s to see them)."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from chunkbench.evaluation import doc_metrics, evidence_metrics, paired_permutat
 from chunkbench.retrieval import build_index, retrieve
 from chunkbench.segmenter import segment
 
-from conftest import MINI_DATASET, make_doc, pick_disjoint_tokens
+from conftest import MINI_DATASET, REPO_ROOT, make_doc, pick_disjoint_tokens
 from reference import (
     JointDistanceParams,
     cosine_clipped_distance,
@@ -301,6 +302,10 @@ class TestAcceptance:
         started = time.perf_counter()
         k_values = [1, 3, 5, 10]
         names = ("results.jsonl", "summary.csv", "best_configs.json")
+        # The benchmark's recorded sha256 of each output for data/mini at
+        # these settings (seed 7, the default k_list and query sample).
+        digests = json.loads((REPO_ROOT / "perfbench" / "digests.json").read_text("utf-8"))
+        recorded = digests["workloads"]["mini-cached"]["any"]
         for task in ("doc", "evidence"):
             outs = []
             for attempt in ("first", "second"):
@@ -315,6 +320,8 @@ class TestAcceptance:
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
                     f"{task}/{name} differs between identical runs"
                 )
+                digest = hashlib.sha256((outs[0] / name).read_bytes()).hexdigest()
+                assert digest == recorded[task][name], f"{task}/{name} differs from its digest"
 
             rows = [
                 json.loads(line)

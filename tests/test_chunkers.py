@@ -644,3 +644,11 @@ class TestChunkFiles:
         path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^chunks.jsonl:2: {message}"):
             read_chunks(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_file_that_cannot_be_opened_names_it(self, tmp_path, kind):
+        path = tmp_path / "chunks.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ValueError, match=f"^cannot read {re.escape(str(path))}: \\[Errno"):
+            read_chunks(path)

@@ -293,6 +293,20 @@ class TestExitCodes:
         assert code == 2
         assert "error: docs.jsonl:4: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["docs.jsonl", "queries.jsonl"])
+    def test_corpus_file_that_cannot_be_read_names_it(self, tmp_path, capsys, name):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for other in ("docs.jsonl", "queries.jsonl"):
+            if other != name:
+                (corpus / other).write_bytes((MINI_DATASET / other).read_bytes())
+        (corpus / name).mkdir()
+        code = run(["bench", "--task", "doc", "--dataset", corpus, "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {corpus / name}: [Errno 21] Is a directory" in err
+        assert not (tmp_path / "out").exists()
+
     def test_gen_without_generation_section(self, tmp_path, capsys):
         code = run(
             ["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3, "overlap": 0}),
@@ -712,6 +726,15 @@ class TestSweepReportCommand:
         code = run(["sweep-report", tmp_path / "runs", "--out", tmp_path / "r"])
         assert code == 2
         assert f"error: {summary}: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_summary_that_is_a_directory_names_the_file(self, tmp_path, capsys):
+        summary = tmp_path / "runs" / "summary.csv"
+        summary.mkdir(parents=True)
+        code = run(["sweep-report", tmp_path / "runs", "--out", tmp_path / "r"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {summary}: [Errno 21] Is a directory" in err
         assert not (tmp_path / "r").exists()
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):

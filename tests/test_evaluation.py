@@ -14,7 +14,6 @@ from chunkbench.chunkers import (
 )
 from chunkbench.distance import ThresholdPolicy
 from chunkbench.evaluation import (
-    EvalRecord,
     MetricRow,
     aggregate,
     doc_metrics,
@@ -143,19 +142,6 @@ class TestEvidenceMetrics:
             assert precision == (hits / len(covered) if covered else 0.0)
 
 
-def record(query_id, k, config, recall, precision, f1):
-    return EvalRecord(
-        query_id=query_id,
-        k=k,
-        retrieved_chunk_ids=("x",),
-        recall=recall,
-        precision=precision,
-        f1=f1,
-        chunker_kind=config.kind,
-        config_id=canonical_config(config),
-    )
-
-
 # Chunks overlap and repeat indices over documents a-c; evidence may name
 # document d or indices past 12, which no chunk covers.
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -174,15 +160,19 @@ def test_evidence_metrics_match_the_set_of_pairs(chunks, evidence):
 
 
 class TestAggregate:
+    config = FixedSizeConfig(n_chunks=3)
+
+    def rows(self, k_values, scores):
+        return aggregate(self.config, canonical_config(self.config), k_values, scores)
+
     def test_means_and_counts(self):
-        config = FixedSizeConfig(n_chunks=3)
-        records = [
-            record("q1", 1, config, 1.0, 0.5, 2 / 3),
-            record("q2", 1, config, 0.0, 0.0, 0.0),
-            record("q1", 3, config, 1.0, 1.0, 1.0),
-            record("q2", 3, config, 1.0, 0.5, 2 / 3),
-        ]
-        rows = aggregate(records)
+        rows = self.rows(
+            [1, 3],
+            [
+                [(1.0, 0.5, 2 / 3), (1.0, 1.0, 1.0)],  # q1 at k=1, k=3
+                [(0.0, 0.0, 0.0), (1.0, 0.5, 2 / 3)],  # q2
+            ],
+        )
         assert len(rows) == 2
         k1, k3 = rows
         assert (k1.k, k1.n_queries) == (1, 2)
@@ -191,34 +181,38 @@ class TestAggregate:
         assert k1.f1 == pytest.approx(1 / 3)
         assert k3.f1 == pytest.approx((1.0 + 2 / 3) / 2)
 
-    def test_rows_sorted_by_kind_config_k(self):
-        a = FixedSizeConfig(n_chunks=2)
-        b = BreakpointConfig(policy=ThresholdPolicy("percentile", 50.0))
-        records = [
-            record("q1", 3, a, 1, 1, 1),
-            record("q1", 1, a, 1, 1, 1),
-            record("q1", 1, b, 1, 1, 1),
-        ]
-        rows = aggregate(records)
-        keys = [(r.chunker_kind, r.config_id, r.k) for r in rows]
-        assert keys == sorted(keys)
+    def test_one_row_per_k(self):
+        rows = self.rows([1, 5, 10], [[(1.0, 1.0, 1.0)] * 3] * 4)
+        assert [row.k for row in rows] == [1, 5, 10]
+        for row in rows:
+            assert row.config is self.config
+            assert row.config_id == canonical_config(self.config)
+            assert row.n_queries == 4
 
-    def test_order_insensitive(self, rng):
-        config = FixedSizeConfig(n_chunks=4)
-        records = [
-            record(f"q{i}", k, config, float(rng.uniform()), float(rng.uniform()), float(rng.uniform()))
-            for i in range(6)
-            for k in (1, 5)
-        ]
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        assert aggregate(records) == aggregate(shuffled)
+    def test_means_taken_in_given_order(self, rng):
+        # Float addition is not associative: these three sum to 0.0 in one
+        # order and to 1.0 in the other.
+        assert self.rows([1], [[(1e16, 0, 0)], [(1.0, 0, 0)], [(-1e16, 0, 0)]])[0].recall == 0.0
+        assert self.rows([1], [[(1e16, 0, 0)], [(-1e16, 0, 0)], [(1.0, 0, 0)]])[0].recall == 1 / 3
+        scores = [[tuple(float(v) for v in rng.uniform(size=3))] for _ in range(7)]
+        (row,) = self.rows([1], scores)
+        for i, name in enumerate(("recall", "precision", "f1")):
+            assert getattr(row, name) == sum(query[0][i] for query in scores) / len(scores)
+
+    def test_no_scores_give_no_rows(self):
+        assert self.rows([1, 3], []) == []
+
+    def test_scores_must_cover_every_k(self):
+        with pytest.raises(ValueError):
+            self.rows([1, 3], [[(1.0, 1.0, 1.0)]])
+        with pytest.raises(ValueError):
+            self.rows([1], [[(1.0, 1.0, 1.0)], [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]])
 
 
 class TestSelectBestConfig:
     def row(self, config, k, f1):
         return MetricRow(
-            chunker_kind=config.kind,
+            config=config,
             config_id=canonical_config(config),
             k=k,
             recall=f1,
@@ -255,6 +249,11 @@ class TestSelectBestConfig:
         assert best["fixed_size"] == min(
             (a, b), key=lambda c: canonical_config(c)
         )
+
+    def test_returns_the_rows_own_config(self):
+        config = SingleLinkageConfig(n_clusters=3, positional_weight=0.5)
+        best = select_best_config([self.row(config, 1, 0.5)], [1])
+        assert best["clustering"] is config
 
     def test_missing_k_coverage_is_an_error(self):
         config = FixedSizeConfig(n_chunks=2)

@@ -177,6 +177,19 @@ class TestJsonLines:
             list(read_jsonl(path, Row, Custom))
 
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_file_that_cannot_be_opened_raises_the_given_error(self, tmp_path, kind):
+        class Custom(Exception):
+            pass
+
+        path = tmp_path / "rows.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(Custom, match=r"^cannot read .*rows\.jsonl: \[Errno") as info:
+            list(read_jsonl(path, Row, Custom))
+        assert isinstance(info.value.__cause__, OSError)
+
+
 class TestInterruptedWriters:
     """A writer that fails partway leaves the previous file whole and no temp file."""
 
