@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union
@@ -151,13 +150,6 @@ def _make_chunks(doc: SegmentedDocument, groups: Sequence[Sequence[int]]) -> lis
     return chunks
 
 
-def _check_embeddings(doc: SegmentedDocument, sentence_embeddings: np.ndarray | None) -> None:
-    if sentence_embeddings is None:
-        raise ValueError("this chunker requires sentence embeddings")
-    if sentence_embeddings.shape[0] != doc.n:
-        raise ValueError(f"got {sentence_embeddings.shape[0]} embeddings for {doc.n} sentences")
-
-
 def fixed_size_chunk(doc: SegmentedDocument, n_chunks: int, overlap: int = 0) -> list[Chunk]:
     """Split into ceil(n / n_chunks)-sentence ranges; overlap=1 prepends the
     previous base range's last sentence to each later chunk."""
@@ -166,63 +158,33 @@ def fixed_size_chunk(doc: SegmentedDocument, n_chunks: int, overlap: int = 0) ->
     if overlap not in (0, 1):
         raise ValueError(f"overlap must be 0 or 1, got {overlap}")
     n = doc.n
-    size = math.ceil(n / n_chunks)
-    groups: list[list[int]] = []
-    start = 0
-    while start < n:
-        end = min(start + size, n)
-        indices = list(range(start, end))
-        if overlap == 1 and start > 0:
-            indices = [start - 1] + indices
-        groups.append(indices)
-        start = end
-    return _make_chunks(doc, groups)
-
-
-def breakpoint_chunk(
-    doc: SegmentedDocument, sentence_embeddings: np.ndarray, policy: ThresholdPolicy
-) -> list[Chunk]:
-    """Cut after sentence i wherever the profile strictly exceeds the cutoff.
-
-    Distance-domain policies compare the consecutive-distance array against
-    the cutoff; gradient-domain policies compare its gradient. A document
-    too short for the comparison array is one chunk.
-    """
-    _check_embeddings(doc, sentence_embeddings)
-    n = doc.n
-    if n == 1:
-        return _make_chunks(doc, [[0]])
-    distances = consecutive_distances(sentence_embeddings)
-    if policy.gradient_domain and distances.size < 2:
-        break_after = np.zeros(distances.size, dtype=bool)
-    else:
-        compare = gradient(distances) if policy.gradient_domain else distances
-        cutoff = threshold(distances, policy)
-        break_after = compare > cutoff
-    groups: list[list[int]] = []
-    current = [0]
-    for i in range(1, n):
-        if break_after[i - 1]:
-            groups.append(current)
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(current)
-    return _make_chunks(doc, groups)
+    size = -(-n // n_chunks)  # ceil(n / n_chunks); n / n_chunks can underflow to 0.0
+    starts = range(0, n, size)
+    return _make_chunks(doc, [range(max(a - overlap, 0), min(a + size, n)) for a in starts])
 
 
 class DocumentDistances:
-    """One document's distance state, shared by every clustering config.
+    """One document's distance state, shared by every breakpoint and clustering config.
 
-    Built lazily and held as numpy arrays only: one combined-distance blend
-    per positional weight, and for single linkage one pair order per weight
-    (the pairs sorted by distance, ties by index), which no size cap changes.
+    Built lazily and held as numpy arrays only: the consecutive-distance
+    profile and its gradient, one combined-distance blend per positional
+    weight, and for single linkage one pair order per weight (the pairs
+    sorted by distance, ties by index), which no size cap changes.
     """
 
     def __init__(self, sentence_embeddings: np.ndarray) -> None:
         self.embeddings = sentence_embeddings
+        self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def profile(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(the n - 1 consecutive distances, their gradient, or None below two
+        distances); needs at least two sentences."""
+        if self._profile is None:
+            profile = consecutive_distances(self.embeddings)
+            self._profile = (profile, gradient(profile) if profile.size >= 2 else None)
+        return self._profile
 
     def blend(self, positional_weight: float) -> np.ndarray:
         """The n-by-n combined-distance matrix at this weight."""
@@ -253,12 +215,41 @@ def _shared_distances(
     distances: DocumentDistances | None,
 ) -> DocumentDistances:
     """The caller's distance state for doc, or a throwaway one."""
-    _check_embeddings(doc, sentence_embeddings)
+    if sentence_embeddings is None:
+        raise ValueError("this chunker requires sentence embeddings")
+    if sentence_embeddings.shape[0] != doc.n:
+        raise ValueError(f"got {sentence_embeddings.shape[0]} embeddings for {doc.n} sentences")
     if distances is None:
         return DocumentDistances(sentence_embeddings)
     if distances.embeddings is not sentence_embeddings:
         raise ValueError("distances were built from other sentence embeddings")
     return distances
+
+
+def breakpoint_chunk(
+    doc: SegmentedDocument,
+    sentence_embeddings: np.ndarray,
+    policy: ThresholdPolicy,
+    distances: DocumentDistances | None = None,
+) -> list[Chunk]:
+    """Cut after sentence i wherever the profile strictly exceeds the cutoff.
+
+    Distance-domain policies compare the consecutive-distance array against
+    the cutoff; gradient-domain policies compare its gradient. A document
+    too short for the comparison array is one chunk.
+    """
+    distances = _shared_distances(doc, sentence_embeddings, distances)
+    n = doc.n
+    if n == 1:
+        return _make_chunks(doc, [[0]])
+    profile, slope = distances.profile()
+    if policy.gradient_domain and slope is None:
+        break_after = np.zeros(profile.size, dtype=bool)
+    else:
+        compare = slope if policy.gradient_domain else profile
+        break_after = compare > threshold(profile, policy)
+    starts = (break_after.nonzero()[0] + 1).tolist()
+    return _make_chunks(doc, [range(a, b) for a, b in zip([0, *starts], [*starts, n])])
 
 
 def single_linkage_chunk(
@@ -280,10 +271,10 @@ def single_linkage_chunk(
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     distances = _shared_distances(doc, sentence_embeddings, distances)
     n = doc.n
-    max_size = math.ceil(n / n_clusters)
+    max_size = -(-n // n_clusters)  # ceil(n / n_clusters), exact for any int
     # Below this many clusters the capped clusters cannot hold n sentences,
     # so once it is reached no merge can pass the cap.
-    fewest = math.ceil(n / max_size)
+    fewest = -(-n // max_size)
 
     dist, first, second = distances.pair_order(positional_weight)
     stop = int(np.searchsorted(dist, stop_distance, side="right"))
@@ -382,16 +373,12 @@ def _values(axis: object) -> list:
 
 # kind -> (config class, chunker, grid-section expander), in grid order. The
 # chunker is called as chunker(doc, sentence_embeddings, distances=...,
-# **config fields); only the clustering chunkers use the shared distances.
+# **config fields); fixed size alone reads neither embeddings nor distances.
 _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator[dict]]]] = {
     cls.kind: (cls, chunker, expand)
     for cls, chunker, expand in (
         (FixedSizeConfig, lambda doc, _, distances, **kw: fixed_size_chunk(doc, **kw), _axes),
-        (
-            BreakpointConfig,
-            lambda doc, emb, distances, **kw: breakpoint_chunk(doc, emb, **kw),
-            _threshold_axes,
-        ),
+        (BreakpointConfig, breakpoint_chunk, _threshold_axes),
         (SingleLinkageConfig, single_linkage_chunk, _axes),
         (DbscanConfig, dbscan_chunk, _axes),
     )
@@ -432,9 +419,9 @@ def chunk_document(
     """Run whichever chunker the config describes.
 
     Fixed-size ignores embeddings; every other chunker requires one
-    embedding row per sentence. The clustering chunkers reuse distances,
-    the document's state built from these same embeddings, when given,
-    and otherwise build a throwaway one.
+    embedding row per sentence and reuses distances, the document's state
+    built from these same embeddings, when given, and otherwise builds a
+    throwaway one.
     """
     chunker = _KINDS[config.kind][1]
     return chunker(doc, sentence_embeddings, distances=distances, **vars(config))

@@ -47,7 +47,7 @@ from .evaluation import (
     evidence_metrics,
     select_best_config,
 )
-from .files import from_json, replacing, write_jsonl
+from .files import finite, from_json, replacing, write_jsonl
 from .generation import (
     DEFAULT_CONCURRENCY,
     GenerationConfig,
@@ -125,7 +125,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(Path(args.config).read_text("utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: must contain a JSON object")
@@ -162,7 +162,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 def _parse_chunker_arg(raw: str) -> ChunkerConfig:
     try:
         return config_from_dict(json.loads(raw))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad --chunker value {raw!r}: {exc}") from exc
 
 
@@ -180,33 +180,26 @@ def _segmented_corpus(
     return [segment_document(d.doc_id, d.text, cfg.segmenter) for d in documents], queries
 
 
-def _sentence_vectors(segdocs, grid, spec):
-    """One embedding matrix per document, or None when only fixed-size chunkers run."""
+def _distance_states(segdocs, grid, spec):
+    """One distance state per document, or None each when only fixed-size chunkers run."""
     if all(c.family == "fixed_size" for c in grid):
-        return {doc.doc_id: None for doc in segdocs}
-    return {doc.doc_id: embed_batch(spec, doc.sentence_texts) for doc in segdocs}
+        return [None] * len(segdocs)
+    # Not in _corpus_chunker: perfbench counts embeds from a *chunk* function as chunks.
+    return [DocumentDistances(embed_batch(spec, doc.sentence_texts)) for doc in segdocs]
 
 
 def _corpus_chunker(
     segdocs: Sequence[SegmentedDocument], grid: Sequence[ChunkerConfig], spec: EmbedderSpec
 ) -> Callable[[ChunkerConfig], list[Chunk]]:
-    """Embed the sentences once; the result chunks the corpus under any config of grid.
-
-    Each document's distance state is built when the first clustering
-    config reaches it and is reused by every later one.
-    """
-    vectors = _sentence_vectors(segdocs, grid, spec)
-    distances: dict[str, DocumentDistances] = {}
+    """Embed the sentences once; the result chunks the corpus under any config of grid,
+    every config reading each document's one distance state."""
+    states = _distance_states(segdocs, grid, spec)
 
     def chunk_corpus(config: ChunkerConfig) -> list[Chunk]:
         chunks: list[Chunk] = []
-        for doc in segdocs:
-            embeddings = vectors[doc.doc_id]
-            if config.family == "clustering" and doc.doc_id not in distances:
-                distances[doc.doc_id] = DocumentDistances(embeddings)
-            chunks.extend(
-                chunk_document(doc, embeddings, config, distances=distances.get(doc.doc_id))
-            )
+        for doc, state in zip(segdocs, states):
+            embeddings = None if state is None else state.embeddings
+            chunks.extend(chunk_document(doc, embeddings, config, distances=state))
         return chunks
 
     return chunk_corpus
@@ -486,6 +479,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
     if not files:
         raise ConfigError(f"no {SUMMARY_FILENAME} files found under {results_dir}")
 
+    metrics = ("recall", "precision", "f1")
     rows: list[dict] = []
     for path in files:
         try:
@@ -506,15 +500,12 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
                         "dataset": line["dataset"],
                         "k": int(line["k"]),
                         "axes": dict(_hyperparameters(config)),
-                        "recall": float(line["recall"]),
-                        "precision": float(line["precision"]),
-                        "f1": float(line["f1"]),
+                        **{metric: finite(line[metric], metric) for metric in metrics},
                     }
                 )
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{where}: bad summary row: {exc}") from exc
 
-    metrics = ("recall", "precision", "f1")
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
     trends: dict[str, dict[float, dict]] = {}
     for name in sorted({name for row in rows for name in row["axes"]}):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import threading
 import typing
@@ -79,6 +80,7 @@ def from_json(cls: type, data: object, name: str = "") -> Any:
     type: int, float, str, dict, None, a Path (from a string), a list[T] or
     tuple[T, ...] (from a list), a nested dataclass (from an object) or a
     union of these. An int is taken for a float field and becomes a float;
+    a float field refuses NaN, ±Infinity and an int too large for a float;
     a bool is never a number. Omitted fields keep their defaults; range
     checks are cls's own. A ValueError names the value by its dotted path
     below name ("embedder.dimension").
@@ -136,8 +138,19 @@ def _kind(hint: Any) -> tuple[tuple[type, ...], Callable[[Any, str], Any], str]:
             "a list",
         )
     if hint is float:
-        return (int, float), lambda value, _: float(value), "a number"
+        return (int, float), finite, "a number"
     return (hint,), lambda value, _: value, _JSON_TYPES[hint]
+
+
+def finite(value: Any, key: str) -> float:
+    """float(value), or a ValueError naming key when that is not a finite number."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _read(kind: tuple, value: Any, key: str) -> Any:

@@ -2,9 +2,11 @@
 
 The scalar distances spell out, one pair at a time, what
 ``chunkbench.distance.pairwise_joint_distances`` computes for a whole
-document. The two clustering loops are the single-linkage union-find walk
-and the queue-BFS DBSCAN that ``chunkbench.chunkers`` once ran per config:
-they define what the shared-distance versions must return.
+document. The breakpoint loop and the two clustering loops (the
+single-linkage union-find walk and the queue-BFS DBSCAN) are what
+``chunkbench.chunkers`` once ran per config, building every distance
+afresh: they define what the versions reading one shared per-document
+state must return.
 
 The last two are the per-token loop of ``chunkbench.embedding.deterministic_embed``
 and the set of (doc_id, sentence_index) pairs that
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from chunkbench.chunkers import Chunk, _make_chunks
-from chunkbench.distance import pairwise_joint_distances
+from chunkbench.distance import (
+    ThresholdPolicy,
+    consecutive_distances,
+    gradient,
+    pairwise_joint_distances,
+    threshold,
+)
 from chunkbench.embedding import token_bucket, tokenize
 from chunkbench.evaluation import f1_score
 from chunkbench.segmenter import SegmentedDocument
@@ -68,6 +76,33 @@ def joint_distance(
     w = params.positional_weight
     d = w * positional_distance(a, b, params.sentence_count) + (1.0 - w) * cosine_clipped_distance(u, v)
     return min(1.0, max(0.0, d))
+
+
+def breakpoint_reference(
+    doc: SegmentedDocument, sentence_embeddings: np.ndarray, policy: ThresholdPolicy
+) -> list[Chunk]:
+    """The consecutive distances, their gradient for a gradient-domain policy,
+    the policy's cutoff, then a cut after sentence i wherever the compared
+    array strictly exceeds it; too short a document for the array is one chunk."""
+    n = doc.n
+    if n == 1:
+        return _make_chunks(doc, [[0]])
+    distances = consecutive_distances(sentence_embeddings)
+    if policy.gradient_domain and distances.size < 2:
+        break_after = np.zeros(distances.size, dtype=bool)
+    else:
+        compare = gradient(distances) if policy.gradient_domain else distances
+        break_after = compare > threshold(distances, policy)
+    groups: list[list[int]] = []
+    current = [0]
+    for i in range(1, n):
+        if break_after[i - 1]:
+            groups.append(current)
+            current = [i]
+        else:
+            current.append(i)
+    groups.append(current)
+    return _make_chunks(doc, groups)
 
 
 def single_linkage_reference(

@@ -73,6 +73,9 @@ class TestFixedSize:
         got = groups_of(fixed_size_chunk(doc_of(3), 10))
         assert got == [[0], [1], [2]]
 
+    def test_n_chunks_too_large_for_a_float_gives_singletons(self):
+        assert groups_of(fixed_size_chunk(doc_of(3), 10**400)) == [[0], [1], [2]]
+
     def test_exact_division(self):
         got = groups_of(fixed_size_chunk(doc_of(6), 3))
         assert got == [[0, 1], [2, 3], [4, 5]]
@@ -268,6 +271,10 @@ class TestSingleLinkage:
             single_linkage_chunk(doc_of(1), unit_rows(rng, 1), 3, positional_weight=0.5)
         )
         assert got == [[0]]
+
+    def test_n_clusters_too_large_for_a_float_leaves_singletons(self, rng):
+        got = groups_of(single_linkage_chunk(doc_of(3), unit_rows(rng, 3), 10**400, 0.5))
+        assert got == [[0], [1], [2]]
 
     def test_positional_weight_mirrors_fixed_size(self, rng):
         for _ in range(30):

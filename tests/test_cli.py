@@ -78,10 +78,12 @@ class TestExitCodes:
             ("--config", None, "cannot read config file {path}: [Errno 21] Is a directory"),
             ("--config", b"\xff{}", "cannot read config file {path}: 'utf-8' codec"),
             ("--config", b"[1]", "{path}: must contain a JSON object"),
+            ("--config", b"[1" + b"0" * 5000 + b"]", "{path}: not valid JSON: Exceeds the limit"),
             ("--abbrev", None, "cannot read abbreviation list {path}: [Errno 21] Is a dir"),
             ("--abbrev", b"e.g.\n\xff\n", "cannot read abbreviation list {path}: 'utf-8'"),
         ],
-        ids=["config-dir", "config-bytes", "config-list", "abbrev-dir", "abbrev-bytes"],
+        ids=["config-dir", "config-bytes", "config-list", "config-digits", "abbrev-dir",
+             "abbrev-bytes"],
     )
     def test_unreadable_file_names_it(self, tmp_path, capsys, flag, content, message):
         path = tmp_path / "input"
@@ -251,6 +253,36 @@ class TestExitCodes:
             code = run(["chunk", "--chunker", json.dumps(chunker), *argv])
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "number, message",
+        [
+            ("NaN", "must be a finite number, got nan"),
+            ("Infinity", "must be a finite number, got inf"),
+            ("-Infinity", "must be a finite number, got -inf"),
+            ("1" + "0" * 400, "is too large for a float"),
+        ],
+        ids=["nan", "inf", "-inf", "huge"],
+    )
+    @pytest.mark.parametrize("source", ["grid", "chunker"])
+    def test_a_number_that_is_not_finite_exits_2_naming_its_source(
+        self, tmp_path, capsys, number, message, source
+    ):
+        out = tmp_path / "out"
+        dbscan = f'"eps": {number}, "min_samples": 2, "positional_weight": 0.5'
+        argv = ["--dataset", MINI_DATASET, "--out", out]
+        if source == "grid":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(f'{{"grid": {{"dbscan": {{{dbscan}}}}}}}', encoding="utf-8")
+            code = run(["bench", "--task", "doc", "--config", cfg, *argv])
+            prefix = f"{cfg}: bad grid config: "
+        else:
+            chunker = f'{{"kind": "dbscan", {dbscan}}}'
+            code = run(["chunk", "--chunker", chunker, *argv])
+            prefix = f"bad --chunker value {chunker!r}: "
+        assert code == 2
+        assert f"error: {prefix}dbscan.eps {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -717,6 +749,22 @@ class TestSweepReportCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {summary}:2: bad summary row: fields do not match the header" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_summary_metric_that_is_not_finite_names_file_and_line(self, tmp_path, capsys, value):
+        summary = tmp_path / "runs" / "summary.csv"
+        summary.parent.mkdir()
+        summary.write_text(
+            "dataset,chunker,config,k,recall,precision,f1,n_queries\n"
+            'mini,fixed_size,"{""kind"":""fixed_size"",""n_chunks"":3}",1,0.5,0.5,0.5,10\n'
+            f'mini,fixed_size,"{{""kind"":""fixed_size"",""n_chunks"":4}}",1,{value},0.5,0.5,10\n',
+            encoding="utf-8",
+        )
+        code = run(["sweep-report", tmp_path / "runs", "--out", tmp_path / "r"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {summary}:3: bad summary row: recall must be a finite number" in err
         assert not (tmp_path / "r").exists()
 
     def test_summary_that_is_not_utf8_names_the_file(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -80,6 +81,25 @@ class TestFromJson:
     def test_a_bad_value_is_named_by_its_path(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             from_json(Outer, data)
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (math.nan, "inner.weight must be a finite number, got nan"),
+            (math.inf, "inner.weight must be a finite number, got inf"),
+            (-math.inf, "inner.weight must be a finite number, got -inf"),
+            (10**400, "inner.weight is too large for a float"),
+            (-(10**400), "inner.weight is too large for a float"),
+        ],
+        ids=["nan", "inf", "-inf", "huge", "-huge"],
+    )
+    def test_a_float_field_takes_only_finite_numbers(self, weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_json(Outer, {"inner": {"size": 1, "weight": weight}})
+
+    def test_a_float_field_takes_the_largest_finite_numbers(self):
+        for weight in (2**1023, -(2**1023), 1.7976931348623157e308, 5e-324):
+            assert from_json(Inner, {"size": 1, "weight": weight}).weight == float(weight)
 
     def test_a_non_object_names_the_class_or_the_path(self):
         with pytest.raises(ValueError, match="^Outer must be an object"):

@@ -1,5 +1,6 @@
-"""Layer microbenchmark, marked perf and so deselected by default: the 170
-clustering configs of the default grid on one 100-sentence document.
+"""Layer microbenchmark, marked perf and so deselected by default: the 200
+breakpoint and clustering configs of the default grid on one 100-sentence
+document, all reading one distance state as ``chunkbench bench`` does.
 
 Run it with ``python -m pytest -m perf tests/test_perf_chunkers.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
@@ -19,16 +20,16 @@ from conftest import MINI_DATASET, make_doc  # noqa: E402
 pytestmark = pytest.mark.perf
 
 
-def test_clustering_grid_on_one_100_sentence_document(benchmark):
+def test_semantic_grid_on_one_100_sentence_document(benchmark):
     documents, _ = load_corpus(MINI_DATASET)
     texts = [text for d in documents for text in segment_document(d.doc_id, d.text).sentence_texts]
     doc = make_doc("doc", texts[:100])
     embeddings = embed_batch(EmbedderSpec(backend="test"), doc.sentence_texts)
-    configs = [config for config in default_grid() if config.family == "clustering"]
-    assert doc.n == 100 and len(configs) == 170
+    configs = [config for config in default_grid() if config.family != "fixed_size"]
+    assert doc.n == 100 and len(configs) == 200
 
     def chunk_grid():
         distances = DocumentDistances(embeddings)
         return [chunk_document(doc, embeddings, config, distances=distances) for config in configs]
 
-    assert len(benchmark(chunk_grid)) == 170
+    assert len(benchmark(chunk_grid)) == 200
