@@ -247,7 +247,7 @@ def breakpoint_chunk(
         break_after = np.zeros(profile.size, dtype=bool)
     else:
         compare = slope if policy.gradient_domain else profile
-        break_after = compare > threshold(profile, policy)
+        break_after = compare > threshold(profile, policy, slope)
     starts = (break_after.nonzero()[0] + 1).tolist()
     return _make_chunks(doc, [range(a, b) for a, b in zip([0, *starts], [*starts, n])])
 

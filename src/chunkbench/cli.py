@@ -252,6 +252,44 @@ def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> N
             )
 
 
+# What json.dumps writes for a str, with its default ensure_ascii.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def results_head(config: ChunkerConfig, dataset: str) -> str:
+    """The part of a config's results.jsonl lines before the row's own keys,
+    which all sort after "dataset": the sorted-key JSON object of the config's
+    fields with its closing brace cut off."""
+    fields = {"chunker": config.kind, "config": config_to_dict(config), "dataset": dataset}
+    return json.dumps(fields, sort_keys=True)[:-1] + ", "
+
+
+def results_tail(task: str) -> str:
+    """The end of every results.jsonl line of a run: "task" sorts after the row's keys."""
+    return f'"task": {_json_str(task)}}}\n'
+
+
+def results_line(
+    head: str,
+    query_id: str,
+    k: int,
+    chunk_ids: Sequence[str],
+    recall: float,
+    precision: float,
+    f1: float,
+    tail: str,
+) -> str:
+    """One results.jsonl line, byte for byte json.dumps(row, sort_keys=True) + "\n",
+    spliced from a results_head, the row's keys in sorted order and a results_tail;
+    query_id and the first k chunk_ids come already JSON-encoded."""
+    number = float.__repr__  # what json.dumps writes for a finite float
+    return (
+        f'{head}"f1": {number(f1)}, "k": {k}, "precision": {number(precision)}, '
+        f'"query_id": {query_id}, "recall": {number(recall)}, '
+        f'"retrieved_chunk_ids": [{", ".join(chunk_ids)}], {tail}'
+    )
+
+
 def cmd_stitch(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     target = cfg.stitch.target_sentences
@@ -315,8 +353,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     summary: list[MetricRow] = []
     failures: list[dict] = []
 
-    def rows() -> Iterator[dict]:
-        """The results.jsonl rows, config by config; fills summary and failures."""
+    tail = results_tail(task)
+    query_ids = [_json_str(query.query_id) for query in eligible]
+
+    def lines() -> Iterator[str]:
+        """The results.jsonl lines, config by config; fills summary and failures."""
         for config in grid:
             config_id = canonical_config(config)
             try:
@@ -325,35 +366,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 failures.extend(_failure(config_id, query, exc) for query in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
-            head = {
-                "dataset": dataset_name,
-                "task": task,
-                "chunker": config.kind,
-                "config": config_to_dict(config),
-            }
+            head = results_head(config, dataset_name)
             scores: list[list[tuple[float, float, float]]] = []
-            for query, truth in zip(eligible, truths):
+            for query, query_id, truth in zip(eligible, query_ids, truths):
                 try:
                     hits = retrieve(index, query.text, kmax, spec)
-                    chunk_ids = [chunk_id for chunk_id, _ in hits]
-                    chunks = [index.get(chunk_id) for chunk_id in chunk_ids]
+                    chunks = [index.get(chunk_id) for chunk_id, _ in hits]
                     per_k = [score(chunks[:k], truth) for k in cfg.k_list]
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue
                 scores.append(per_k)
+                chunk_ids = [_json_str(chunk_id) for chunk_id, _ in hits]
                 for k, (recall, precision, f1) in zip(cfg.k_list, per_k):
-                    yield head | {
-                        "query_id": query.query_id,
-                        "k": k,
-                        "retrieved_chunk_ids": chunk_ids[:k],
-                        "recall": recall,
-                        "precision": precision,
-                        "f1": f1,
-                    }
+                    yield results_line(
+                        head, query_id, k, chunk_ids[:k], recall, precision, f1, tail
+                    )
             summary.extend(aggregate(config, config_id, cfg.k_list, scores))
 
-    write_jsonl(cfg.out / RESULTS_FILENAME, rows())
+    write_jsonl(cfg.out / RESULTS_FILENAME, lines(), encoded=True)
     summary.sort(key=lambda row: (row.config.kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 

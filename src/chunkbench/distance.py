@@ -83,12 +83,15 @@ def gradient(values: np.ndarray) -> np.ndarray:
     return np.gradient(arr, edge_order=1)
 
 
-def threshold(values: np.ndarray, policy: ThresholdPolicy) -> float:
+def threshold(
+    values: np.ndarray, policy: ThresholdPolicy, slope: np.ndarray | None = None
+) -> float:
     """Cutoff value a distance (or gradient) must strictly exceed to split.
 
     Percentiles and quartiles use linear interpolation; ``gradient_percentile``
-    takes the percentile of the gradient of ``values``; the absolute kinds
-    return the configured amount unchanged.
+    takes the percentile of the gradient of ``values``, which a caller that
+    holds it already passes as ``slope``; the absolute kinds return the
+    configured amount unchanged.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
@@ -101,6 +104,6 @@ def threshold(values: np.ndarray, policy: ThresholdPolicy) -> float:
         q25, q75 = np.percentile(arr, [25.0, 75.0])
         return float(arr.mean() + policy.amount * (q75 - q25))
     if policy.kind == "gradient_percentile":
-        return float(np.percentile(gradient(arr), policy.amount))
+        return float(np.percentile(gradient(arr) if slope is None else slope, policy.amount))
     # absolute_distance and absolute_gradient use the amount as-is.
     return float(policy.amount)

@@ -9,9 +9,11 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from chunkbench import distance
 from chunkbench.chunkers import (
     BreakpointConfig,
     DbscanConfig,
+    DocumentDistances,
     FixedSizeConfig,
     SingleLinkageConfig,
     breakpoint_chunk,
@@ -177,6 +179,21 @@ class TestBreakpoint:
         assert got == [[0], [1, 2, 3]]
         got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_gradient", 0.25)))
         assert got == [[0, 1, 2, 3]]
+
+    def test_gradient_percentile_reads_the_cached_slope(self, rng, monkeypatch):
+        doc = doc_of(12)
+        emb = unit_rows(rng, 12)
+        policies = [ThresholdPolicy("gradient_percentile", a) for a in (10.0, 50.0, 90.0)]
+        expected = [groups_of(breakpoint_chunk(doc, emb, policy)) for policy in policies]
+        distances = DocumentDistances(emb)
+        calls = []
+        monkeypatch.setattr(distance, "gradient", lambda values: calls.append(values))
+        got = [
+            groups_of(breakpoint_chunk(doc, emb, policy, distances=distances))
+            for policy in policies
+        ]
+        assert got == expected
+        assert calls == []
 
     def test_two_sentences_gradient_domain_stays_whole(self, rng):
         doc = doc_of(2)

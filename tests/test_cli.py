@@ -4,10 +4,20 @@ import json
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkbench import cli, embedding, generation, retrieval
-from chunkbench.chunkers import canonical_config, default_grid, read_chunks
-from chunkbench.cli import StitchConfig, build_parser, load_run_config, main
+from chunkbench.chunkers import canonical_config, config_to_dict, default_grid, read_chunks
+from chunkbench.cli import (
+    StitchConfig,
+    build_parser,
+    load_run_config,
+    main,
+    results_head,
+    results_line,
+    results_tail,
+)
 from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
 
@@ -537,6 +547,74 @@ class TestBenchCommand:
         for name in ("results.jsonl", "summary.csv", "best_configs.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert not (outs[1] / "failures.jsonl").exists()
+
+
+# Text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII letters and characters outside the Basic Multilingual Plane.
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é😀')
+)
+METRIC = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 1.0, 1 / 3, 2 / 3, 0.1, 5e-324, -0.0, 1e16]
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    dataset=JSON_TEXT,
+    task=JSON_TEXT,
+    config=st.sampled_from(default_grid()),
+    query_id=JSON_TEXT,
+    chunk_ids=st.lists(JSON_TEXT, max_size=12),
+    k=st.integers(1, 14),
+    metrics=st.tuples(METRIC, METRIC, METRIC),
+)
+@example(
+    dataset="mini", task="doc", config=default_grid()[0], query_id='q"\\\n',
+    chunk_ids=["d-0000", "é-\x01"], k=1, metrics=(1 / 3, 5e-324, 1.0),
+)
+def test_a_spliced_results_line_is_the_rows_sorted_json(
+    dataset, task, config, query_id, chunk_ids, k, metrics
+):
+    """The row's keys are spelled out here, so a key results_line adds, drops or
+    writes out of sorted order fails this test."""
+    recall, precision, f1 = metrics
+    row = {
+        "dataset": dataset,
+        "task": task,
+        "chunker": config.kind,
+        "config": config_to_dict(config),
+        "query_id": query_id,
+        "k": k,
+        "retrieved_chunk_ids": chunk_ids[:k],
+        "recall": recall,
+        "precision": precision,
+        "f1": f1,
+    }
+    encoded_ids = [json.dumps(chunk_id) for chunk_id in chunk_ids]
+    line = results_line(
+        results_head(config, dataset),
+        json.dumps(query_id),
+        k,
+        encoded_ids[:k],
+        recall,
+        precision,
+        f1,
+        results_tail(task),
+    )
+    assert line == json.dumps(row, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("task", ["doc", "evidence"])
+def test_every_results_line_of_the_default_grid_re_encodes_to_itself(tmp_path, task):
+    cfg = write_config(tmp_path, grid=None, k_list=[1, 3, 5, 10])
+    out = tmp_path / "out"
+    assert run(["bench", "--task", task, "--config", cfg, "--dataset", MINI_DATASET,
+                "--out", out]) == 0
+    lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == len(default_grid()) * 10 * 4
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True) + "\n" == line
 
 
 class TestGenCommand:

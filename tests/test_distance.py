@@ -234,6 +234,18 @@ class TestThresholdValues:
         got = threshold(values, ThresholdPolicy("gradient_percentile", 100.0))
         assert got == pytest.approx(0.2, abs=1e-12)
 
+    def test_a_given_slope_stands_for_the_gradient(self, rng):
+        for _ in range(50):
+            values = rng.uniform(0, 1, size=int(rng.integers(2, 30)))
+            for kind in ("gradient_percentile", "percentile", "std_dev", "absolute_gradient"):
+                policy = ThresholdPolicy(kind, float(rng.uniform(0, 100)))
+                assert threshold(values, policy, gradient(values)) == threshold(values, policy)
+        # Only gradient_percentile reads the slope.
+        values = np.array([0.1, 0.3, 0.2])
+        slope = np.array([5.0, 6.0])
+        assert threshold(values, ThresholdPolicy("gradient_percentile", 100.0), slope) == 6.0
+        assert threshold(values, ThresholdPolicy("percentile", 100.0), slope) == 0.3
+
     def test_absolute_kinds_return_amount(self):
         values = np.array([0.9, 0.8, 0.7])
         assert threshold(values, ThresholdPolicy("absolute_distance", 0.25)) == 0.25

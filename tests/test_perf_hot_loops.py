@@ -1,11 +1,14 @@
 """Layer microbenchmarks, marked perf and so deselected by default:
 segmenting data/mini, the test embedder over every distinct chunk text of
 the default grid on data/mini, doc retrieval and scoring over one index,
-and evidence scoring of 10-hit lists.
+evidence scoring of 10-hit lists, and encoding every results.jsonl line of
+a doc bench on data/mini.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
 """
+
+import json
 
 import pytest
 
@@ -16,8 +19,10 @@ from chunkbench.chunkers import (  # noqa: E402
     DocumentDistances,
     FixedSizeConfig,
     chunk_document,
+    config_from_dict,
     default_grid,
 )
+from chunkbench.cli import main, results_head, results_line, results_tail  # noqa: E402
 from chunkbench.corpus import load_corpus  # noqa: E402
 from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
 from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
@@ -105,3 +110,41 @@ def test_retrieve_and_score_every_doc_query(benchmark):
 
     scores = benchmark(score_all)
     assert len(scores) == len(cases) * len(k_list)
+
+
+def test_encode_every_doc_row_of_mini(benchmark, tmp_path):
+    out = tmp_path / "out"
+    assert main(["bench", "--task", "doc", "--dataset", str(MINI_DATASET), "--out", str(out)]) == 0
+    written = (out / "results.jsonl").read_text(encoding="utf-8")
+
+    # The rows back in the pieces bench holds: per config, per query the
+    # top-kmax chunk ids and per k the metrics.
+    cases: dict[str, tuple] = {}
+    for line in written.splitlines():
+        row = json.loads(line)
+        config, queries = cases.setdefault(
+            json.dumps(row["config"]), (config_from_dict(row["config"]), {})
+        )
+        ids, per_k = queries.setdefault(row["query_id"], ([], []))
+        ids[:] = row["retrieved_chunk_ids"]
+        per_k.append((row["k"], row["recall"], row["precision"], row["f1"]))
+    assert len(cases) == len(default_grid())
+
+    encode = json.encoder.encode_basestring_ascii
+
+    # Spliced as bench splices them: a head per config, a tail per run, and the
+    # query and chunk ids encoded per (config, query) (bench encodes query ids once).
+    def encode_all():
+        tail = results_tail("doc")
+        lines = []
+        for config, queries in cases.values():
+            head = results_head(config, "mini")
+            for query_id, (chunk_ids, per_k) in queries.items():
+                query_id, ids = encode(query_id), [encode(chunk_id) for chunk_id in chunk_ids]
+                lines.extend(
+                    results_line(head, query_id, k, ids[:k], recall, precision, f1, tail)
+                    for k, recall, precision, f1 in per_k
+                )
+        return "".join(lines)
+
+    assert benchmark(encode_all) == written
