@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -134,49 +134,100 @@ class DbscanConfig:
 ChunkerConfig = Union[FixedSizeConfig, BreakpointConfig, SingleLinkageConfig, DbscanConfig]
 
 
-def _make_chunks(doc: SegmentedDocument, groups: Sequence[Sequence[int]]) -> list[Chunk]:
-    ordered = sorted((sorted(group) for group in groups if group), key=lambda g: g[0])
-    chunks: list[Chunk] = []
-    for ordinal, indices in enumerate(ordered):
-        text = " ".join(doc.sentences[i].text for i in indices)
-        chunks.append(
-            Chunk(
-                chunk_id=f"{doc.doc_id}-{ordinal:04d}",
-                doc_id=doc.doc_id,
-                sentence_indices=tuple(indices),
-                text=text,
-            )
-        )
-    return chunks
+def _fixed_groups(n: int, size: int, overlap: int) -> list[range]:
+    return [range(max(a - overlap, 0), min(a + size, n)) for a in range(0, n, size)]
 
 
-def fixed_size_chunk(doc: SegmentedDocument, n_chunks: int, overlap: int = 0) -> list[Chunk]:
-    """Split into ceil(n / n_chunks)-sentence ranges; overlap=1 prepends the
-    previous base range's last sentence to each later chunk."""
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if overlap not in (0, 1):
-        raise ValueError(f"overlap must be 0 or 1, got {overlap}")
-    n = doc.n
-    size = -(-n // n_chunks)  # ceil(n / n_chunks); n / n_chunks can underflow to 0.0
-    starts = range(0, n, size)
-    return _make_chunks(doc, [range(max(a - overlap, 0), min(a + size, n)) for a in starts])
+def _breakpoint_groups(break_after: np.ndarray) -> list[range]:
+    n = break_after.size + 1
+    starts = (break_after.nonzero()[0] + 1).tolist()
+    return [range(a, b) for a, b in zip([0, *starts], [*starts, n])]
+
+
+def _linkage_groups(
+    n: int, first: np.ndarray, second: np.ndarray, max_size: int
+) -> list[list[int]]:
+    """Union the pairs (first[t], second[t]) in turn, skipping a merge past max_size."""
+    # Below this many clusters the capped clusters cannot hold n sentences,
+    # so once it is reached no merge can pass the cap.
+    fewest = -(-n // max_size)
+    parent = list(range(n))
+    size = [1] * n
+    clusters = n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(first.tolist(), second.tolist()):
+        if clusters == fewest:
+            break
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if size[ra] + size[rb] > max_size:
+            continue
+        parent[rb] = ra
+        size[ra] += size[rb]
+        clusters -= 1
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _dbscan_groups(adjacent: np.ndarray, core: np.ndarray) -> list[list[int]]:
+    """Clusters grown from each unlabeled core point in index order, then noise singletons."""
+    unlabeled = np.ones(core.size, dtype=bool)
+    groups: list[list[int]] = []
+    for seed in core.nonzero()[0].tolist():
+        if not unlabeled[seed]:
+            continue
+        before = unlabeled.copy()
+        unlabeled[seed] = False
+        frontier = adjacent[seed] & unlabeled
+        # Level by level: everything the frontier's core points reach and no
+        # earlier cluster took, which is what a queue BFS from seed labels.
+        while frontier.any():
+            unlabeled &= ~frontier
+            frontier = adjacent[frontier & core].any(axis=0) & unlabeled
+        groups.append((before ^ unlabeled).nonzero()[0].tolist())
+    groups.extend([i] for i in unlabeled.nonzero()[0].tolist())
+    return groups
 
 
 class DocumentDistances:
-    """One document's distance state, shared by every breakpoint and clustering config.
+    """One document's chunking state, shared by every config that chunks it.
 
-    Built lazily and held as numpy arrays only: the consecutive-distance
-    profile and its gradient, one combined-distance blend per positional
-    weight, and for single linkage one pair order per weight (the pairs
-    sorted by distance, ties by index), which no size cap changes.
+    Built lazily. Its numpy arrays are the consecutive-distance profile and
+    its gradient, one combined-distance blend per positional weight, and for
+    single linkage one pair order per weight (the pairs sorted by distance,
+    ties by index), which no size cap changes.
+
+    It also memoises groupings: each chunker keys its grouping by exactly
+    what the grouping depends on, so a grouping is computed once per key.
+    A grouping is held as an ordered tuple of parts, each part one distinct
+    sentence-index tuple with its joined text, held once per document. No
+    Chunk list is kept: every call gets fresh Chunks, with chunk ids shared
+    per ordinal.
     """
 
-    def __init__(self, sentence_embeddings: np.ndarray) -> None:
+    def __init__(
+        self, doc: SegmentedDocument, sentence_embeddings: np.ndarray | None = None
+    ) -> None:
+        self.doc = doc
         self.embeddings = sentence_embeddings
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._adjacency: dict[tuple[float, int], int] = {}
+        self._adjacency_ids: dict[bytes, int] = {}
+        self._groupings: dict[tuple, tuple[tuple[tuple[int, ...], str], ...]] = {}
+        self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
+        self._ids: list[str] = []
 
     def profile(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(the n - 1 consecutive distances, their gradient, or None below two
@@ -205,8 +256,66 @@ class DocumentDistances:
             # triu_indices lists pairs by (first, second), so a stable sort on
             # distance alone breaks ties by index.
             order = np.argsort(dist, kind="stable")
-            pairs = self._pairs[positional_weight] = (dist[order], first[order], second[order])
+            # int32 indices take half the bytes of int64, which on 100-sentence
+            # documents more than pays for the grouping memo.
+            pairs = (dist[order], first[order].astype(np.int32), second[order].astype(np.int32))
+            self._pairs[positional_weight] = pairs
         return pairs
+
+    def neighbourhoods(self, positional_weight: float, eps: float) -> tuple[np.ndarray, int]:
+        """(the boolean matrix blend <= eps at this weight, whose row i marks the
+        neighbourhood of sentence i, and one id per distinct such matrix of the
+        document, which matrices equal across weights share)."""
+        adjacent = self.blend(positional_weight) <= eps
+        # The thresholdings of one blend nest, so the count of entries within
+        # eps tells them apart without reading their bits.
+        seen = (positional_weight, int(np.count_nonzero(adjacent)))
+        ident = self._adjacency.get(seen)
+        if ident is None:
+            bits = np.packbits(adjacent).tobytes()
+            ident = self._adjacency_ids.setdefault(bits, len(self._adjacency_ids))
+            self._adjacency[seen] = ident
+        return adjacent, ident
+
+    def chunks(
+        self, key: tuple, group: Callable[..., Iterable[Sequence[int]]], *args
+    ) -> list[Chunk]:
+        """Fresh Chunks of the grouping memoised under key, which must determine
+        it; on a miss group(*args) gives its sentence groups, in any order.
+
+        Chunks are numbered in order of their first sentence, and each
+        chunk's text is its sentences joined in document order.
+        """
+        grouping = self._groupings.get(key)
+        if grouping is None:
+            ordered = sorted((sorted(g) for g in group(*args) if g), key=lambda g: g[0])
+            grouping = self._groupings[key] = tuple(map(self._part, ordered))
+        ids = self._ids
+        while len(ids) < len(grouping):
+            ids.append(f"{self.doc.doc_id}-{len(ids):04d}")
+        doc_id = self.doc.doc_id
+        return [Chunk(cid, doc_id, indices, text) for cid, (indices, text) in zip(ids, grouping)]
+
+    def _part(self, group: list[int]) -> tuple[tuple[int, ...], str]:
+        indices = tuple(group)
+        part = self._parts.get(indices)
+        if part is None:
+            text = " ".join(self.doc.sentences[i].text for i in indices)
+            part = self._parts[indices] = (indices, text)
+        return part
+
+
+def _document_state(
+    doc: SegmentedDocument,
+    distances: DocumentDistances | None,
+    sentence_embeddings: np.ndarray | None = None,
+) -> DocumentDistances:
+    """The caller's state for doc, or a throwaway one."""
+    if distances is None:
+        return DocumentDistances(doc, sentence_embeddings)
+    if distances.doc is not doc:
+        raise ValueError("distances were built for another document")
+    return distances
 
 
 def _shared_distances(
@@ -214,16 +323,33 @@ def _shared_distances(
     sentence_embeddings: np.ndarray | None,
     distances: DocumentDistances | None,
 ) -> DocumentDistances:
-    """The caller's distance state for doc, or a throwaway one."""
+    """The caller's distance state for doc, built from these embeddings, or a throwaway one."""
     if sentence_embeddings is None:
         raise ValueError("this chunker requires sentence embeddings")
     if sentence_embeddings.shape[0] != doc.n:
         raise ValueError(f"got {sentence_embeddings.shape[0]} embeddings for {doc.n} sentences")
-    if distances is None:
-        return DocumentDistances(sentence_embeddings)
+    distances = _document_state(doc, distances, sentence_embeddings)
     if distances.embeddings is not sentence_embeddings:
         raise ValueError("distances were built from other sentence embeddings")
     return distances
+
+
+def fixed_size_chunk(
+    doc: SegmentedDocument,
+    n_chunks: int,
+    overlap: int = 0,
+    distances: DocumentDistances | None = None,
+) -> list[Chunk]:
+    """Split into ceil(n / n_chunks)-sentence ranges; overlap=1 prepends the
+    previous base range's last sentence to each later chunk."""
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+    if overlap not in (0, 1):
+        raise ValueError(f"overlap must be 0 or 1, got {overlap}")
+    distances = _document_state(doc, distances)
+    n = doc.n
+    size = -(-n // n_chunks)  # ceil(n / n_chunks); n / n_chunks can underflow to 0.0
+    return distances.chunks(("fixed_size", size, overlap), _fixed_groups, n, size, overlap)
 
 
 def breakpoint_chunk(
@@ -239,17 +365,16 @@ def breakpoint_chunk(
     too short for the comparison array is one chunk.
     """
     distances = _shared_distances(doc, sentence_embeddings, distances)
-    n = doc.n
-    if n == 1:
-        return _make_chunks(doc, [[0]])
-    profile, slope = distances.profile()
-    if policy.gradient_domain and slope is None:
-        break_after = np.zeros(profile.size, dtype=bool)
+    if doc.n == 1:
+        break_after = np.zeros(0, dtype=bool)
     else:
-        compare = slope if policy.gradient_domain else profile
-        break_after = compare > threshold(profile, policy, slope)
-    starts = (break_after.nonzero()[0] + 1).tolist()
-    return _make_chunks(doc, [range(a, b) for a, b in zip([0, *starts], [*starts, n])])
+        profile, slope = distances.profile()
+        if policy.gradient_domain and slope is None:
+            break_after = np.zeros(profile.size, dtype=bool)
+        else:
+            compare = slope if policy.gradient_domain else profile
+            break_after = compare > threshold(profile, policy, slope)
+    return distances.chunks(("breakpoint", break_after.tobytes()), _breakpoint_groups, break_after)
 
 
 def single_linkage_chunk(
@@ -272,39 +397,12 @@ def single_linkage_chunk(
     distances = _shared_distances(doc, sentence_embeddings, distances)
     n = doc.n
     max_size = -(-n // n_clusters)  # ceil(n / n_clusters), exact for any int
-    # Below this many clusters the capped clusters cannot hold n sentences,
-    # so once it is reached no merge can pass the cap.
-    fewest = -(-n // max_size)
-
     dist, first, second = distances.pair_order(positional_weight)
     stop = int(np.searchsorted(dist, stop_distance, side="right"))
-
-    parent = list(range(n))
-    size = [1] * n
-    clusters = n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(first[:stop].tolist(), second[:stop].tolist()):
-        if clusters == fewest:
-            break
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if size[ra] + size[rb] > max_size:
-            continue
-        parent[rb] = ra
-        size[ra] += size[rb]
-        clusters -= 1
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return _make_chunks(doc, list(groups.values()))
+    return distances.chunks(
+        ("single_linkage", positional_weight, max_size, stop),
+        _linkage_groups, n, first[:stop], second[:stop], max_size,
+    )
 
 
 def dbscan_chunk(
@@ -327,26 +425,10 @@ def dbscan_chunk(
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     distances = _shared_distances(doc, sentence_embeddings, distances)
-    # Row i marks the neighbourhood of sentence i.
-    adjacent = distances.blend(positional_weight) <= eps
+    adjacent, adjacency_id = distances.neighbourhoods(positional_weight, eps)
     core = adjacent.sum(axis=1) >= min_samples
-
-    unlabeled = np.ones(doc.n, dtype=bool)
-    groups: list[list[int]] = []
-    for seed in core.nonzero()[0].tolist():
-        if not unlabeled[seed]:
-            continue
-        before = unlabeled.copy()
-        unlabeled[seed] = False
-        frontier = adjacent[seed] & unlabeled
-        # Level by level: everything the frontier's core points reach and no
-        # earlier cluster took, which is what a queue BFS from seed labels.
-        while frontier.any():
-            unlabeled &= ~frontier
-            frontier = adjacent[frontier & core].any(axis=0) & unlabeled
-        groups.append((before ^ unlabeled).nonzero()[0].tolist())
-    groups.extend([i] for i in unlabeled.nonzero()[0].tolist())
-    return _make_chunks(doc, groups)
+    key = ("dbscan", adjacency_id, core.tobytes())
+    return distances.chunks(key, _dbscan_groups, adjacent, core)
 
 
 def _axes(cls: type, section: dict) -> Iterator[dict]:
@@ -373,11 +455,11 @@ def _values(axis: object) -> list:
 
 # kind -> (config class, chunker, grid-section expander), in grid order. The
 # chunker is called as chunker(doc, sentence_embeddings, distances=...,
-# **config fields); fixed size alone reads neither embeddings nor distances.
+# **config fields); fixed size alone ignores the embeddings.
 _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator[dict]]]] = {
     cls.kind: (cls, chunker, expand)
     for cls, chunker, expand in (
-        (FixedSizeConfig, lambda doc, _, distances, **kw: fixed_size_chunk(doc, **kw), _axes),
+        (FixedSizeConfig, lambda doc, _, **kw: fixed_size_chunk(doc, **kw), _axes),
         (BreakpointConfig, breakpoint_chunk, _threshold_axes),
         (SingleLinkageConfig, single_linkage_chunk, _axes),
         (DbscanConfig, dbscan_chunk, _axes),
@@ -419,9 +501,9 @@ def chunk_document(
     """Run whichever chunker the config describes.
 
     Fixed-size ignores embeddings; every other chunker requires one
-    embedding row per sentence and reuses distances, the document's state
-    built from these same embeddings, when given, and otherwise builds a
-    throwaway one.
+    embedding row per sentence. Each reuses distances, the state built for
+    this document (and, but for fixed-size, from these same embeddings),
+    when given, and otherwise builds a throwaway one.
     """
     chunker = _KINDS[config.kind][1]
     return chunker(doc, sentence_embeddings, distances=distances, **vars(config))

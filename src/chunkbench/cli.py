@@ -181,11 +181,12 @@ def _segmented_corpus(
 
 
 def _distance_states(segdocs, grid, spec):
-    """One distance state per document, or None each when only fixed-size chunkers run."""
+    """One chunking state per document, without sentence embeddings when only
+    fixed-size chunkers run."""
     if all(c.family == "fixed_size" for c in grid):
-        return [None] * len(segdocs)
+        return [DocumentDistances(doc) for doc in segdocs]
     # Not in _corpus_chunker: perfbench counts embeds from a *chunk* function as chunks.
-    return [DocumentDistances(embed_batch(spec, doc.sentence_texts)) for doc in segdocs]
+    return [DocumentDistances(doc, embed_batch(spec, doc.sentence_texts)) for doc in segdocs]
 
 
 def _corpus_chunker(
@@ -198,8 +199,7 @@ def _corpus_chunker(
     def chunk_corpus(config: ChunkerConfig) -> list[Chunk]:
         chunks: list[Chunk] = []
         for doc, state in zip(segdocs, states):
-            embeddings = None if state is None else state.embeddings
-            chunks.extend(chunk_document(doc, embeddings, config, distances=state))
+            chunks.extend(chunk_document(doc, state.embeddings, config, distances=state))
         return chunks
 
     return chunk_corpus

@@ -2,11 +2,13 @@
 
 The scalar distances spell out, one pair at a time, what
 ``chunkbench.distance.pairwise_joint_distances`` computes for a whole
-document. The breakpoint loop and the two clustering loops (the
-single-linkage union-find walk and the queue-BFS DBSCAN) are what
-``chunkbench.chunkers`` once ran per config, building every distance
-afresh: they define what the versions reading one shared per-document
-state must return.
+document. The fixed-size ranges, the breakpoint loop and the two
+clustering loops (the single-linkage union-find walk and the queue-BFS
+DBSCAN) are what ``chunkbench.chunkers`` once ran per config, building
+every distance afresh: they define what the versions reading one shared
+per-document state must return. They assemble chunks with
+``make_chunks_reference``, the chunk-assembly loop those chunkers once ran
+per call, so no chunk id, order or text comes from the memo under test.
 
 The last two are the per-token loop of ``chunkbench.embedding.deterministic_embed``
 and the set of (doc_id, sentence_index) pairs that
@@ -19,10 +21,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from chunkbench.chunkers import Chunk, _make_chunks
+from chunkbench.chunkers import Chunk
 from chunkbench.distance import (
     ThresholdPolicy,
     consecutive_distances,
@@ -78,6 +81,37 @@ def joint_distance(
     return min(1.0, max(0.0, d))
 
 
+def make_chunks_reference(
+    doc: SegmentedDocument, groups: Sequence[Sequence[int]]
+) -> list[Chunk]:
+    """Each non-empty group sorted, the groups ordered by first sentence and
+    numbered from 0000, each text its sentences joined by single spaces."""
+    ordered = sorted((sorted(group) for group in groups if group), key=lambda g: g[0])
+    chunks: list[Chunk] = []
+    for ordinal, indices in enumerate(ordered):
+        text = " ".join(doc.sentences[i].text for i in indices)
+        chunks.append(
+            Chunk(
+                chunk_id=f"{doc.doc_id}-{ordinal:04d}",
+                doc_id=doc.doc_id,
+                sentence_indices=tuple(indices),
+                text=text,
+            )
+        )
+    return chunks
+
+
+def fixed_size_reference(doc: SegmentedDocument, n_chunks: int, overlap: int) -> list[Chunk]:
+    """ceil(n / n_chunks)-sentence ranges, each after the first also holding
+    the sentence before it when overlap is 1."""
+    size = math.ceil(doc.n / n_chunks)
+    groups = []
+    for start in range(0, doc.n, size):
+        first = start - overlap if start > 0 else 0
+        groups.append(list(range(first, min(start + size, doc.n))))
+    return make_chunks_reference(doc, groups)
+
+
 def breakpoint_reference(
     doc: SegmentedDocument, sentence_embeddings: np.ndarray, policy: ThresholdPolicy
 ) -> list[Chunk]:
@@ -86,7 +120,7 @@ def breakpoint_reference(
     array strictly exceeds it; too short a document for the array is one chunk."""
     n = doc.n
     if n == 1:
-        return _make_chunks(doc, [[0]])
+        return make_chunks_reference(doc, [[0]])
     distances = consecutive_distances(sentence_embeddings)
     if policy.gradient_domain and distances.size < 2:
         break_after = np.zeros(distances.size, dtype=bool)
@@ -102,7 +136,7 @@ def breakpoint_reference(
         else:
             current.append(i)
     groups.append(current)
-    return _make_chunks(doc, groups)
+    return make_chunks_reference(doc, groups)
 
 
 def single_linkage_reference(
@@ -145,7 +179,7 @@ def single_linkage_reference(
     clusters: dict[int, list[int]] = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
-    return _make_chunks(doc, list(clusters.values()))
+    return make_chunks_reference(doc, list(clusters.values()))
 
 
 def dbscan_reference(
@@ -184,7 +218,7 @@ def dbscan_reference(
             groups.append([i])
         else:
             groups[labels[i]].append(i)
-    return _make_chunks(doc, groups)
+    return make_chunks_reference(doc, groups)
 
 
 def deterministic_embed_reference(text: str, dimension: int) -> np.ndarray:

@@ -185,7 +185,7 @@ class TestBreakpoint:
         emb = unit_rows(rng, 12)
         policies = [ThresholdPolicy("gradient_percentile", a) for a in (10.0, 50.0, 90.0)]
         expected = [groups_of(breakpoint_chunk(doc, emb, policy)) for policy in policies]
-        distances = DocumentDistances(emb)
+        distances = DocumentDistances(doc, emb)
         calls = []
         monkeypatch.setattr(distance, "gradient", lambda values: calls.append(values))
         got = [

@@ -1,6 +1,12 @@
-"""The breakpoint and clustering chunkers, sharing one document's distance
-state across the default grid, return what the per-config reference loops
-return, whichever order the configs reach the state in."""
+"""Every chunker, sharing one document's state across the default grid,
+returns what the per-config reference loops return, whichever order the
+configs reach the state in and however often. The state's grouping memo
+computes each grouping once per key, hands out fresh lists and serves one
+document only."""
+
+import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +15,35 @@ from hypothesis import strategies as st
 
 from chunkbench.chunkers import DocumentDistances, chunk_document, default_grid
 from chunkbench.corpus import load_corpus, stitch
+from chunkbench.distance import pairwise_joint_distances
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.segmenter import segment_document
 
 from conftest import MINI_DATASET, make_doc
-from reference import breakpoint_reference, dbscan_reference, single_linkage_reference
+from reference import (
+    breakpoint_reference,
+    dbscan_reference,
+    fixed_size_reference,
+    single_linkage_reference,
+)
 
-# Every config that reads the shared state: 30 breakpoint, 45 single linkage, 125 DBSCAN.
+# Every config that reads the shared embeddings: 30 breakpoint, 45 single linkage, 125 DBSCAN.
 SEMANTIC = [c for c in default_grid() if c.family != "fixed_size"]
+# The default grid, plus single linkage at two more stop distances, whose
+# memo keys differ from the default's in the stop index alone.
+CHECKED = default_grid() + [
+    replace(c, stop_distance=stop)
+    for c in default_grid()
+    if c.kind == "single_linkage"
+    for stop in (0.25, 0.75)
+]
+# The last default-grid config of each kind.
+ONE_PER_KIND = list({c.kind: c for c in default_grid()}.values())
 
 
 def reference(doc, embeddings, config):
+    if config.kind == "fixed_size":
+        return fixed_size_reference(doc, config.n_chunks, config.overlap)
     if config.kind == "breakpoint":
         return breakpoint_reference(doc, embeddings, config.policy)
     if config.kind == "single_linkage":
@@ -32,14 +56,23 @@ def reference(doc, embeddings, config):
 
 
 def check_grid(doc, embeddings):
-    """Every config of SEMANTIC, read off one state visited in grid order and off
-    a fresh one visited in reverse order, gives its reference chunks."""
-    expected = [reference(doc, embeddings, config) for config in SEMANTIC]
-    for order in (range(len(SEMANTIC)), range(len(SEMANTIC) - 1, -1, -1)):
-        distances = DocumentDistances(embeddings)
+    """Every config of CHECKED gives its reference chunks: read off one state
+    visited twice in grid order (the second pass all memo hits), and off fresh
+    states visited in reverse and in a seeded shuffled order."""
+    expected = [reference(doc, embeddings, config) for config in CHECKED]
+    grid_order = list(range(len(CHECKED)))
+    shuffled = np.random.default_rng(doc.n).permutation(len(CHECKED)).tolist()
+    shared = DocumentDistances(doc, embeddings)
+    visits = [
+        (shared, grid_order),
+        (shared, grid_order),
+        (DocumentDistances(doc, embeddings), grid_order[::-1]),
+        (DocumentDistances(doc, embeddings), shuffled),
+    ]
+    for distances, order in visits:
         for i in order:
-            got = chunk_document(doc, embeddings, SEMANTIC[i], distances=distances)
-            assert got == expected[i], (doc.doc_id, SEMANTIC[i])
+            got = chunk_document(doc, embeddings, CHECKED[i], distances=distances)
+            assert got == expected[i], (doc.doc_id, CHECKED[i])
 
 
 @st.composite
@@ -82,4 +115,84 @@ def test_distances_from_other_embeddings_are_refused():
     doc = make_doc("doc", ["A.", "B.", "C."])
     for config in {config.kind: config for config in SEMANTIC}.values():
         with pytest.raises(ValueError, match="other sentence embeddings"):
-            chunk_document(doc, embeddings, config, distances=DocumentDistances(np.eye(3)))
+            chunk_document(doc, embeddings, config, distances=DocumentDistances(doc, np.eye(3)))
+
+
+@pytest.mark.parametrize("config", ONE_PER_KIND, ids=lambda c: c.kind)
+def test_a_state_serves_only_its_own_document(config):
+    embeddings = np.eye(3)
+    doc = make_doc("doc", ["A.", "B.", "C."])
+    other = make_doc("other", ["A.", "B.", "C."])
+    distances = DocumentDistances(doc, embeddings)
+    chunk_document(doc, embeddings, config, distances=distances)
+    with pytest.raises(ValueError, match="another document"):
+        chunk_document(other, embeddings, config, distances=distances)
+
+
+@pytest.mark.parametrize("config", ONE_PER_KIND, ids=lambda c: c.kind)
+def test_mutating_a_returned_list_leaves_the_next_call_alone(config):
+    doc = make_doc("doc", [f"Sentence {i} is here." for i in range(9)])
+    embeddings = embed_batch(EmbedderSpec(backend="test"), doc.sentence_texts)
+    distances = DocumentDistances(doc, embeddings)
+    first = chunk_document(doc, embeddings, config, distances=distances)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    first[0] = first[-1]
+    assert chunk_document(doc, embeddings, config, distances=distances) == expected
+
+
+class CountingState(DocumentDistances):
+    """A state that counts how often a chunker's grouping step runs."""
+
+    runs = 0
+
+    def chunks(self, key, group, *args):
+        def counted(*group_args):
+            self.runs += 1
+            return group(*group_args)
+
+        return super().chunks(key, counted, *args)
+
+
+def grouping_key(doc, embeddings, config):
+    """What the config's grouping depends on, worked out from the public
+    distances and the reference chunkers."""
+    n = doc.n
+    if config.kind == "fixed_size":
+        return math.ceil(n / config.n_chunks), config.overlap
+    if config.kind == "breakpoint":
+        # The cuts and the chunks determine each other.
+        chunks = breakpoint_reference(doc, embeddings, config.policy)
+        return tuple(chunk.sentence_indices for chunk in chunks)
+    blend = pairwise_joint_distances(embeddings, config.positional_weight)
+    if config.kind == "single_linkage":
+        within = int((blend[np.triu_indices(n, k=1)] <= config.stop_distance).sum())
+        return config.positional_weight, math.ceil(n / config.n_clusters), within
+    adjacent = blend <= config.eps
+    return adjacent.tobytes(), (adjacent.sum(axis=1) >= config.min_samples).tobytes()
+
+
+def test_each_grouping_step_runs_once_per_distinct_key_on_the_mini_corpus():
+    documents, _ = load_corpus(MINI_DATASET)
+    spec = EmbedderSpec(backend="test")
+    grid = default_grid()
+    calls, runs = Counter(), Counter()
+    for document in documents:
+        doc = segment_document(document.doc_id, document.text)
+        embeddings = embed_batch(spec, doc.sentence_texts)
+        state = CountingState(doc, embeddings)
+        doc_runs, keys = Counter(), {}
+        texts: dict[tuple, str] = {}
+        for config in grid:
+            before = state.runs
+            for chunk in chunk_document(doc, embeddings, config, distances=state):
+                # One text object per distinct sentence group of the document.
+                assert texts.setdefault(chunk.sentence_indices, chunk.text) is chunk.text
+            doc_runs[config.kind] += state.runs - before
+            calls[config.kind] += 1
+            keys.setdefault(config.kind, set()).add(grouping_key(doc, embeddings, config))
+        assert doc_runs == Counter({kind: len(k) for kind, k in keys.items()}), doc.doc_id
+        runs.update(doc_runs)
+    # The memo saves work for every kind on this corpus.
+    assert all(runs[kind] < calls[kind] for kind in calls), (runs, calls)

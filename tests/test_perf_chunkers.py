@@ -1,6 +1,7 @@
-"""Layer microbenchmark, marked perf and so deselected by default: the 200
+"""Layer microbenchmarks, marked perf and so deselected by default: the 200
 breakpoint and clustering configs of the default grid on one 100-sentence
-document, all reading one distance state as ``chunkbench bench`` does.
+document, and the full 218-config grid over every ``data/mini`` document,
+each document's configs reading one state as ``chunkbench bench`` does.
 
 Run it with ``python -m pytest -m perf tests/test_perf_chunkers.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
@@ -29,7 +30,27 @@ def test_semantic_grid_on_one_100_sentence_document(benchmark):
     assert doc.n == 100 and len(configs) == 200
 
     def chunk_grid():
-        distances = DocumentDistances(embeddings)
+        distances = DocumentDistances(doc, embeddings)
         return [chunk_document(doc, embeddings, config, distances=distances) for config in configs]
 
     assert len(benchmark(chunk_grid)) == 200
+
+
+def test_default_grid_on_every_mini_document(benchmark):
+    documents, _ = load_corpus(MINI_DATASET)
+    spec = EmbedderSpec(backend="test")
+    docs = [segment_document(d.doc_id, d.text) for d in documents]
+    embeddings = [embed_batch(spec, doc.sentence_texts) for doc in docs]
+    configs = default_grid()
+    assert len(configs) == 218
+
+    def chunk_corpus():
+        # One fresh state per document and round, as one bench run builds them.
+        states = [DocumentDistances(doc, emb) for doc, emb in zip(docs, embeddings)]
+        return [
+            chunk_document(doc, state.embeddings, config, distances=state)
+            for config in configs
+            for doc, state in zip(docs, states)
+        ]
+
+    assert len(benchmark(chunk_corpus)) == 218 * len(docs)

@@ -57,7 +57,7 @@ def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
     texts: dict[str, None] = {}
     for doc in docs:
         embeddings = embed_batch(SPEC, doc.sentence_texts)
-        distances = DocumentDistances(embeddings)
+        distances = DocumentDistances(doc, embeddings)
         for config in default_grid():
             for chunk in chunk_document(doc, embeddings, config, distances=distances):
                 texts[chunk.text] = None
