@@ -218,6 +218,8 @@ class DocumentDistances:
     def __init__(
         self, doc: SegmentedDocument, sentence_embeddings: np.ndarray | None = None
     ) -> None:
+        if sentence_embeddings is not None and len(sentence_embeddings) != doc.n:
+            raise ValueError(f"got {len(sentence_embeddings)} embeddings for {doc.n} sentences")
         self.doc = doc
         self.embeddings = sentence_embeddings
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
@@ -229,11 +231,17 @@ class DocumentDistances:
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         self._ids: list[str] = []
 
+    def required_embeddings(self) -> np.ndarray:
+        """The sentence embeddings; a state built without them raises ValueError."""
+        if self.embeddings is None:
+            raise ValueError("this chunker requires sentence embeddings")
+        return self.embeddings
+
     def profile(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(the n - 1 consecutive distances, their gradient, or None below two
         distances); needs at least two sentences."""
         if self._profile is None:
-            profile = consecutive_distances(self.embeddings)
+            profile = consecutive_distances(self.required_embeddings())
             self._profile = (profile, gradient(profile) if profile.size >= 2 else None)
         return self._profile
 
@@ -241,7 +249,7 @@ class DocumentDistances:
         """The n-by-n combined-distance matrix at this weight."""
         dmat = self._blends.get(positional_weight)
         if dmat is None:
-            dmat = pairwise_joint_distances(self.embeddings, positional_weight)
+            dmat = pairwise_joint_distances(self.required_embeddings(), positional_weight)
             self._blends[positional_weight] = dmat
         return dmat
 
@@ -305,86 +313,37 @@ class DocumentDistances:
         return part
 
 
-def _document_state(
-    doc: SegmentedDocument,
-    distances: DocumentDistances | None,
-    sentence_embeddings: np.ndarray | None = None,
-) -> DocumentDistances:
-    """The caller's state for doc, or a throwaway one."""
-    if distances is None:
-        return DocumentDistances(doc, sentence_embeddings)
-    if distances.doc is not doc:
-        raise ValueError("distances were built for another document")
-    return distances
-
-
-def _shared_distances(
-    doc: SegmentedDocument,
-    sentence_embeddings: np.ndarray | None,
-    distances: DocumentDistances | None,
-) -> DocumentDistances:
-    """The caller's distance state for doc, built from these embeddings, or a throwaway one."""
-    if sentence_embeddings is None:
-        raise ValueError("this chunker requires sentence embeddings")
-    if sentence_embeddings.shape[0] != doc.n:
-        raise ValueError(f"got {sentence_embeddings.shape[0]} embeddings for {doc.n} sentences")
-    distances = _document_state(doc, distances, sentence_embeddings)
-    if distances.embeddings is not sentence_embeddings:
-        raise ValueError("distances were built from other sentence embeddings")
-    return distances
-
-
-def fixed_size_chunk(
-    doc: SegmentedDocument,
-    n_chunks: int,
-    overlap: int = 0,
-    distances: DocumentDistances | None = None,
-) -> list[Chunk]:
+def _fixed_size(state: DocumentDistances, config: FixedSizeConfig) -> list[Chunk]:
     """Split into ceil(n / n_chunks)-sentence ranges; overlap=1 prepends the
     previous base range's last sentence to each later chunk."""
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if overlap not in (0, 1):
-        raise ValueError(f"overlap must be 0 or 1, got {overlap}")
-    distances = _document_state(doc, distances)
-    n = doc.n
-    size = -(-n // n_chunks)  # ceil(n / n_chunks); n / n_chunks can underflow to 0.0
-    return distances.chunks(("fixed_size", size, overlap), _fixed_groups, n, size, overlap)
+    n = state.doc.n
+    size = -(-n // config.n_chunks)  # ceil(n / n_chunks); n / n_chunks can underflow to 0.0
+    overlap = config.overlap
+    return state.chunks(("fixed_size", size, overlap), _fixed_groups, n, size, overlap)
 
 
-def breakpoint_chunk(
-    doc: SegmentedDocument,
-    sentence_embeddings: np.ndarray,
-    policy: ThresholdPolicy,
-    distances: DocumentDistances | None = None,
-) -> list[Chunk]:
+def _breakpoint(state: DocumentDistances, config: BreakpointConfig) -> list[Chunk]:
     """Cut after sentence i wherever the profile strictly exceeds the cutoff.
 
     Distance-domain policies compare the consecutive-distance array against
     the cutoff; gradient-domain policies compare its gradient. A document
     too short for the comparison array is one chunk.
     """
-    distances = _shared_distances(doc, sentence_embeddings, distances)
-    if doc.n == 1:
+    policy = config.policy
+    # One row per sentence; a state without embeddings raises here.
+    if len(state.required_embeddings()) == 1:
         break_after = np.zeros(0, dtype=bool)
     else:
-        profile, slope = distances.profile()
+        profile, slope = state.profile()
         if policy.gradient_domain and slope is None:
             break_after = np.zeros(profile.size, dtype=bool)
         else:
             compare = slope if policy.gradient_domain else profile
             break_after = compare > threshold(profile, policy, slope)
-    return distances.chunks(("breakpoint", break_after.tobytes()), _breakpoint_groups, break_after)
+    return state.chunks(("breakpoint", break_after.tobytes()), _breakpoint_groups, break_after)
 
 
-def single_linkage_chunk(
-    doc: SegmentedDocument,
-    sentence_embeddings: np.ndarray,
-    n_clusters: int,
-    positional_weight: float,
-    stop_distance: float = DEFAULT_STOP_DISTANCE,
-    distances: DocumentDistances | None = None,
-) -> list[Chunk]:
+def _single_linkage(state: DocumentDistances, config: SingleLinkageConfig) -> list[Chunk]:
     """Merge the closest sentence pairs first, subject to a cluster-size cap.
 
     Pairs are visited in ascending (distance, first index, second index)
@@ -392,27 +351,17 @@ def single_linkage_chunk(
     ceil(n / n_clusters), and scanning stops at the first pair whose
     distance exceeds stop_distance. Whatever never merged stays singleton.
     """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    distances = _shared_distances(doc, sentence_embeddings, distances)
-    n = doc.n
-    max_size = -(-n // n_clusters)  # ceil(n / n_clusters), exact for any int
-    dist, first, second = distances.pair_order(positional_weight)
-    stop = int(np.searchsorted(dist, stop_distance, side="right"))
-    return distances.chunks(
-        ("single_linkage", positional_weight, max_size, stop),
+    n = state.doc.n
+    max_size = -(-n // config.n_clusters)  # ceil(n / n_clusters), exact for any int
+    dist, first, second = state.pair_order(config.positional_weight)
+    stop = int(np.searchsorted(dist, config.stop_distance, side="right"))
+    return state.chunks(
+        ("single_linkage", config.positional_weight, max_size, stop),
         _linkage_groups, n, first[:stop], second[:stop], max_size,
     )
 
 
-def dbscan_chunk(
-    doc: SegmentedDocument,
-    sentence_embeddings: np.ndarray,
-    eps: float,
-    min_samples: int,
-    positional_weight: float,
-    distances: DocumentDistances | None = None,
-) -> list[Chunk]:
+def _dbscan(state: DocumentDistances, config: DbscanConfig) -> list[Chunk]:
     """Density clustering over the combined distance.
 
     A sentence is a core point when at least min_samples sentences
@@ -420,15 +369,10 @@ def dbscan_chunk(
     ascending index order; border points keep the first cluster that
     reaches them; noise becomes singleton chunks.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    distances = _shared_distances(doc, sentence_embeddings, distances)
-    adjacent, adjacency_id = distances.neighbourhoods(positional_weight, eps)
-    core = adjacent.sum(axis=1) >= min_samples
+    adjacent, adjacency_id = state.neighbourhoods(config.positional_weight, config.eps)
+    core = adjacent.sum(axis=1) >= config.min_samples
     key = ("dbscan", adjacency_id, core.tobytes())
-    return distances.chunks(key, _dbscan_groups, adjacent, core)
+    return state.chunks(key, _dbscan_groups, adjacent, core)
 
 
 def _axes(cls: type, section: dict) -> Iterator[dict]:
@@ -454,15 +398,14 @@ def _values(axis: object) -> list:
 
 
 # kind -> (config class, chunker, grid-section expander), in grid order. The
-# chunker is called as chunker(doc, sentence_embeddings, distances=...,
-# **config fields); fixed size alone ignores the embeddings.
+# chunker is called as chunker(state, config).
 _KINDS: dict[str, tuple[type, Callable[..., list[Chunk]], Callable[..., Iterator[dict]]]] = {
     cls.kind: (cls, chunker, expand)
     for cls, chunker, expand in (
-        (FixedSizeConfig, lambda doc, _, **kw: fixed_size_chunk(doc, **kw), _axes),
-        (BreakpointConfig, breakpoint_chunk, _threshold_axes),
-        (SingleLinkageConfig, single_linkage_chunk, _axes),
-        (DbscanConfig, dbscan_chunk, _axes),
+        (FixedSizeConfig, _fixed_size, _axes),
+        (BreakpointConfig, _breakpoint, _threshold_axes),
+        (SingleLinkageConfig, _single_linkage, _axes),
+        (DbscanConfig, _dbscan, _axes),
     )
 }
 
@@ -501,12 +444,17 @@ def chunk_document(
     """Run whichever chunker the config describes.
 
     Fixed-size ignores embeddings; every other chunker requires one
-    embedding row per sentence. Each reuses distances, the state built for
-    this document (and, but for fixed-size, from these same embeddings),
-    when given, and otherwise builds a throwaway one.
+    embedding row per sentence. It reads distances, the state built for
+    this document from these same sentence embeddings, when given, and
+    otherwise a throwaway state.
     """
-    chunker = _KINDS[config.kind][1]
-    return chunker(doc, sentence_embeddings, distances=distances, **vars(config))
+    if distances is None:
+        distances = DocumentDistances(doc, sentence_embeddings)
+    elif distances.doc is not doc:
+        raise ValueError("distances were built for another document")
+    elif distances.embeddings is not sentence_embeddings:
+        raise ValueError("distances were built from other sentence embeddings")
+    return _KINDS[config.kind][1](distances, config)
 
 
 def default_grid() -> list[ChunkerConfig]:

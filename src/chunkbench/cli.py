@@ -66,8 +66,8 @@ FAILURES_FILENAME = "failures.jsonl"
 TRENDS_FILENAME = "trends.csv"
 ANSWERS_FILENAME = "answers.jsonl"
 FAILURE_FRACTION_LIMIT = 0.10
-# trends.csv leaves out fields that a grid holds at one value.
-_UNSWEPT_FIELDS = ("stop_distance",)
+# trends.csv leaves out these hyperparameters while every row holds them at one value.
+_UNSWEPT_FIELDS = ("single_linkage.stop_distance",)
 
 
 class ConfigError(ValueError):
@@ -490,7 +490,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _hyperparameters(config: dict, prefix: str = "") -> Iterator[tuple[str, float]]:
-    """(trend name, value) for each swept numeric field of a config dict.
+    """(trend name, value) for each numeric field of a config dict.
 
     A field is named "<kind>.<field>"; a nested policy names its fields
     after its own kind, as in "breakpoint.percentile.amount".
@@ -499,7 +499,7 @@ def _hyperparameters(config: dict, prefix: str = "") -> Iterator[tuple[str, floa
     for name, value in config.items():
         if isinstance(value, dict):
             yield from _hyperparameters(value, prefix + ".")
-        elif isinstance(value, (int, float)) and name not in _UNSWEPT_FIELDS:
+        elif isinstance(value, (int, float)):
             yield f"{prefix}.{name}", value
 
 
@@ -544,6 +544,8 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
         for row in rows:
             if name in row["axes"]:
                 groups.setdefault((row["dataset"], row["k"]), []).append((row["axes"][name], row))
+        if name in _UNSWEPT_FIELDS and len({v for g in groups.values() for v, _ in g}) == 1:
+            continue
         accum = trends.setdefault(name, {})
         for group in groups.values():
             spans = {}

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from chunkbench.chunkers import (
+    BreakpointConfig,
     Chunk,
-    breakpoint_chunk,
+    FixedSizeConfig,
+    SingleLinkageConfig,
     canonical_config,
+    chunk_document,
     config_from_dict,
-    fixed_size_chunk,
-    single_linkage_chunk,
 )
 from chunkbench.cli import main
 from chunkbench.corpus import Document, QueryRecord, load_corpus, stitch
@@ -102,8 +103,9 @@ class TestAcceptance:
             c = int(rng.integers(1, 11))
             doc = make_doc("mirror", [f"Sentence number {i} here." for i in range(n)])
             emb = unit_rows(rng, n, 12)
-            linked = single_linkage_chunk(doc, emb, n_clusters=c, positional_weight=1.0)
-            fixed = fixed_size_chunk(doc, n_chunks=c, overlap=0)
+            config = SingleLinkageConfig(n_clusters=c, positional_weight=1.0)
+            linked = chunk_document(doc, emb, config)
+            fixed = chunk_document(doc, None, FixedSizeConfig(n_chunks=c, overlap=0))
             assert [ch.sentence_indices for ch in linked] == [
                 ch.sentence_indices for ch in fixed
             ]
@@ -153,10 +155,11 @@ class TestAcceptance:
             n = int(rng.integers(2, 40))
             doc = make_doc("mono", [f"Sentence {i} of the document." for i in range(n)])
             emb = unit_rows(rng, n, 10)
-            counts = [
-                len(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_distance", cut)))
+            configs = [
+                BreakpointConfig(ThresholdPolicy("absolute_distance", cut))
                 for cut in (0.1, 0.2, 0.3, 0.4, 0.5)
             ]
+            counts = [len(chunk_document(doc, emb, config)) for config in configs]
             assert all(a >= b for a, b in zip(counts, counts[1:])), counts
         report(4, "breakpoint count non-increasing in absolute threshold", started, budget=2.0)
 
@@ -223,13 +226,13 @@ class TestAcceptance:
         started = time.perf_counter()
         spec = EmbedderSpec(backend="test", model_id="hash-v1", dimension=256)
         tokens = pick_disjoint_tokens(60, spec.dimension)
-        policy = ThresholdPolicy("absolute_distance", 0.5)
+        config = BreakpointConfig(ThresholdPolicy("absolute_distance", 0.5))
         for d in range(20):
             block_tokens = tokens[3 * d : 3 * d + 3]
             texts = [f"{tok}." for tok in block_tokens for _ in range(5)]
             doc = make_doc(f"topic-{d:02d}", texts)
             emb = embed_batch(spec, [s.text for s in doc.sentences])
-            chunks = breakpoint_chunk(doc, emb, policy)
+            chunks = chunk_document(doc, emb, config)
             assert [c.sentence_indices for c in chunks] == [
                 tuple(range(0, 5)),
                 tuple(range(5, 10)),

@@ -16,17 +16,13 @@ from chunkbench.chunkers import (
     DocumentDistances,
     FixedSizeConfig,
     SingleLinkageConfig,
-    breakpoint_chunk,
     canonical_config,
     chunk_document,
     config_from_dict,
     config_to_dict,
-    dbscan_chunk,
     default_grid,
-    fixed_size_chunk,
     grid_from_dict,
     read_chunks,
-    single_linkage_chunk,
     write_chunks,
 )
 from chunkbench.distance import ThresholdPolicy
@@ -49,6 +45,14 @@ def basis(dim, index):
     return v
 
 
+# One config of each semantic kind.
+SEMANTIC_KINDS = (
+    BreakpointConfig(policy=ThresholdPolicy("percentile", 50.0)),
+    SingleLinkageConfig(n_clusters=2, positional_weight=0.5),
+    DbscanConfig(eps=0.3, min_samples=2, positional_weight=0.5),
+)
+
+
 def groups_of(chunks):
     return [list(c.sentence_indices) for c in chunks]
 
@@ -61,30 +65,31 @@ def chain_embeddings(consecutive_cosines):
 
 class TestFixedSize:
     def test_ten_sentences_three_chunks(self):
-        got = groups_of(fixed_size_chunk(doc_of(10), 3))
+        got = groups_of(chunk_document(doc_of(10), None, FixedSizeConfig(3)))
         assert got == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_overlap_prepends_previous_last_sentence(self):
-        got = groups_of(fixed_size_chunk(doc_of(10), 3, overlap=1))
+        got = groups_of(chunk_document(doc_of(10), None, FixedSizeConfig(3, overlap=1)))
         assert got == [[0, 1, 2, 3], [3, 4, 5, 6, 7], [7, 8, 9]]
 
     def test_single_sentence(self):
-        assert groups_of(fixed_size_chunk(doc_of(1), 4)) == [[0]]
+        assert groups_of(chunk_document(doc_of(1), None, FixedSizeConfig(4))) == [[0]]
 
     def test_n_chunks_above_sentence_count_gives_singletons(self):
-        got = groups_of(fixed_size_chunk(doc_of(3), 10))
+        got = groups_of(chunk_document(doc_of(3), None, FixedSizeConfig(10)))
         assert got == [[0], [1], [2]]
 
     def test_n_chunks_too_large_for_a_float_gives_singletons(self):
-        assert groups_of(fixed_size_chunk(doc_of(3), 10**400)) == [[0], [1], [2]]
+        config = FixedSizeConfig(10**400)
+        assert groups_of(chunk_document(doc_of(3), None, config)) == [[0], [1], [2]]
 
     def test_exact_division(self):
-        got = groups_of(fixed_size_chunk(doc_of(6), 3))
+        got = groups_of(chunk_document(doc_of(6), None, FixedSizeConfig(3)))
         assert got == [[0, 1], [2, 3], [4, 5]]
 
     def test_chunk_ids_and_text(self):
         doc = make_doc("abc", ["First one.", "Second one.", "Third one."])
-        chunks = fixed_size_chunk(doc, 2)
+        chunks = chunk_document(doc, None, FixedSizeConfig(2))
         assert [c.chunk_id for c in chunks] == ["abc-0000", "abc-0001"]
         assert chunks[0].text == "First one. Second one."
         assert chunks[1].text == "Third one."
@@ -94,7 +99,7 @@ class TestFixedSize:
         for _ in range(100):
             n = int(rng.integers(1, 40))
             c = int(rng.integers(1, 12))
-            chunks = fixed_size_chunk(doc_of(n), c)
+            chunks = chunk_document(doc_of(n), None, FixedSizeConfig(c))
             flat = [i for chunk in chunks for i in chunk.sentence_indices]
             assert sorted(flat) == list(range(n))
             assert len(chunks) <= c
@@ -103,8 +108,8 @@ class TestFixedSize:
         for _ in range(100):
             n = int(rng.integers(2, 40))
             c = int(rng.integers(1, 12))
-            base = groups_of(fixed_size_chunk(doc_of(n), c, overlap=0))
-            shared = groups_of(fixed_size_chunk(doc_of(n), c, overlap=1))
+            base = groups_of(chunk_document(doc_of(n), None, FixedSizeConfig(c, overlap=0)))
+            shared = groups_of(chunk_document(doc_of(n), None, FixedSizeConfig(c, overlap=1)))
             assert shared[0] == base[0]
             for prev, cur, cur_base in zip(base, shared[1:], base[1:]):
                 assert cur == [prev[-1]] + cur_base
@@ -116,37 +121,42 @@ class TestFixedSize:
             assert max(counts.values()) <= 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fixed_size_chunk(doc_of(4), 0)
-        with pytest.raises(ValueError):
-            fixed_size_chunk(doc_of(4), 2, overlap=2)
+        with pytest.raises(ValueError, match="n_chunks must be >= 1, got 0"):
+            FixedSizeConfig(0)
+        with pytest.raises(ValueError, match="overlap must be 0 or 1, got 2"):
+            FixedSizeConfig(2, overlap=2)
 
 
 class TestBreakpoint:
     def test_planted_topic_boundary(self):
         doc = doc_of(6)
         emb = np.stack([basis(4, 0)] * 3 + [basis(4, 1)] * 3)
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_distance", 0.5)))
+        config = BreakpointConfig(ThresholdPolicy("absolute_distance", 0.5))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1, 2], [3, 4, 5]]
 
     def test_strict_comparison_at_the_cutoff(self):
         doc = doc_of(2)
         emb = np.stack([basis(4, 0), basis(4, 1)])  # distance exactly 1.0
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_distance", 1.0)))
+        config = BreakpointConfig(ThresholdPolicy("absolute_distance", 1.0))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1]]
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_distance", 0.99)))
+        config = BreakpointConfig(ThresholdPolicy("absolute_distance", 0.99))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0], [1]]
 
     def test_percentile_100_never_splits(self, rng):
         doc = doc_of(8)
         emb = unit_rows(rng, 8)
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("percentile", 100.0)))
+        config = BreakpointConfig(ThresholdPolicy("percentile", 100.0))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [list(range(8))]
 
     def test_percentile_zero_splits_everywhere_above_minimum(self):
         doc = doc_of(4)
         emb = chain_embeddings([0.9, 0.7, 0.8])
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("percentile", 0.0)))
+        config = BreakpointConfig(ThresholdPolicy("percentile", 0.0))
+        got = groups_of(chunk_document(doc, emb, config))
         # cutoff = min distance 0.1; strict > cuts after profile positions 1 and 2
         assert got == [[0, 1], [2], [3]]
 
@@ -154,43 +164,46 @@ class TestBreakpoint:
         doc = doc_of(6)
         emb = np.stack([basis(4, 0)] * 3 + [basis(4, 1)] * 3)
         # profile [0,0,1,0,0]: mean 0.2, population sigma 0.4 -> cutoff 0.6
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("std_dev", 1.0)))
+        config = BreakpointConfig(ThresholdPolicy("std_dev", 1.0))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1, 2], [3, 4, 5]]
 
     def test_std_dev_large_amount_never_splits(self):
         doc = doc_of(6)
         emb = np.stack([basis(4, 0)] * 3 + [basis(4, 1)] * 3)
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("std_dev", 3.0)))
+        config = BreakpointConfig(ThresholdPolicy("std_dev", 3.0))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [list(range(6))]
 
     def test_gradient_percentile_cuts_on_rising_distance(self):
         doc = doc_of(4)
         emb = chain_embeddings([0.9, 0.7, 0.8])
         # profile ~[0.1, 0.3, 0.2]; gradient ~[0.2, 0.05, -0.1]; P50 = 0.05
-        got = groups_of(
-            breakpoint_chunk(doc, emb, ThresholdPolicy("gradient_percentile", 50.0))
-        )
+        config = BreakpointConfig(ThresholdPolicy("gradient_percentile", 50.0))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0], [1, 2, 3]]
 
     def test_absolute_gradient_known_profile(self):
         doc = doc_of(4)
         emb = chain_embeddings([0.9, 0.7, 0.8])
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_gradient", 0.1)))
+        config = BreakpointConfig(ThresholdPolicy("absolute_gradient", 0.1))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0], [1, 2, 3]]
-        got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy("absolute_gradient", 0.25)))
+        config = BreakpointConfig(ThresholdPolicy("absolute_gradient", 0.25))
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1, 2, 3]]
 
     def test_gradient_percentile_reads_the_cached_slope(self, rng, monkeypatch):
         doc = doc_of(12)
         emb = unit_rows(rng, 12)
         policies = [ThresholdPolicy("gradient_percentile", a) for a in (10.0, 50.0, 90.0)]
-        expected = [groups_of(breakpoint_chunk(doc, emb, policy)) for policy in policies]
+        configs = [BreakpointConfig(policy) for policy in policies]
+        expected = [groups_of(chunk_document(doc, emb, config)) for config in configs]
         distances = DocumentDistances(doc, emb)
         calls = []
         monkeypatch.setattr(distance, "gradient", lambda values: calls.append(values))
         got = [
-            groups_of(breakpoint_chunk(doc, emb, policy, distances=distances))
-            for policy in policies
+            groups_of(chunk_document(doc, emb, config, distances=distances)) for config in configs
         ]
         assert got == expected
         assert calls == []
@@ -199,19 +212,20 @@ class TestBreakpoint:
         doc = doc_of(2)
         emb = unit_rows(rng, 2)
         for kind, amount in (("gradient_percentile", 50.0), ("absolute_gradient", 0.0)):
-            got = groups_of(breakpoint_chunk(doc, emb, ThresholdPolicy(kind, amount)))
+            config = BreakpointConfig(ThresholdPolicy(kind, amount))
+            got = groups_of(chunk_document(doc, emb, config))
             assert got == [[0, 1]]
 
     def test_single_sentence(self, rng):
         doc = doc_of(1)
-        got = groups_of(
-            breakpoint_chunk(doc, unit_rows(rng, 1), ThresholdPolicy("percentile", 50.0))
-        )
+        config = BreakpointConfig(ThresholdPolicy("percentile", 50.0))
+        got = groups_of(chunk_document(doc, unit_rows(rng, 1), config))
         assert got == [[0]]
 
     def test_embedding_arity_checked(self, rng):
-        with pytest.raises(ValueError):
-            breakpoint_chunk(doc_of(4), unit_rows(rng, 3), ThresholdPolicy("percentile", 50.0))
+        config = BreakpointConfig(ThresholdPolicy("percentile", 50.0))
+        with pytest.raises(ValueError, match="got 3 embeddings for 4 sentences"):
+            chunk_document(doc_of(4), unit_rows(rng, 3), config)
 
     def test_random_against_independent_oracle(self, rng):
         policies = [
@@ -266,7 +280,7 @@ class TestBreakpoint:
                     else:
                         current.append(i)
                 expected.append(current)
-                got = groups_of(breakpoint_chunk(doc_of(n), emb, policy))
+                got = groups_of(chunk_document(doc_of(n), emb, BreakpointConfig(policy)))
                 assert got == expected, (n, policy)
 
 
@@ -274,23 +288,25 @@ class TestSingleLinkage:
     def test_positional_only_four_into_two(self, rng):
         doc = doc_of(4)
         emb = unit_rows(rng, 4)
-        got = groups_of(single_linkage_chunk(doc, emb, n_clusters=2, positional_weight=1.0))
+        config = SingleLinkageConfig(n_clusters=2, positional_weight=1.0)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1], [2, 3]]
 
     def test_semantic_duplicates_merge_first(self):
         doc = doc_of(4)
         emb = np.stack([basis(6, 0), basis(6, 1), basis(6, 0), basis(6, 2)])
-        got = groups_of(single_linkage_chunk(doc, emb, n_clusters=2, positional_weight=0.0))
+        config = SingleLinkageConfig(n_clusters=2, positional_weight=0.0)
+        got = groups_of(chunk_document(doc, emb, config))
         assert [0, 2] in got
 
     def test_single_sentence(self, rng):
-        got = groups_of(
-            single_linkage_chunk(doc_of(1), unit_rows(rng, 1), 3, positional_weight=0.5)
-        )
+        config = SingleLinkageConfig(3, positional_weight=0.5)
+        got = groups_of(chunk_document(doc_of(1), unit_rows(rng, 1), config))
         assert got == [[0]]
 
     def test_n_clusters_too_large_for_a_float_leaves_singletons(self, rng):
-        got = groups_of(single_linkage_chunk(doc_of(3), unit_rows(rng, 3), 10**400, 0.5))
+        config = SingleLinkageConfig(10**400, 0.5)
+        got = groups_of(chunk_document(doc_of(3), unit_rows(rng, 3), config))
         assert got == [[0], [1], [2]]
 
     def test_positional_weight_mirrors_fixed_size(self, rng):
@@ -298,25 +314,24 @@ class TestSingleLinkage:
             n = int(rng.integers(1, 30))
             c = int(rng.integers(1, 8))
             emb = unit_rows(rng, n)
-            clustered = groups_of(single_linkage_chunk(doc_of(n), emb, c, 1.0))
-            fixed = groups_of(fixed_size_chunk(doc_of(n), c))
+            clustered = groups_of(chunk_document(doc_of(n), emb, SingleLinkageConfig(c, 1.0)))
+            fixed = groups_of(chunk_document(doc_of(n), None, FixedSizeConfig(c)))
             assert clustered == fixed, (n, c)
 
     def test_stop_distance_blocks_distant_merges(self):
         doc = doc_of(2)
         emb = np.stack([basis(4, 0), basis(4, 1)])  # joint distance 1.0 at weight 0
-        got = groups_of(single_linkage_chunk(doc, emb, 1, positional_weight=0.0))
+        got = groups_of(chunk_document(doc, emb, SingleLinkageConfig(1, positional_weight=0.0)))
         assert got == [[0], [1]]
-        got = groups_of(
-            single_linkage_chunk(doc, emb, 1, positional_weight=0.0, stop_distance=1.0)
-        )
+        config = SingleLinkageConfig(1, positional_weight=0.0, stop_distance=1.0)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1]]
 
     def test_pair_exactly_at_stop_distance_merges(self, rng):
         doc = doc_of(2)
         emb = unit_rows(rng, 2)
         # weight 1: the only pair sits at distance 1/2 == stop_distance
-        got = groups_of(single_linkage_chunk(doc, emb, 1, positional_weight=1.0))
+        got = groups_of(chunk_document(doc, emb, SingleLinkageConfig(1, positional_weight=1.0)))
         assert got == [[0, 1]]
 
     def test_size_cap_respected_random(self, rng):
@@ -324,7 +339,7 @@ class TestSingleLinkage:
             n = int(rng.integers(2, 25))
             c = int(rng.integers(1, 8))
             w = float(rng.uniform(0, 1))
-            chunks = single_linkage_chunk(doc_of(n), unit_rows(rng, n), c, w)
+            chunks = chunk_document(doc_of(n), unit_rows(rng, n), SingleLinkageConfig(c, w))
             cap = math.ceil(n / c)
             assert all(len(ch.sentence_indices) <= cap for ch in chunks)
             flat = sorted(i for ch in chunks for i in ch.sentence_indices)
@@ -333,20 +348,20 @@ class TestSingleLinkage:
     def test_deterministic(self, rng):
         doc = doc_of(12)
         emb = unit_rows(rng, 12)
-        a = groups_of(single_linkage_chunk(doc, emb, 3, 0.5))
-        b = groups_of(single_linkage_chunk(doc, emb, 3, 0.5))
+        a = groups_of(chunk_document(doc, emb, SingleLinkageConfig(3, 0.5)))
+        b = groups_of(chunk_document(doc, emb, SingleLinkageConfig(3, 0.5)))
         assert a == b
 
     def test_chunks_ordered_by_first_index(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 20))
-            chunks = single_linkage_chunk(doc_of(n), unit_rows(rng, n), 3, 0.25)
+            chunks = chunk_document(doc_of(n), unit_rows(rng, n), SingleLinkageConfig(3, 0.25))
             firsts = [ch.sentence_indices[0] for ch in chunks]
             assert firsts == sorted(firsts)
 
     def test_embedding_arity_checked(self, rng):
         with pytest.raises(ValueError):
-            single_linkage_chunk(doc_of(4), unit_rows(rng, 5), 2, 0.5)
+            chunk_document(doc_of(4), unit_rows(rng, 5), SingleLinkageConfig(2, 0.5))
 
 
 def reference_dbscan(emb, eps, min_samples, weight):
@@ -392,19 +407,22 @@ class TestDbscan:
     def test_everything_within_eps_is_one_chunk(self, rng):
         doc = doc_of(6)
         emb = unit_rows(rng, 6)
-        got = groups_of(dbscan_chunk(doc, emb, eps=2.0, min_samples=1, positional_weight=0.3))
+        config = DbscanConfig(eps=2.0, min_samples=1, positional_weight=0.3)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [list(range(6))]
 
     def test_eps_below_min_distance_gives_singletons(self):
         doc = doc_of(4)
         emb = np.stack([basis(6, i) for i in range(4)])
-        got = groups_of(dbscan_chunk(doc, emb, eps=1e-6, min_samples=1, positional_weight=0.0))
+        config = DbscanConfig(eps=1e-6, min_samples=1, positional_weight=0.0)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0], [1], [2], [3]]
 
     def test_isolated_point_becomes_noise_singleton(self):
         doc = doc_of(3)
         emb = np.stack([basis(4, 0), basis(4, 0), basis(4, 1)])
-        got = groups_of(dbscan_chunk(doc, emb, eps=0.3, min_samples=2, positional_weight=0.0))
+        config = DbscanConfig(eps=0.3, min_samples=2, positional_weight=0.0)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1], [2]]
 
     def test_border_point_keeps_first_cluster(self):
@@ -415,11 +433,12 @@ class TestDbscan:
         e0, e1 = basis(3, 0), basis(3, 1)
         bridge = np.array([0.7, 0.7, np.sqrt(1.0 - 2 * 0.49)])
         emb = np.stack([e0, e0, e0, e0, bridge, e1, e1, e1, e1])
-        got = groups_of(dbscan_chunk(doc, emb, eps=0.21, min_samples=4, positional_weight=0.5))
+        config = DbscanConfig(eps=0.21, min_samples=4, positional_weight=0.5)
+        got = groups_of(chunk_document(doc, emb, config))
         assert got == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
 
     def test_single_sentence(self, rng):
-        got = groups_of(dbscan_chunk(doc_of(1), unit_rows(rng, 1), 0.5, 1, 0.5))
+        got = groups_of(chunk_document(doc_of(1), unit_rows(rng, 1), DbscanConfig(0.5, 1, 0.5)))
         assert got == [[0]]
 
     def test_partition_property_random(self, rng):
@@ -428,7 +447,8 @@ class TestDbscan:
             eps = float(rng.uniform(0.05, 0.9))
             min_samples = int(rng.integers(1, 6))
             w = float(rng.uniform(0, 1))
-            chunks = dbscan_chunk(doc_of(n), unit_rows(rng, n), eps, min_samples, w)
+            config = DbscanConfig(eps, min_samples, w)
+            chunks = chunk_document(doc_of(n), unit_rows(rng, n), config)
             flat = sorted(i for ch in chunks for i in ch.sentence_indices)
             assert flat == list(range(n))
 
@@ -439,17 +459,18 @@ class TestDbscan:
             eps = float(rng.uniform(0.05, 0.8))
             min_samples = int(rng.integers(1, 5))
             w = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-            got = groups_of(dbscan_chunk(doc_of(n), emb, eps, min_samples, w))
+            got = groups_of(chunk_document(doc_of(n), emb, DbscanConfig(eps, min_samples, w)))
             expected = reference_dbscan(emb, eps, min_samples, w)
             assert got == expected, (n, eps, min_samples, w)
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            dbscan_chunk(doc_of(3), unit_rows(rng, 3), eps=0.0, min_samples=1, positional_weight=0.5)
-        with pytest.raises(ValueError):
-            dbscan_chunk(doc_of(3), unit_rows(rng, 3), eps=0.5, min_samples=0, positional_weight=0.5)
-        with pytest.raises(ValueError):
-            dbscan_chunk(doc_of(3), unit_rows(rng, 4), eps=0.5, min_samples=1, positional_weight=0.5)
+        with pytest.raises(ValueError, match="eps must be > 0, got 0.0"):
+            DbscanConfig(eps=0.0, min_samples=1, positional_weight=0.5)
+        with pytest.raises(ValueError, match="min_samples must be >= 1, got 0"):
+            DbscanConfig(eps=0.5, min_samples=0, positional_weight=0.5)
+        config = DbscanConfig(eps=0.5, min_samples=1, positional_weight=0.5)
+        with pytest.raises(ValueError, match="got 4 embeddings for 3 sentences"):
+            chunk_document(doc_of(3), unit_rows(rng, 4), config)
 
 
 class TestChunkDocument:
@@ -458,33 +479,26 @@ class TestChunkDocument:
         assert groups_of(got) == [[0, 1], [2, 3]]
 
     def test_semantic_chunkers_require_embeddings(self):
-        for config in (
-            BreakpointConfig(policy=ThresholdPolicy("percentile", 50.0)),
-            SingleLinkageConfig(n_clusters=2, positional_weight=0.5),
-            DbscanConfig(eps=0.3, min_samples=2, positional_weight=0.5),
-        ):
-            with pytest.raises(ValueError):
-                chunk_document(doc_of(4), None, config)
+        # A one-sentence document is one chunk, but still needs its embedding.
+        for n in (1, 4):
+            for config in SEMANTIC_KINDS:
+                with pytest.raises(ValueError, match="requires sentence embeddings"):
+                    chunk_document(doc_of(n), None, config)
 
-    def test_dispatch_matches_direct_calls(self, rng):
-        doc = doc_of(8)
-        emb = unit_rows(rng, 8)
-        pairs = [
-            (
-                BreakpointConfig(policy=ThresholdPolicy("percentile", 70.0)),
-                breakpoint_chunk(doc, emb, ThresholdPolicy("percentile", 70.0)),
-            ),
-            (
-                SingleLinkageConfig(n_clusters=3, positional_weight=0.25),
-                single_linkage_chunk(doc, emb, 3, 0.25),
-            ),
-            (
-                DbscanConfig(eps=0.4, min_samples=2, positional_weight=0.75),
-                dbscan_chunk(doc, emb, 0.4, 2, 0.75),
-            ),
-        ]
-        for config, direct in pairs:
-            assert chunk_document(doc, emb, config) == direct
+    def test_a_state_without_embeddings_serves_fixed_size_alone(self):
+        # What the CLI builds for a grid of fixed-size configs only.
+        doc = doc_of(4)
+        state = DocumentDistances(doc)
+        for config in SEMANTIC_KINDS:
+            with pytest.raises(ValueError, match="requires sentence embeddings"):
+                chunk_document(doc, None, config, distances=state)
+        got = chunk_document(doc, None, FixedSizeConfig(n_chunks=2), distances=state)
+        assert groups_of(got) == [[0, 1], [2, 3]]
+
+    def test_a_state_refuses_a_wrong_number_of_embedding_rows(self, rng):
+        for rows in (3, 5):
+            with pytest.raises(ValueError, match=f"^got {rows} embeddings for 4 sentences$"):
+                DocumentDistances(doc_of(4), unit_rows(rng, rows))
 
 
 class TestConfigPlumbing:
@@ -632,13 +646,14 @@ class TestDefaultGrid:
 class TestChunkFiles:
     def test_round_trip(self, tmp_path, rng):
         doc = doc_of(7, doc_id="rt")
-        chunks = fixed_size_chunk(doc, 3) + fixed_size_chunk(doc_of(4, "other"), 2)
+        chunks = chunk_document(doc, None, FixedSizeConfig(3))
+        chunks += chunk_document(doc_of(4, "other"), None, FixedSizeConfig(2))
         path = tmp_path / "chunks.jsonl"
         write_chunks(chunks, path)
         assert read_chunks(path) == chunks
 
     def test_deterministic_bytes(self, tmp_path):
-        chunks = fixed_size_chunk(doc_of(9, "d"), 4)
+        chunks = chunk_document(doc_of(9, "d"), None, FixedSizeConfig(4))
         write_chunks(chunks, tmp_path / "a.jsonl")
         write_chunks(chunks, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
@@ -664,7 +679,7 @@ class TestChunkFiles:
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "chunks.jsonl"
-        write_chunks(fixed_size_chunk(doc_of(2, "d"), 2)[:1], path)
+        write_chunks(chunk_document(doc_of(2, "d"), None, FixedSizeConfig(2))[:1], path)
         path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^chunks.jsonl:2: {message}"):
             read_chunks(path)

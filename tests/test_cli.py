@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkbench import cli, embedding, generation, retrieval
-from chunkbench.chunkers import canonical_config, config_to_dict, default_grid, read_chunks
+from chunkbench.chunkers import (
+    FixedSizeConfig,
+    canonical_config,
+    chunk_document,
+    config_to_dict,
+    default_grid,
+    read_chunks,
+)
 from chunkbench.cli import (
     StitchConfig,
     build_parser,
@@ -20,6 +27,7 @@ from chunkbench.cli import (
 )
 from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
+from chunkbench.segmenter import segment_document
 
 from conftest import MINI_DATASET, REPO_ROOT
 
@@ -744,8 +752,20 @@ class TestGenCommand:
         code, _, requests = self.gen_on_the_mock(tmp_path, mock_service, 4)
         assert code == 0
         assert threads and set(threads) == {threading.main_thread()}
-        # 36 chunk texts in batches of 32, then every query, then every answer.
-        assert [len(r["payload"]["texts"]) for r in requests] == [32, 4, 10, 10]
+        # The 36 chunk texts in batches of 32 and 4, sent at once so either may
+        # reach the service first, then every query, then every answer.
+        assert len(requests) == 4
+        first, second, queries, answers = (r["payload"]["texts"] for r in requests)
+        assert sorted([len(first), len(second)]) == [4, 32]
+        documents, _ = load_corpus(MINI_DATASET)
+        config = FixedSizeConfig(n_chunks=3)
+        chunk_texts = [
+            chunk.text
+            for d in documents
+            for chunk in chunk_document(segment_document(d.doc_id, d.text), None, config)
+        ]
+        assert sorted(first + second) == sorted(chunk_texts)
+        assert [len(queries), len(answers)] == [10, 10]
 
     def test_empty_answer_fails_only_its_query_at_any_jobs(self, tmp_path, mock_service):
         outs = []
@@ -804,6 +824,8 @@ class TestSweepReportCommand:
         names = {row["hyperparameter"] for row in rows}
         assert "fixed_size.n_chunks" in names
         assert "breakpoint.percentile.amount" in names
+        # The grid holds stop_distance at one value.
+        assert "single_linkage.stop_distance" not in names
         for row in rows:
             assert 0.0 <= float(row["f1"]) <= 1.0
         keys = [(row["hyperparameter"], float(row["value"])) for row in rows]
@@ -813,6 +835,30 @@ class TestSweepReportCommand:
         assert hashlib.sha256((out / "trends.csv").read_bytes()).hexdigest() == (
             "e6ecc5c84e71149b9a6fe349521ab25ec4a8d7646b4ee255e95294e7917378c1"
         )
+
+    def test_a_swept_stop_distance_has_its_trend(self, tmp_path):
+        grid = {
+            "fixed_size": {"n_chunks": [3]},
+            "single_linkage": {
+                "n_clusters": [3, 4],
+                "positional_weight": [0.5],
+                "stop_distance": [0.25, 0.5, 0.75],
+            },
+        }
+        cfg = write_config(tmp_path, grid=grid)
+        assert run(
+            ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+             "--out", tmp_path / "runs"]
+        ) == 0
+        out = tmp_path / "report"
+        assert run(["sweep-report", tmp_path / "runs", "--out", out]) == 0
+        with (out / "trends.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        values = [
+            float(row["value"]) for row in rows
+            if row["hyperparameter"] == "single_linkage.stop_distance"
+        ]
+        assert values == [0.25, 0.5, 0.75]
 
     @pytest.mark.parametrize("tail", [",1", ",1,0.5,0.5,0.5,10,extra"], ids=["short", "long"])
     def test_summary_row_of_the_wrong_length_names_file_and_line(self, tmp_path, capsys, tail):

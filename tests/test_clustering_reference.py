@@ -1,8 +1,9 @@
-"""Every chunker, sharing one document's state across the default grid,
-returns what the per-config reference loops return, whichever order the
-configs reach the state in and however often. The state's grouping memo
-computes each grouping once per key, hands out fresh lists and serves one
-document only."""
+"""Every chunker, sharing one document's state across the default grid or
+on a throwaway state of its own, returns what the per-config reference
+loops return, whichever order the configs reach the state in and however
+often. The state's grouping memo computes each grouping once per key,
+hands out fresh lists and serves one document, from one set of sentence
+embeddings, only."""
 
 import math
 from collections import Counter
@@ -27,8 +28,6 @@ from reference import (
     single_linkage_reference,
 )
 
-# Every config that reads the shared embeddings: 30 breakpoint, 45 single linkage, 125 DBSCAN.
-SEMANTIC = [c for c in default_grid() if c.family != "fixed_size"]
 # The default grid, plus single linkage at two more stop distances, whose
 # memo keys differ from the default's in the stop index alone.
 CHECKED = default_grid() + [
@@ -57,8 +56,9 @@ def reference(doc, embeddings, config):
 
 def check_grid(doc, embeddings):
     """Every config of CHECKED gives its reference chunks: read off one state
-    visited twice in grid order (the second pass all memo hits), and off fresh
-    states visited in reverse and in a seeded shuffled order."""
+    visited twice in grid order (the second pass all memo hits), off fresh
+    states visited in reverse and in a seeded shuffled order, and off a
+    throwaway state per call, as a caller that passes no state gets."""
     expected = [reference(doc, embeddings, config) for config in CHECKED]
     grid_order = list(range(len(CHECKED)))
     shuffled = np.random.default_rng(doc.n).permutation(len(CHECKED)).tolist()
@@ -73,6 +73,8 @@ def check_grid(doc, embeddings):
         for i in order:
             got = chunk_document(doc, embeddings, CHECKED[i], distances=distances)
             assert got == expected[i], (doc.doc_id, CHECKED[i])
+    for config, chunks in zip(CHECKED, expected):
+        assert chunk_document(doc, embeddings, config) == chunks, (doc.doc_id, config)
 
 
 @st.composite
@@ -111,11 +113,13 @@ def test_shared_state_matches_reference_on_the_mini_corpus(target):
 
 
 def test_distances_from_other_embeddings_are_refused():
+    # Fixed size reads no embeddings, but a state serves its own ones only.
     embeddings = np.eye(3)
     doc = make_doc("doc", ["A.", "B.", "C."])
-    for config in {config.kind: config for config in SEMANTIC}.values():
-        with pytest.raises(ValueError, match="other sentence embeddings"):
-            chunk_document(doc, embeddings, config, distances=DocumentDistances(doc, np.eye(3)))
+    for config in ONE_PER_KIND:
+        for other in (np.eye(3), None):
+            with pytest.raises(ValueError, match="other sentence embeddings"):
+                chunk_document(doc, embeddings, config, distances=DocumentDistances(doc, other))
 
 
 @pytest.mark.parametrize("config", ONE_PER_KIND, ids=lambda c: c.kind)
