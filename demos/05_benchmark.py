@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chunkbench.chunkers import canonical_config, chunk_document, config_from_dict
 from chunkbench.corpus import load_corpus
-from chunkbench.embedding import EmbedderSpec
+from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.evaluation import aggregate, doc_metrics, select_best_config
 from chunkbench.retrieval import build_index, retrieve
 from chunkbench.segmenter import segment_document
@@ -33,9 +33,6 @@ def main():
     spec = EmbedderSpec(backend="test", model_id="hash-v1", dimension=512)
     documents, queries = load_corpus(DATASET)
     segdocs = [segment_document(d.doc_id, d.text) for d in documents]
-
-    from chunkbench.embedding import embed_batch
-
     vectors = {
         doc.doc_id: embed_batch(spec, [s.text for s in doc.sentences]) for doc in segdocs
     }
@@ -50,8 +47,7 @@ def main():
         # Per query, (recall, precision, f1) at each k, in query_id order.
         scores = []
         for query in sorted(queries, key=lambda q: q.query_id):
-            hits = retrieve(index, query.text, max(K_VALUES), spec)
-            top = [index.get(cid) for cid, _ in hits]
+            top = [chunk for chunk, _ in retrieve(index, query.text, max(K_VALUES))]
             scores.append([doc_metrics(top[:k], set(query.relevant_doc_ids)) for k in K_VALUES])
         rows.extend(aggregate(config, canonical_config(config), K_VALUES, scores))
 

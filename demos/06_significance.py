@@ -30,8 +30,7 @@ def per_query_f1(raw_config, segdocs, vectors, queries, spec):
     index = build_index(chunks, spec)
     scores = []
     for query in queries:
-        hits = retrieve(index, query.text, K, spec)
-        top = [index.get(cid) for cid, _ in hits]
+        top = [chunk for chunk, _ in retrieve(index, query.text, K)]
         _, _, f1 = doc_metrics(top, set(query.relevant_doc_ids))
         scores.append(f1)
     return np.array(scores)

@@ -370,21 +370,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
             scores: list[list[tuple[float, float, float]]] = []
             for query, query_id, truth in zip(eligible, query_ids, truths):
                 try:
-                    hits = retrieve(index, query.text, kmax, spec)
-                    chunks = [index.get(chunk_id) for chunk_id, _ in hits]
+                    chunks = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
                     per_k = [score(chunks[:k], truth) for k in cfg.k_list]
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue
                 scores.append(per_k)
-                chunk_ids = [_json_str(chunk_id) for chunk_id, _ in hits]
+                chunk_ids = [_json_str(chunk.chunk_id) for chunk in chunks]
                 for k, (recall, precision, f1) in zip(cfg.k_list, per_k):
                     yield results_line(
                         head, query_id, k, chunk_ids[:k], recall, precision, f1, tail
                     )
             summary.extend(aggregate(config, config_id, cfg.k_list, scores))
 
-    write_jsonl(cfg.out / RESULTS_FILENAME, lines(), encoded=True)
+    with replacing(cfg.out / RESULTS_FILENAME) as fh:
+        fh.writelines(lines())
     summary.sort(key=lambda row: (row.config.kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 
@@ -459,8 +459,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         embed_batch(spec, [query.text for query in sampled])
         for query in sampled:
-            hits = retrieve(index, query.text, gen_cfg.top_k_context, spec)
-            contexts[query] = [index.get(chunk_id).text for chunk_id, _ in hits]
+            hits = retrieve(index, query.text, gen_cfg.top_k_context)
+            contexts[query] = [chunk.text for chunk, _ in hits]
     except Exception as exc:
         contexts, errors = {}, dict.fromkeys(sampled, exc)
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

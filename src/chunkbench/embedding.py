@@ -343,7 +343,8 @@ class _VectorCache:
         return self.directory / f"{digest}.vec"
 
     def get(self, text: str) -> np.ndarray | None:
-        """The cached vector, or None on a miss; a torn entry counts as a miss."""
+        """The cached vector, or None on a miss; a torn entry, or one that does
+        not hold exactly one vector, counts as a miss."""
         path = self._path(text)
         try:
             blob = path.read_bytes()
@@ -351,6 +352,8 @@ class _VectorCache:
             return None
         try:
             header, matrix = decode_vectors(blob)
+            if len(matrix) != 1:
+                raise EmbeddingError(f"it holds {len(matrix)} vectors, not one")
         except EmbeddingError as exc:
             logger.warning("cache entry %s is unreadable (%s); recomputing it", path, exc)
             return None

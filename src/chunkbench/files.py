@@ -38,21 +38,9 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(
-    path: str | Path, records: Iterable[dict] | Iterable[str], encoded: bool = False
-) -> None:
-    """Write one sorted-key JSON object per line; records may be a generator.
-
-    With encoded=True the records are lines the caller already encoded, each
-    ending in "\\n", written as they are; a line without one raises ValueError.
-    """
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line; records may be a generator."""
     with replacing(path) as fh:
-        if encoded:
-            for line in records:
-                if not line.endswith("\n"):
-                    raise ValueError(f"an encoded JSON line must end in a newline: {line!r}")
-                fh.write(line)
-            return
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -376,7 +376,7 @@ class TestAcceptance:
             index = build_index(chunks, spec)
             query = " ".join(rng.choice(vocab, size=2))
             k = int(rng.integers(1, m + 3))
-            hits = retrieve(index, query, k, spec)
+            hits = retrieve(index, query, k)
 
             qv = embed_batch(spec, [query]).astype(np.float64)[0]
             cv = embed_batch(spec, texts).astype(np.float64)
@@ -384,7 +384,7 @@ class TestAcceptance:
                 ((float(cv[j] @ qv), chunks[j].chunk_id) for j in range(m)),
                 key=lambda pair: (-pair[0], pair[1]),
             )[:k]
-            assert [cid for _, cid in scored] == [cid for cid, _ in hits]
+            assert [cid for _, cid in scored] == [chunk.chunk_id for chunk, _ in hits]
             np.testing.assert_allclose(
                 [score for score, _ in scored],
                 [score for _, score in hits],

@@ -305,6 +305,23 @@ class TestCache:
         _, matrix = decode_vectors(path.read_bytes())
         np.testing.assert_array_equal(matrix, expected)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_entry_without_exactly_one_vector_is_a_miss_and_is_rewritten(
+        self, tmp_path, caplog, count
+    ):
+        spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
+        expected = embed_batch(spec, ["counted text"])
+        (path,) = tmp_path.glob("*.vec")
+        path.write_bytes(encode_vectors(np.ones((count, 8)), spec.model_id))
+        embedding._MEMO.clear()  # as a new process would start
+        with caplog.at_level(logging.WARNING, logger="chunkbench.embedding"):
+            again = embed_batch(spec, ["counted text"])
+        np.testing.assert_array_equal(again, expected)
+        assert path.name in caplog.text
+        header, matrix = decode_vectors(path.read_bytes())
+        assert header["count"] == 1
+        np.testing.assert_array_equal(matrix, expected)
+
 
 def test_mock_service_closes_its_listening_socket():
     service = MockService()

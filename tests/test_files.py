@@ -157,21 +157,6 @@ class TestJsonLines:
             (f"rows.jsonl:{i + 1}", Row([i], i)) for i in range(3)
         ]
 
-    def test_encoded_lines_are_written_as_given(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl(path, (f'{{"a": [{i}], "b": {i}}}\n' for i in range(3)), encoded=True)
-        assert list(read_jsonl(path, Row, ValueError)) == [
-            (f"rows.jsonl:{i + 1}", Row([i], i)) for i in range(3)
-        ]
-
-    def test_an_encoded_line_without_its_newline_keeps_the_old_file(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl(path, [{"a": [1]}])
-        with pytest.raises(ValueError, match="must end in a newline"):
-            write_jsonl(path, ['{"a": [2]}\n', '{"a": [3]}'], encoded=True)
-        assert path.read_text(encoding="utf-8") == '{"a": [1]}\n'
-        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
-
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": [1]}\n\n  \n{"a": [2]}\n', encoding="utf-8")

@@ -1,6 +1,7 @@
 """Layer microbenchmarks, marked perf and so deselected by default:
 segmenting data/mini, the test embedder over every distinct chunk text of
-the default grid on data/mini, doc retrieval and scoring over one index,
+the default grid on data/mini, an index built for each of the grid's
+chunkings of data/mini, doc retrieval and scoring over one index,
 evidence scoring of 10-hit lists, and encoding every results.jsonl line of
 a doc bench on data/mini.
 
@@ -74,13 +75,36 @@ def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
     assert matrix.shape == (len(texts), SPEC.dimension)
 
 
+def test_build_an_index_per_chunking_of_the_grid(benchmark):
+    docs, _ = segmented_mini()
+    states = [DocumentDistances(doc, embed_batch(SPEC, doc.sentence_texts)) for doc in docs]
+    chunkings = [
+        [
+            chunk
+            for doc, state in zip(docs, states)
+            for chunk in chunk_document(doc, state.embeddings, config, distances=state)
+        ]
+        for config in default_grid()
+    ]
+    assert len(chunkings) == 218
+    # Every chunk text embedded once up front, so each round reads the memo
+    # as the configs after the first few do in one bench run.
+    embed_batch(SPEC, [chunk.text for chunks in chunkings for chunk in chunks])
+
+    def build_all():
+        return [build_index(chunks, SPEC) for chunks in chunkings]
+
+    indexes = benchmark(build_all)
+    assert [len(index.chunks) for index in indexes] == [len(chunks) for chunks in chunkings]
+
+
 def test_evidence_metrics_over_10_hit_lists(benchmark):
     docs, queries = segmented_mini()
     config = FixedSizeConfig(n_chunks=5)
     chunks = [chunk for doc in docs for chunk in chunk_document(doc, None, config)]
     index = build_index(chunks, SPEC)
     cases = [
-        ([index.get(chunk_id) for chunk_id, _ in retrieve(index, q.text, 10, SPEC)], set(q.evidence))
+        ([chunk for chunk, _ in retrieve(index, q.text, 10)], set(q.evidence))
         for q in queries
         if q.evidence
     ]
@@ -104,7 +128,7 @@ def test_retrieve_and_score_every_doc_query(benchmark):
     def score_all():
         scores = []
         for text, relevant in cases:
-            hits = [index.get(chunk_id) for chunk_id, _ in retrieve(index, text, k_list[-1], SPEC)]
+            hits = [chunk for chunk, _ in retrieve(index, text, k_list[-1])]
             scores.extend(doc_metrics(hits[:k], relevant) for k in k_list)
         return scores
 

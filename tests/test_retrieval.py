@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunkbench.chunkers import Chunk
-from chunkbench.embedding import EmbedderSpec, deterministic_embed, embed_batch
+from chunkbench.embedding import EmbedderSpec, decode_vectors, deterministic_embed, embed_batch
 from chunkbench.retrieval import ChunkIndex, build_index, retrieve
 
 
@@ -26,45 +26,62 @@ class TestChunkIndex:
         index = build_index(chunks, spec())
         expected = embed_batch(spec(), [c.text for c in chunks])
         np.testing.assert_array_equal(index.vectors, expected)
-        assert index.model_id == "hash-v1"
+        assert index.spec == spec()
+        assert index.chunks == tuple(chunks)
         assert len(index) == 3
         assert index.vectors.shape == (3, 64)
 
-    def test_get_by_id(self):
-        chunks = word_chunks(["tide", "ember"])
-        index = build_index(chunks, spec())
-        assert index.get("doc1-0001") == chunks[1]
-
     def test_empty_chunks_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero chunks"):
             build_index([], spec())
+        with pytest.raises(ValueError, match="zero chunks"):
+            ChunkIndex([], np.ones((0, 4), dtype=np.float32), spec(dim=4))
 
     def test_duplicate_chunk_ids_rejected(self):
         chunk = make_chunk(0, "d", "text here")
         with pytest.raises(ValueError):
-            ChunkIndex([chunk, chunk], np.ones((2, 4), dtype=np.float32), "m")
+            ChunkIndex([chunk, chunk], np.ones((2, 4), dtype=np.float32), spec(dim=4))
 
     def test_count_mismatch_rejected(self):
         chunk = make_chunk(0, "d", "text here")
         with pytest.raises(ValueError):
-            ChunkIndex([chunk], np.ones((2, 4), dtype=np.float32), "m")
+            ChunkIndex([chunk], np.ones((2, 4), dtype=np.float32), spec(dim=4))
 
 
 class TestRetrieve:
     def test_exact_match_ranks_first(self):
         chunks = word_chunks(["glacier", "espresso", "loom"])
         index = build_index(chunks, spec())
-        got = retrieve(index, "tell me about the espresso", k=1, spec=spec())
-        assert got[0][0] == "doc1-0001"
+        got = retrieve(index, "tell me about the espresso", k=1)
+        assert got[0][0].chunk_id == "doc1-0001"
+
+    def test_returns_the_index_own_chunks(self):
+        chunks = word_chunks(["glacier", "espresso", "loom"])
+        index = build_index(chunks, spec())
+        own = {chunk.chunk_id: chunk for chunk in index.chunks}
+        got = retrieve(index, "espresso", k=3)
+        assert len(got) == 3
+        assert all(chunk is own[chunk.chunk_id] for chunk, _ in got)
+
+    def test_query_is_embedded_with_the_index_spec(self, tmp_path):
+        cached = EmbedderSpec(backend="test", dimension=64, cache_dir=tmp_path)
+        index = build_index(word_chunks(["glacier", "espresso"]), cached)
+        before = set(tmp_path.glob("*.vec"))
+        assert len(before) == 2
+        query = "a query seen nowhere else"
+        assert len(retrieve(index, query, k=2)) == 2
+        (entry,) = set(tmp_path.glob("*.vec")) - before
+        _, matrix = decode_vectors(entry.read_bytes())
+        np.testing.assert_array_equal(matrix, deterministic_embed(query, 64)[None, :])
 
     def test_scores_are_query_chunk_dots(self):
         chunks = word_chunks(["glacier", "espresso"])
         index = build_index(chunks, spec())
-        got = dict(retrieve(index, "espresso machine", k=2, spec=spec()))
+        got = dict(retrieve(index, "espresso machine", k=2))
         query = deterministic_embed("espresso machine", 64).astype(np.float64)
         for chunk in chunks:
             vec = deterministic_embed(chunk.text, 64).astype(np.float64)
-            np.testing.assert_allclose(got[chunk.chunk_id], float(query @ vec), atol=1e-12)
+            np.testing.assert_allclose(got[chunk], float(query @ vec), atol=1e-12)
 
     def test_ties_break_by_chunk_id(self):
         chunks = [
@@ -72,32 +89,26 @@ class TestRetrieve:
             make_chunk(0, "a", "identical text body"),
         ]
         index = build_index(chunks, spec())
-        got = retrieve(index, "identical text body", k=2, spec=spec())
-        assert [chunk_id for chunk_id, _ in got] == ["a-0000", "z-0001"]
+        got = retrieve(index, "identical text body", k=2)
+        assert [chunk.chunk_id for chunk, _ in got] == ["a-0000", "z-0001"]
 
     def test_prefix_consistency(self):
         chunks = word_chunks(["one", "two", "three", "four", "five", "six"])
         index = build_index(chunks, spec())
-        big = retrieve(index, "three or four things", k=6, spec=spec())
-        small = retrieve(index, "three or four things", k=2, spec=spec())
+        big = retrieve(index, "three or four things", k=6)
+        small = retrieve(index, "three or four things", k=2)
         assert big[:2] == small
 
     def test_k_beyond_index_returns_all(self):
         chunks = word_chunks(["one", "two"])
         index = build_index(chunks, spec())
-        got = retrieve(index, "anything", k=50, spec=spec())
+        got = retrieve(index, "anything", k=50)
         assert len(got) == 2
 
     def test_k_validated(self):
         index = build_index(word_chunks(["one"]), spec())
         with pytest.raises(ValueError):
-            retrieve(index, "q", k=0, spec=spec())
-
-    def test_model_mismatch_rejected(self):
-        index = build_index(word_chunks(["one"]), spec())
-        other = EmbedderSpec(backend="test", dimension=64, model_id="hash-v2")
-        with pytest.raises(ValueError, match="model"):
-            retrieve(index, "q", k=1, spec=other)
+            retrieve(index, "q", k=0)
 
     def test_random_against_brute_force(self, rng):
         words = [f"tok{i}" for i in range(400)]
@@ -111,7 +122,7 @@ class TestRetrieve:
             index = build_index(chunks, spec(dim=32))
             query = f"question mentioning {words[int(rng.integers(0, len(words)))]}"
             k = int(rng.integers(1, count + 2))
-            got = retrieve(index, query, k=k, spec=spec(dim=32))
+            got = retrieve(index, query, k=k)
 
             qv = deterministic_embed(query, 32).astype(np.float64)
             scored = sorted(
@@ -121,7 +132,7 @@ class TestRetrieve:
                 ),
             )
             expected = [(cid, -neg) for neg, cid in scored[:k]]
-            assert [cid for cid, _ in got] == [cid for cid, _ in expected]
+            assert [chunk.chunk_id for chunk, _ in got] == [cid for cid, _ in expected]
             np.testing.assert_allclose(
                 [s for _, s in got], [s for _, s in expected], atol=1e-12
             )
@@ -149,6 +160,8 @@ class TestRetrieve:
             reference = sorted((-float(s), c.chunk_id) for s, c in zip(scores, chunks))
             assert len({s for s, _ in reference}) < count
             for k in (1, max(1, count // 2), count):
-                got = retrieve(index, query, k=k, spec=spec(dim=16))
-                assert got == [(chunk_id, -neg) for neg, chunk_id in reference[:k]]
+                got = retrieve(index, query, k=k)
+                assert [(chunk.chunk_id, score) for chunk, score in got] == [
+                    (chunk_id, -neg) for neg, chunk_id in reference[:k]
+                ]
 
