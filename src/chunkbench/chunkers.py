@@ -225,8 +225,6 @@ class DocumentDistances:
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._adjacency: dict[tuple[float, int], int] = {}
-        self._adjacency_ids: dict[bytes, int] = {}
         self._groupings: dict[tuple, tuple[tuple[tuple[int, ...], str], ...]] = {}
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         self._ids: list[str] = []
@@ -269,21 +267,6 @@ class DocumentDistances:
             pairs = (dist[order], first[order].astype(np.int32), second[order].astype(np.int32))
             self._pairs[positional_weight] = pairs
         return pairs
-
-    def neighbourhoods(self, positional_weight: float, eps: float) -> tuple[np.ndarray, int]:
-        """(the boolean matrix blend <= eps at this weight, whose row i marks the
-        neighbourhood of sentence i, and one id per distinct such matrix of the
-        document, which matrices equal across weights share)."""
-        adjacent = self.blend(positional_weight) <= eps
-        # The thresholdings of one blend nest, so the count of entries within
-        # eps tells them apart without reading their bits.
-        seen = (positional_weight, int(np.count_nonzero(adjacent)))
-        ident = self._adjacency.get(seen)
-        if ident is None:
-            bits = np.packbits(adjacent).tobytes()
-            ident = self._adjacency_ids.setdefault(bits, len(self._adjacency_ids))
-            self._adjacency[seen] = ident
-        return adjacent, ident
 
     def chunks(
         self, key: tuple, group: Callable[..., Iterable[Sequence[int]]], *args
@@ -369,9 +352,10 @@ def _dbscan(state: DocumentDistances, config: DbscanConfig) -> list[Chunk]:
     ascending index order; border points keep the first cluster that
     reaches them; noise becomes singleton chunks.
     """
-    adjacent, adjacency_id = state.neighbourhoods(config.positional_weight, config.eps)
+    adjacent = state.blend(config.positional_weight) <= config.eps
     core = adjacent.sum(axis=1) >= config.min_samples
-    key = ("dbscan", adjacency_id, core.tobytes())
+    # Keyed by its bits, so a matrix equal across weights shares its grouping.
+    key = ("dbscan", np.packbits(adjacent).tobytes(), core.tobytes())
     return state.chunks(key, _dbscan_groups, adjacent, core)
 
 

@@ -9,18 +9,11 @@ over queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Protocol, Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .chunkers import ChunkerConfig
-
-
-class ChunkLike(Protocol):
-    """Anything carrying chunk provenance: a doc id and sentence indices."""
-
-    doc_id: str
-    sentence_indices: tuple[int, ...]
+from .chunkers import Chunk, ChunkerConfig
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,7 @@ def f1_score(precision: float, recall: float) -> float:
 
 
 def doc_metrics(
-    retrieved_chunks: Sequence[ChunkLike], relevant_doc_ids: AbstractSet[str]
+    retrieved_chunks: Sequence[Chunk], relevant_doc_ids: AbstractSet[str]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the distinct documents retrieved."""
     if not relevant_doc_ids:
@@ -60,7 +53,7 @@ def doc_metrics(
 
 
 def evidence_metrics(
-    retrieved_chunks: Sequence[ChunkLike], evidence: AbstractSet[tuple[str, int]]
+    retrieved_chunks: Sequence[Chunk], evidence: AbstractSet[tuple[str, int]]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the sentences the retrieved chunks cover."""
     if not evidence:

@@ -9,9 +9,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-_TERMINATORS = frozenset(".!?")
-# Characters allowed to trail a terminator before the inter-sentence gap.
-_CLOSERS = frozenset("\"')]}’”")
+# A terminator, the closing quotes or brackets allowed to trail it, then the
+# inter-sentence gap as group 1. No closer is a terminator, so resuming the
+# search after a rejected gap skips no candidate boundary.
+_BOUNDARY = re.compile(r"[.!?][\"')\]}’”]*(\s+)")
 # Characters stripped from the front of the token checked against the
 # abbreviation list, so "(e.g." still matches "e.g.".
 _OPENERS = "\"'([{‘“"
@@ -101,36 +102,23 @@ class RuleSegmenter:
         ]
 
     def _split_block(self, text: str, start: int, end: int) -> list[tuple[int, int]]:
+        block = text[start:end]
+        sent_start = end - len(block.lstrip())
+        end = start + len(block.rstrip())
+        if sent_start >= end:
+            return []
         spans: list[tuple[int, int]] = []
-        i = start
-        while i < end and text[i].isspace():
-            i += 1
-        if i >= end:
-            return spans
-        sent_start = i
-        j = i
-        while j < end:
-            ch = text[j]
-            if ch in _TERMINATORS:
-                k = j + 1
-                while k < end and text[k] in _CLOSERS:
-                    k += 1
-                if k < end and text[k].isspace():
-                    nxt = k
-                    while nxt < end and text[nxt].isspace():
-                        nxt += 1
-                    starts_new = nxt < end and (text[nxt].isupper() or text[nxt].isdigit())
-                    if starts_new and not (ch == "." and self._is_abbreviation(text, j)):
-                        spans.append((sent_start, k))
-                        sent_start = nxt
-                        j = nxt
-                        continue
-            j += 1
-        last = end
-        while last > sent_start and text[last - 1].isspace():
-            last -= 1
-        if last > sent_start:
-            spans.append((sent_start, last))
+        for match in _BOUNDARY.finditer(text, sent_start, end):
+            gap, nxt = match.span(1)
+            # The block ends in non-whitespace, so a gap never reaches its end.
+            follower = text[nxt]
+            mark = match.start()
+            if (follower.isupper() or follower.isdigit()) and not (
+                text[mark] == "." and self._is_abbreviation(text, mark)
+            ):
+                spans.append((sent_start, gap))
+                sent_start = nxt
+        spans.append((sent_start, end))
         return spans
 
     def _is_abbreviation(self, text: str, dot: int) -> bool:

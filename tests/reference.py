@@ -14,18 +14,30 @@ The last two are the per-token loop of ``chunkbench.embedding.deterministic_embe
 and the set of (doc_id, sentence_index) pairs that
 ``chunkbench.evaluation.evidence_metrics`` once built per call: the
 bincount and per-document versions must give the same bits.
+
+``bench_rows_reference`` is the per-(config, query) loop that
+``chunkbench.cli.cmd_bench`` once ran: every results.jsonl row, built
+from chunks made without a shared state, texts embedded one at a time,
+one score vector per (config, query) and set arithmetic.
+
+``rule_spans_reference`` is the character scanner that
+``chunkbench.segmenter.RuleSegmenter`` once ran over each block between
+hard breaks: the one-pattern version must give the same spans.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from chunkbench.chunkers import Chunk
+from chunkbench.chunkers import Chunk, ChunkerConfig, chunk_document, config_to_dict
+from chunkbench.corpus import load_corpus
 from chunkbench.distance import (
     ThresholdPolicy,
     consecutive_distances,
@@ -33,9 +45,9 @@ from chunkbench.distance import (
     pairwise_joint_distances,
     threshold,
 )
-from chunkbench.embedding import token_bucket, tokenize
+from chunkbench.embedding import deterministic_embed, token_bucket, tokenize
 from chunkbench.evaluation import f1_score
-from chunkbench.segmenter import SegmentedDocument
+from chunkbench.segmenter import SegmentedDocument, segment_document
 
 
 @dataclass(frozen=True)
@@ -249,3 +261,115 @@ def evidence_metrics_reference(retrieved_chunks, evidence) -> tuple[float, float
     recall = hits / len(evidence)
     precision = hits / len(covered)
     return recall, precision, f1_score(precision, recall)
+
+
+def doc_metrics_reference(retrieved_chunks, relevant_doc_ids) -> tuple[float, float, float]:
+    """(recall, precision, f1) from the set of doc_ids retrieved."""
+    retrieved = {chunk.doc_id for chunk in retrieved_chunks}
+    if not retrieved:
+        return 0.0, 0.0, 0.0
+    hits = len(retrieved & set(relevant_doc_ids))
+    recall = hits / len(relevant_doc_ids)
+    precision = hits / len(retrieved)
+    return recall, precision, f1_score(precision, recall)
+
+
+def bench_rows_reference(
+    corpus: Path, task: str, grid: Sequence[ChunkerConfig], k_list: Sequence[int], dimension: int
+) -> Iterator[dict]:
+    """The rows `bench --task task` writes for a corpus whose queries all have
+    usable ground truth and are all sampled, with the test embedder at this
+    dimension: config by config in grid order, then query by query in
+    query_id order, then k by k.
+
+    Each config chunks every document afresh, each text is embedded alone,
+    and each (config, query) scores one C @ q on that config's own float64
+    chunk matrix, ranked by (-score, chunk_id).
+    """
+    documents, queries = load_corpus(corpus)
+    docs = [segment_document(d.doc_id, d.text) for d in documents]
+    sentence_vectors = [
+        np.stack([deterministic_embed(text, dimension) for text in doc.sentence_texts])
+        for doc in docs
+    ]
+    queries = sorted(queries, key=lambda q: q.query_id)
+    for config in grid:
+        chunks = [
+            chunk
+            for doc, vectors in zip(docs, sentence_vectors)
+            for chunk in chunk_document(doc, vectors, config)
+        ]
+        matrix = np.stack([deterministic_embed(c.text, dimension) for c in chunks]).astype(
+            np.float64
+        )
+        for query in queries:
+            scores = matrix @ deterministic_embed(query.text, dimension).astype(np.float64)
+            ranked = sorted(range(len(chunks)), key=lambda i: (-scores[i], chunks[i].chunk_id))
+            for k in k_list:
+                top = [chunks[i] for i in ranked[:k]]
+                if task == "doc":
+                    recall, precision, f1 = doc_metrics_reference(top, query.relevant_doc_ids)
+                else:
+                    recall, precision, f1 = evidence_metrics_reference(top, query.evidence)
+                yield {
+                    "dataset": corpus.name,
+                    "task": task,
+                    "chunker": config.kind,
+                    "config": config_to_dict(config),
+                    "query_id": query.query_id,
+                    "k": k,
+                    "retrieved_chunk_ids": [chunk.chunk_id for chunk in top],
+                    "recall": recall,
+                    "precision": precision,
+                    "f1": f1,
+                }
+
+
+def rule_spans_reference(
+    text: str, is_abbreviation: Callable[[str, int], bool]
+) -> list[tuple[int, int]]:
+    """The (start, end) sentence spans of text: each block between runs of two
+    or more newlines scanned one character at a time for a terminator, its
+    closers, whitespace, then an upper-case letter or a digit, a period that
+    is_abbreviation(text, index) accepts never ending a sentence."""
+    spans: list[tuple[int, int]] = []
+    block_start = 0
+    for match in re.finditer(r"\n{2,}", text):
+        spans.extend(_scan_block(text, block_start, match.start(), is_abbreviation))
+        block_start = match.end()
+    spans.extend(_scan_block(text, block_start, len(text), is_abbreviation))
+    return spans
+
+
+def _scan_block(text, start, end, is_abbreviation) -> list[tuple[int, int]]:
+    spans: list[tuple[int, int]] = []
+    i = start
+    while i < end and text[i].isspace():
+        i += 1
+    if i >= end:
+        return spans
+    sent_start = i
+    j = i
+    while j < end:
+        ch = text[j]
+        if ch in ".!?":
+            k = j + 1
+            while k < end and text[k] in "\"')]}’”":
+                k += 1
+            if k < end and text[k].isspace():
+                nxt = k
+                while nxt < end and text[nxt].isspace():
+                    nxt += 1
+                starts_new = nxt < end and (text[nxt].isupper() or text[nxt].isdigit())
+                if starts_new and not (ch == "." and is_abbreviation(text, j)):
+                    spans.append((sent_start, k))
+                    sent_start = nxt
+                    j = nxt
+                    continue
+        j += 1
+    last = end
+    while last > sent_start and text[last - 1].isspace():
+        last -= 1
+    if last > sent_start:
+        spans.append((sent_start, last))
+    return spans

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from chunkbench.chunkers import (
     FixedSizeConfig,
     canonical_config,
     chunk_document,
+    config_from_dict,
     config_to_dict,
     default_grid,
     read_chunks,
@@ -30,6 +32,7 @@ from chunkbench.embedding import EmbedderSpec, deterministic_embed
 from chunkbench.segmenter import segment_document
 
 from conftest import MINI_DATASET, REPO_ROOT
+from reference import bench_rows_reference
 
 SMALL_GRID = {
     "fixed_size": {"n_chunks": [3], "overlap": [0, 1]},
@@ -53,6 +56,24 @@ def write_config(tmp_path, **overrides):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_corpus_dir(tmp_path, queries=None, docs=True):
+    """A corpus directory holding data/mini's documents (or an empty
+    docs.jsonl) and, when given, these query objects."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    docs_bytes = (MINI_DATASET / "docs.jsonl").read_bytes() if docs else b""
+    (corpus / "docs.jsonl").write_bytes(docs_bytes)
+    if queries is not None:
+        lines = "".join(json.dumps(query) + "\n" for query in queries)
+        (corpus / "queries.jsonl").write_text(lines, encoding="utf-8")
+    return corpus
+
+
+def mini_queries():
+    lines = (MINI_DATASET / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
 
 
 class TestExitCodes:
@@ -357,6 +378,42 @@ class TestExitCodes:
         assert f"error: cannot read {corpus / name}: [Errno 21] Is a directory" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["bench", "--task", "doc"], ["stitch"]])
+    def test_corpus_without_documents(self, tmp_path, capsys, command):
+        corpus = write_corpus_dir(tmp_path, docs=False)
+        out = tmp_path / "out"
+        assert run([*command, "--dataset", corpus, "--out", out]) == 2
+        assert f"error: corpus at {corpus} has no documents" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["doc", "evidence"])
+    def test_no_query_with_usable_ground_truth(self, tmp_path, capsys, caplog, task):
+        # No relevant documents for the doc task, and only out-of-range
+        # evidence for the evidence task.
+        query = {"query_id": "q1", "text": "Where do bees go?",
+                 "evidence": [{"doc_id": "honeybee-hives", "sentence_index": 999}]}
+        corpus = write_corpus_dir(tmp_path, [query])
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="chunkbench.cli"):
+            code = run(["bench", "--task", task, "--dataset", corpus, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: no queries with usable ground truth for task {task!r}" in err
+        warnings = [record.getMessage() for record in caplog.records]
+        assert f"excluded 1 of 1 sampled queries without usable {task} ground truth" in warnings
+        assert not out.exists()
+
+    def test_gen_on_a_corpus_without_queries(self, tmp_path, capsys):
+        corpus = write_corpus_dir(tmp_path)
+        # Never contacted: the run stops before any request.
+        cfg = write_config(tmp_path, generation={"endpoint": "http://127.0.0.1:9/generate"})
+        code = run(
+            ["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3, "overlap": 0}),
+             "--config", cfg, "--dataset", corpus, "--out", tmp_path / "out"]
+        )
+        assert code == 2
+        assert f"error: corpus at {corpus} has no queries" in capsys.readouterr().err
+
     def test_gen_without_generation_section(self, tmp_path, capsys):
         code = run(
             ["gen", "--chunker", json.dumps({"kind": "fixed_size", "n_chunks": 3, "overlap": 0}),
@@ -538,6 +595,69 @@ class TestBenchCommand:
         ]
         assert (out / "results.jsonl").read_text(encoding="utf-8") == ""
 
+    def test_a_query_that_fails_loses_only_its_rows_at_the_failure_limit(
+        self, tmp_path, monkeypatch
+    ):
+        """One query of ten failing under every config of the default grid is
+        218 of 2,180 evaluations, exactly the 10% limit: the run exits 0."""
+        victim = mini_queries()[3]
+        real = retrieval.embed_batch
+
+        def embed(spec, texts):
+            if texts == [victim["text"]]:
+                raise RuntimeError("query embedding failed")
+            return real(spec, texts)
+
+        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        cfg = write_config(tmp_path, grid=None, k_list=[1, 3, 5, 10])
+        out = tmp_path / "out"
+        assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+                    "--out", out]) == 0
+        failures = [
+            json.loads(line)
+            for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert len(failures) == 218
+        assert {(f["query_id"], f["error"]) for f in failures} == {
+            (victim["query_id"], "query embedding failed")
+        }
+        assert [f["config"] for f in failures] == [canonical_config(c) for c in default_grid()]
+        rows = [
+            json.loads(line)
+            for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert len(rows) == 7848
+        assert victim["query_id"] not in {row["query_id"] for row in rows}
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
+
+    def test_out_of_range_evidence_is_dropped_with_a_warning(self, tmp_path, caplog):
+        queries = mini_queries()
+        first, second = queries[0], queries[1]
+        first["evidence"].append({"doc_id": first["evidence"][0]["doc_id"], "sentence_index": 999})
+        second["evidence"] = [{"doc_id": second["evidence"][0]["doc_id"], "sentence_index": 50}]
+        corpus = write_corpus_dir(tmp_path, queries)
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="chunkbench.cli"):
+            assert run(["bench", "--task", "evidence", "--config", cfg, "--dataset", corpus,
+                        "--out", tmp_path / "out"]) == 0
+        warnings = [record.getMessage() for record in caplog.records]
+        dropped = f"({first['evidence'][0]['doc_id']}, 999), index out of range"
+        assert f"query {first['query_id']}: dropping evidence {dropped}" in warnings
+        assert "excluded 1 of 10 sampled queries without usable evidence ground truth" in warnings
+
+        def rows(out, query_id):
+            lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            found = [json.loads(line) for line in lines]
+            return [{**row, "dataset": None} for row in found if row["query_id"] == query_id]
+
+        clean = self.bench(tmp_path, "evidence", "clean")
+        # The first query scores on its in-range evidence alone; the second is gone.
+        assert rows(tmp_path / "out", first["query_id"]) == rows(clean, first["query_id"])
+        assert rows(tmp_path / "out", second["query_id"]) == []
+        with (tmp_path / "out" / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
+
     def test_torn_cache_entry_heals(self, tmp_path):
         cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(tmp_path / "c")})
 
@@ -623,6 +743,27 @@ def test_every_results_line_of_the_default_grid_re_encodes_to_itself(tmp_path, t
     assert len(lines) == len(default_grid()) * 10 * 4
     for line in lines:
         assert json.dumps(json.loads(line), sort_keys=True) + "\n" == line
+
+
+@pytest.mark.parametrize("stitched", [False, True], ids=["mini", "stitched-mini"])
+@pytest.mark.parametrize("task", ["doc", "evidence"])
+def test_every_results_row_matches_the_reference_loop(tmp_path, task, stitched):
+    k_list = [1, 3, 5, 10]
+    cfg = write_config(tmp_path, grid=None, k_list=k_list)
+    corpus = MINI_DATASET
+    if stitched:
+        corpus = tmp_path / "stitched"
+        assert run(["stitch", "--config", cfg, "--dataset", MINI_DATASET, "--seed", "3",
+                    "--out", corpus]) == 0
+    out = tmp_path / "out"
+    assert run(["bench", "--task", task, "--config", cfg, "--dataset", corpus,
+                "--out", out]) == 0
+    lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    expected = list(bench_rows_reference(corpus, task, default_grid(), k_list, 64))
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        where = (canonical_config(config_from_dict(want["config"])), want["query_id"], want["k"])
+        assert json.loads(line) == want, where
 
 
 class TestGenCommand:

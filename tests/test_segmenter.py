@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chunkbench.corpus import load_corpus
 from chunkbench.segmenter import (
     RuleSegmenter,
     SegmentationError,
@@ -9,6 +12,9 @@ from chunkbench.segmenter import (
     segment,
     segment_document,
 )
+
+from conftest import MINI_DATASET
+from reference import rule_spans_reference
 
 
 class TestBasicSplitting:
@@ -51,6 +57,15 @@ class TestBasicSplitting:
     def test_hard_break_beats_lowercase_rule(self):
         got = segment("one fragment\n\n\nanother fragment")
         assert [s.text for s in got] == ["one fragment", "another fragment"]
+
+    def test_whitespace_only_block_between_hard_breaks_is_skipped(self):
+        got = segment("First block.\n\n \t \n\nSecond block.")
+        assert [s.char_span for s in got] == [(0, 12), (19, 32)]
+
+    def test_trailing_spaces_before_a_hard_break_are_trimmed(self):
+        got = segment("It ends here.   \n\nNext one")
+        assert [s.text for s in got] == ["It ends here.", "Next one"]
+        assert got[0].char_span == (0, 13)
 
     def test_single_newline_does_not_split(self):
         got = segment("one line\nstill the same sentence")
@@ -155,6 +170,40 @@ class TestRandomizedRoundTrip:
             text = "\n\n".join(picks)
             got = segment(text)
             assert [s.text for s in got] == picks
+
+
+DEFAULT = RuleSegmenter()
+BARE = RuleSegmenter(abbreviations=())
+# Pieces a boundary turns on: terminators, closers, openers, whitespace
+# ("\x1c" is whitespace to str.isspace), upper case and digits beyond
+# ASCII, abbreviations and hard breaks.
+PIECES = [
+    ".", "!", "?", '"', "'", ")", "]", "}", "’", "”", "(", "[", "{", "‘", "“",
+    " ", "  ", "\t", "\n", "\n\n", "\x1c", "a", "word", "A", "Word", "É", "é",
+    "7", "٣", "e.g.", "Dr.", "U.S.", "fig.",
+]
+
+
+class TestReferenceScanner:
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(
+        text=st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+        segmenter=st.sampled_from([DEFAULT, BARE]),
+    )
+    @example(text='Dr. Who? "Yes."\x1c É  (e.g. 3). ٣ ends.\n\n \n\nWord', segmenter=DEFAULT)
+    def test_spans_match_the_reference_scanner(self, text, segmenter):
+        if not text.strip():
+            with pytest.raises(SegmentationError):
+                segmenter.segment(text)
+            return
+        got = [s.char_span for s in segmenter.segment(text)]
+        assert got == rule_spans_reference(text, segmenter._is_abbreviation)
+
+    def test_spans_match_the_reference_scanner_on_the_mini_corpus(self):
+        documents, _ = load_corpus(MINI_DATASET)
+        for document in documents:
+            got = [s.char_span for s in segment(document.text)]
+            assert got == rule_spans_reference(document.text, DEFAULT._is_abbreviation)
 
 
 class TestSegmentDocument:
