@@ -12,7 +12,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -463,6 +462,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             contexts[query] = [chunk.text for chunk, _ in hits]
     except Exception as exc:
         contexts, errors = {}, dict.fromkeys(sampled, exc)
+    # Only gen sends requests in parallel, so the other commands never load the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         futures = {
             query: pool.submit(generate_answer, gen_cfg, query.text, context)

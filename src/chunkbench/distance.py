@@ -8,6 +8,7 @@ A weight of 0 is purely semantic; a weight of 1 ignores content entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,39 @@ def threshold(
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("values must be a non-empty 1D array")
     if policy.kind == "percentile":
-        return float(np.percentile(arr, policy.amount))
+        return _percentiles(arr, policy.amount)[0]
     if policy.kind == "std_dev":
         return float(arr.mean() + policy.amount * arr.std())
     if policy.kind == "interquartile":
-        q25, q75 = np.percentile(arr, [25.0, 75.0])
+        q25, q75 = _percentiles(arr, 25.0, 75.0)
         return float(arr.mean() + policy.amount * (q75 - q25))
     if policy.kind == "gradient_percentile":
-        return float(np.percentile(gradient(arr) if slope is None else slope, policy.amount))
+        return _percentiles(gradient(arr) if slope is None else slope, policy.amount)[0]
     # absolute_distance and absolute_gradient use the amount as-is.
     return float(policy.amount)
+
+
+def _percentiles(values: np.ndarray, *qs: float) -> list[float]:
+    """np.percentile(values, q) for each q, bit for bit, from one sort.
+
+    numpy's default linear rule with its own arithmetic: at virtual index
+    v = (n - 1) * (q / 100), with g its fractional part, a + (b - a) * g
+    below g = 0.5 and b - (b - a) * (1 - g) from there; the last value
+    from v = n - 1 on; NaN when any value is NaN. It holds for finite
+    values other than -0.0, which distances and their gradients never are.
+    np.percentile itself would import numpy.ma on first use.
+    """
+    ordered = np.sort(values).tolist()
+    top = len(ordered) - 1
+    if math.isnan(ordered[top]):
+        return [math.nan] * len(qs)
+    out = []
+    for q in qs:
+        v = top * (q / 100)
+        if v >= top:
+            out.append(ordered[top])
+        else:
+            i = math.floor(v)
+            a, b, g = ordered[i], ordered[i + 1], v - i
+            out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out

@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
 import logging
-import os
 import re
 import struct
-import time
-import urllib.error
-import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +27,6 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "EMBED_API_KEY"
 BACKENDS = ("test", "remote")
 _RETRY_ATTEMPTS = 3
-# The wait after the first failed try, in seconds; it doubles after each try.
-_RETRY_BASE_DELAY = 0.5
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
 # Every vector embedded in this process, per spec; see embed_batch.
@@ -136,16 +127,13 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
         return np.zeros((0, spec.dimension), dtype=np.float32)
 
     memo = _MEMO.setdefault(spec, {})
-    cache = _VectorCache(spec) if spec.cache_dir else None
-    missing: list[str] = []
-    for text in dict.fromkeys(items):
-        if text in memo:
-            continue
-        hit = cache.get(text) if cache is not None else None
-        if hit is not None:
-            memo[text] = hit
-        else:
-            missing.append(text)
+    missing = [text for text in dict.fromkeys(items) if text not in memo]
+    cache = _VectorCache(spec) if missing and spec.cache_dir else None
+    if cache is not None:
+        for text in missing:
+            if (hit := cache.get(text)) is not None:
+                memo[text] = hit
+        missing = [text for text in missing if text not in memo]
 
     if missing:
         fresh = _compute(spec, missing)
@@ -159,12 +147,17 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     if spec.backend == "test":
         return np.stack([deterministic_embed(t, spec.dimension) for t in texts])
+    # Only remote batches use threads, so a test-backend run never loads the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     batches = [texts[i : i + spec.batch_size] for i in range(0, len(texts), spec.batch_size)]
     with ThreadPoolExecutor(max_workers=min(spec.max_concurrency, len(batches))) as pool:
         return np.vstack(list(pool.map(lambda batch: _remote_batch(spec, batch), batches)))
 
 
 def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
+    from .transport import post_with_retries
+
     body = post_with_retries(
         "embedding",
         spec.endpoint,
@@ -193,101 +186,6 @@ def _remote_batch(spec: EmbedderSpec, batch: list[str]) -> np.ndarray:
     if np.any(norms == 0.0):
         raise EmbeddingError("backend returned a zero vector")
     return (raw / norms[:, None]).astype(np.float32)
-
-
-class _Redirects(urllib.request.HTTPRedirectHandler):
-    """Follow 307/308 replies to a POST with the same body, and pass the
-    bearer token on only when the scheme and host[:port] stay the same.
-
-    The token is an unredirected header, which urllib never copies to a
-    redirect's request, so this handler is the one place that passes it on.
-    """
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if code in (307, 308) and req.get_method() == "POST":
-            new = urllib.request.Request(
-                newurl,
-                data=req.data,
-                headers=req.headers,
-                origin_req_host=req.origin_req_host,
-                unverifiable=True,
-                method="POST",
-            )
-        else:
-            new = super().redirect_request(req, fp, code, msg, headers, newurl)
-        token = req.unredirected_hdrs.get("Authorization")
-        same_origin = urllib.parse.urlsplit(newurl)[:2] == urllib.parse.urlsplit(req.full_url)[:2]
-        if new is not None and token and same_origin:
-            new.add_unredirected_header("Authorization", token)
-        return new
-
-
-_OPENER = urllib.request.build_opener(_Redirects)
-
-
-def post_with_retries(
-    service: str,
-    url: str,
-    payload: dict,
-    error: Callable[..., Exception],
-    *,
-    api_key_env: str,
-    timeout: float,
-    attempts: int,
-) -> object:
-    """POST payload as JSON and return the decoded JSON body of the first 200 reply.
-
-    A bearer token is sent when the api_key_env variable is set. Connection
-    errors and 5xx replies are retried up to attempts tries in all, waiting
-    _RETRY_BASE_DELAY seconds and doubling the wait after each try; any other
-    status fails at once, and so does a 200 reply whose body is not JSON.
-    Failures raise error(message, status=...). Retry warnings are logged
-    under chunkbench.<service>, the module of the client that sent them.
-    """
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    api_key = os.environ.get(api_key_env)
-    if api_key:
-        request.add_unredirected_header("Authorization", f"Bearer {api_key}")
-    delay = _RETRY_BASE_DELAY
-    last_status: int | None = None
-    last_error = "connection failed"
-    for attempt in range(attempts):
-        try:
-            # By keyword: a positional argument of .open() reads as a file mode.
-            with _OPENER.open(fullurl=request, timeout=timeout) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-            exc.close()
-        except (OSError, http.client.HTTPException) as exc:
-            status, last_error = None, str(exc)
-        if status == 200:
-            try:
-                return json.loads(body)
-            except ValueError as exc:
-                raise error(f"{service} backend returned invalid JSON: {exc}") from exc
-        last_status = status
-        if status is not None:
-            last_error = f"status {status}"
-            if status < 500:
-                # Client errors will not heal on retry.
-                raise error(
-                    f"{service} backend rejected the request ({last_error})", status=status
-                )
-        if attempt < attempts - 1:
-            logging.getLogger(f"chunkbench.{service}").warning(
-                "%s request failed (%s), retrying in %.2fs", service, last_error, delay
-            )
-            time.sleep(delay)
-            delay *= 2.0
-    raise error(
-        f"{service} backend failed after {attempts} attempts ({last_error})", status=last_status
-    )
 
 
 def encode_vectors(matrix: np.ndarray, model_id: str) -> bytes:

@@ -23,8 +23,9 @@ from typing import IO, Any, Callable, Iterable, Iterator
 def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """Write to <name>.<pid>.<thread id>.tmp beside path, then rename it over path.
 
-    Creates the parent directory. The temp file is removed on any exit, so an
-    interrupted writer leaves path as it was, never half written.
+    Creates the parent directory. The temp file is removed when the write or
+    the rename fails, so an interrupted writer leaves path as it was, never
+    half written.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -34,8 +35,9 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
         with open(tmp, mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import EmbedderSpec, embed_batch, post_with_retries
+from .embedding import EmbedderSpec, embed_batch
 
 API_KEY_ENV = "GEN_API_KEY"
 _REQUEST_TIMEOUT = 60.0
@@ -72,6 +72,8 @@ def generate_answer(
     exponential backoff up to max_retries attempts. A reply without a
     non-empty "text" string raises GenerationError.
     """
+    from .transport import post_with_retries
+
     body = post_with_retries(
         "generation",
         config.endpoint,

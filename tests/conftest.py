@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from chunkbench import embedding
+from chunkbench import embedding, transport
 from chunkbench.embedding import token_bucket
 from chunkbench.segmenter import SegmentedDocument, Sentence
 
@@ -154,7 +154,7 @@ def fresh_embedding_memo():
 @pytest.fixture(autouse=True)
 def no_retry_waits(monkeypatch):
     """HTTP clients retry at once; tests of the backoff schedule set it back."""
-    monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.0)
+    monkeypatch.setattr(transport, "_RETRY_BASE_DELAY", 0.0)
 
 
 @pytest.fixture

@@ -20,6 +20,11 @@ bincount and per-document versions must give the same bits.
 from chunks made without a shared state, texts embedded one at a time,
 one score vector per (config, query) and set arithmetic.
 
+``threshold_reference`` is the breakpoint cutoff that
+``chunkbench.distance.threshold`` once computed with ``np.percentile``:
+the one-sort version must give the same bits, and the breakpoint oracle
+cuts at it.
+
 ``rule_spans_reference`` is the character scanner that
 ``chunkbench.segmenter.RuleSegmenter`` once ran over each block between
 hard breaks: the one-pattern version must give the same spans.
@@ -43,7 +48,6 @@ from chunkbench.distance import (
     consecutive_distances,
     gradient,
     pairwise_joint_distances,
-    threshold,
 )
 from chunkbench.embedding import deterministic_embed, token_bucket, tokenize
 from chunkbench.evaluation import f1_score
@@ -124,6 +128,26 @@ def fixed_size_reference(doc: SegmentedDocument, n_chunks: int, overlap: int) ->
     return make_chunks_reference(doc, groups)
 
 
+def threshold_reference(
+    values: np.ndarray, policy: ThresholdPolicy, slope: np.ndarray | None = None
+) -> float:
+    """The policy's cutoff with np.percentile's default linear rule: a
+    percentile of the values, mean plus amount standard deviations or
+    interquartile ranges, a percentile of their gradient (or of slope when
+    given), or the amount itself."""
+    arr = np.asarray(values, dtype=np.float64)
+    if policy.kind == "percentile":
+        return float(np.percentile(arr, policy.amount))
+    if policy.kind == "std_dev":
+        return float(arr.mean() + policy.amount * arr.std())
+    if policy.kind == "interquartile":
+        q25, q75 = np.percentile(arr, [25.0, 75.0])
+        return float(arr.mean() + policy.amount * (q75 - q25))
+    if policy.kind == "gradient_percentile":
+        return float(np.percentile(gradient(arr) if slope is None else slope, policy.amount))
+    return float(policy.amount)
+
+
 def breakpoint_reference(
     doc: SegmentedDocument, sentence_embeddings: np.ndarray, policy: ThresholdPolicy
 ) -> list[Chunk]:
@@ -138,7 +162,7 @@ def breakpoint_reference(
         break_after = np.zeros(distances.size, dtype=bool)
     else:
         compare = gradient(distances) if policy.gradient_domain else distances
-        break_after = compare > threshold(distances, policy)
+        break_after = compare > threshold_reference(distances, policy)
     groups: list[list[int]] = []
     current = [0]
     for i in range(1, n):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chunkbench.distance import (
+    THRESHOLD_KINDS,
     ThresholdPolicy,
     consecutive_distances,
     gradient,
@@ -14,6 +19,16 @@ from reference import (
     cosine_clipped_distance,
     joint_distance,
     positional_distance,
+    threshold_reference,
+)
+
+# Finite values from 1e-8 to 1e8 in size, and ties. -0.0 is left out (x + 0.0
+# is +0.0): np.percentile's pick between tied zeros of either sign follows its
+# partition, and distances and their gradients are never -0.0.
+VALUES = st.lists(
+    st.floats(-1e8, 1e8).map(lambda x: x + 0.0) | st.sampled_from([0.0, 0.25, 1.0]),
+    min_size=1,
+    max_size=40,
 )
 
 
@@ -254,3 +269,37 @@ class TestThresholdValues:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             threshold(np.array([]), ThresholdPolicy("percentile", 50.0))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(
+    values=VALUES,
+    slope=st.none() | VALUES,
+    kind=st.sampled_from(THRESHOLD_KINDS),
+    amount=st.sampled_from([0.0, 25.0, 50.0, 75.0, 100.0]) | st.floats(0.0, 100.0),
+    nan=st.booleans(),
+)
+@example(values=[0.4], slope=None, kind="percentile", amount=0.0, nan=False)
+@example(values=[0.4], slope=None, kind="interquartile", amount=1.5, nan=False)
+@example(values=[0.1, 0.7], slope=None, kind="percentile", amount=100.0, nan=False)
+@example(values=[0.1, 0.7], slope=[0.3, -0.2], kind="gradient_percentile", amount=0.0, nan=False)
+@example(values=[0.2, 0.2, 0.2, 0.9], slope=None, kind="interquartile", amount=2.0, nan=False)
+# From g = 0.5 on numpy interpolates down from b: a + (b - a) * g would give
+# 0.52 and 0.7249999999999999 here, one ulp off.
+@example(values=[0.1, 0.7], slope=None, kind="percentile", amount=70.0, nan=False)
+@example(values=[0.2, 0.9], slope=None, kind="interquartile", amount=1.0, nan=False)
+@example(values=[0.1, 0.5, 0.3], slope=None, kind="percentile", amount=50.0, nan=True)
+@example(values=[0.1, 0.5], slope=[0.2, 0.1], kind="gradient_percentile", amount=30.0, nan=True)
+def test_threshold_matches_the_numpy_reference_bit_for_bit(values, slope, kind, amount, nan):
+    assume(kind != "gradient_percentile" or slope is not None or len(values) >= 2)
+    if nan and kind == "gradient_percentile" and slope:
+        slope = [math.nan, *slope[1:]]
+    elif nan:
+        values = [math.nan, *values[1:]]
+    policy = ThresholdPolicy(kind, amount)
+    got = threshold(np.array(values), policy, None if slope is None else np.array(slope))
+    want = threshold_reference(values, policy, slope)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chunkbench import embedding
+from chunkbench import embedding, transport
 from chunkbench.embedding import (
     API_KEY_ENV,
     EmbedderSpec,
@@ -322,6 +322,22 @@ class TestCache:
         assert header["count"] == 1
         np.testing.assert_array_equal(matrix, expected)
 
+    def test_memoised_texts_build_no_cache(self, tmp_path, monkeypatch):
+        spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
+        embed_batch(spec, ["alpha", "beta"])
+        built = []
+
+        class Counting(embedding._VectorCache):
+            def __init__(self, spec):
+                built.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(embedding, "_VectorCache", Counting)
+        embed_batch(spec, ["beta", "alpha", "beta"])
+        assert built == []
+        embed_batch(spec, ["alpha", "gamma"])
+        assert built == [spec]
+
 
 def test_mock_service_closes_its_listening_socket():
     service = MockService()
@@ -423,8 +439,8 @@ class TestRemoteBackend:
 
     def test_retry_waits_double_with_none_after_the_last_try(self, mock_service, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(embedding.time, "sleep", sleeps.append)
-        monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.5)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport, "_RETRY_BASE_DELAY", 0.5)
         mock_service.set_handler(lambda payload: (503, {"error": "busy"}))
         with pytest.raises(EmbeddingError):
             embed_batch(self._spec(mock_service), ["x"])

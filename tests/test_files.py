@@ -119,6 +119,20 @@ class TestReplacing:
         assert path.read_text(encoding="utf-8") == "complete\n"
         assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.jsonl"
+        path.write_text("complete\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            with replacing(path) as fh:
+                fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "complete\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
     def test_completed_write_replaces(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_text("old\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from chunkbench import embedding, generation
+from chunkbench import generation, transport
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
 from chunkbench.generation import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -164,8 +164,8 @@ class TestGenerateAnswer:
 
     def test_retry_waits_double_with_none_after_the_last_try(self, mock_service, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(embedding.time, "sleep", sleeps.append)
-        monkeypatch.setattr(embedding, "_RETRY_BASE_DELAY", 0.5)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport, "_RETRY_BASE_DELAY", 0.5)
         mock_service.set_handler(lambda payload: (503, {"error": "busy"}))
         config = config_for(mock_service.url, max_retries=3)
         with pytest.raises(GenerationError):
