@@ -53,7 +53,7 @@ from .generation import (
     generate_answer,
     qa_similarity,
 )
-from .retrieval import build_index, retrieve
+from .retrieval import ChunkIndex, build_index, retrieve
 from .segmenter import RuleSegmenter, SegmentedDocument, load_abbreviations, segment_document
 
 logger = logging.getLogger(__name__)
@@ -356,11 +356,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     query_ids = [_json_str(query.query_id) for query in eligible]
 
     def lines() -> Iterator[str]:
-        """The results.jsonl lines, config by config; fills summary and failures."""
+        """The results.jsonl lines, config by config; fills summary and failures.
+
+        A config that chunks the corpus as the one before it did reuses its
+        index, and with it the index's remembered rankings."""
+        built: tuple[list[Chunk], ChunkIndex] | None = None
         for config in grid:
             config_id = canonical_config(config)
             try:
-                index = build_index(chunk_corpus(config), spec)
+                chunks = chunk_corpus(config)
+                if built is None or chunks != built[0]:
+                    built = chunks, build_index(chunks, spec)
+                index = built[1]
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)

@@ -15,7 +15,8 @@ class ChunkIndex:
     the spec that embedded them, which also embeds each query.
 
     The vectors are held as float64, so scores are computed in float64 and
-    ranking is stable.
+    ranking is stable. The index remembers each query's ranking, so asking
+    again for a query's top k embeds and ranks nothing.
     """
 
     def __init__(self, chunks: Sequence[Chunk], vectors: np.ndarray, spec: EmbedderSpec) -> None:
@@ -41,6 +42,8 @@ class ChunkIndex:
         by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
         self._id_rank = np.empty(len(chunks), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(chunks))
+        # Query text -> its top-k (chunk, score) pairs, for the largest k asked.
+        self._ranked: dict[str, list[tuple[Chunk, float]]] = {}
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -56,12 +59,16 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
     """Top-k chunks by dot product, descending; ties broken by ascending chunk_id.
 
     Exact scan over the whole index, with the query embedded by the index's
-    spec; result lists are prefix-consistent across k. Returns (chunk,
-    score) pairs, each chunk the index's own.
+    spec; result lists are prefix-consistent across k. Returns a fresh list
+    of (chunk, score) pairs, each chunk the index's own. The index ranks a
+    query once, and again only for a larger k than it has ranked.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_vec = embed_batch(index.spec, [query_text])[0].astype(np.float64)
-    scores = index.vectors @ query_vec
-    ranked = np.lexsort((index._id_rank, -scores))[:k]
-    return [(index.chunks[i], float(scores[i])) for i in ranked]
+    ranked = index._ranked.get(query_text)
+    if ranked is None or len(ranked) < min(k, len(index.chunks)):
+        query_vec = embed_batch(index.spec, [query_text])[0].astype(np.float64)
+        scores = index.vectors @ query_vec
+        order = np.lexsort((index._id_rank, -scores))[:k]
+        ranked = index._ranked[query_text] = [(index.chunks[i], float(scores[i])) for i in order]
+    return ranked[:k]

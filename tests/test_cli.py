@@ -16,6 +16,7 @@ from chunkbench.chunkers import (
     config_from_dict,
     config_to_dict,
     default_grid,
+    grid_from_dict,
     read_chunks,
 )
 from chunkbench.cli import (
@@ -675,6 +676,65 @@ class TestBenchCommand:
         for name in ("results.jsonl", "summary.csv", "best_configs.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert not (outs[1] / "failures.jsonl").exists()
+
+
+class TestIndexReuse:
+    def counting(self, monkeypatch, name, fail_on=None):
+        """Wrap chunkbench.cli.<name> with a call counter; call number fail_on raises."""
+        calls = []
+        real = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == fail_on:
+                raise RuntimeError(f"{name} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("task", ["doc", "evidence"])
+    def test_consecutive_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
+        builds = self.counting(monkeypatch, "build_index")
+        retrieves = self.counting(monkeypatch, "retrieve")
+        assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
+                    "--out", tmp_path / "out"]) == 0
+        # With the default run config, 72 of the 218 default-grid configs chunk
+        # data/mini as the config before them.
+        assert len(builds) == 146
+        assert len(retrieves) == 218 * 10
+
+    def test_a_failed_build_is_not_kept_for_the_next_config(self, tmp_path, monkeypatch):
+        """A chunks data/mini one way; B and C (more chunks than any document has
+        sentences) another, alike. B's build fails, so C must build its own index
+        rather than reuse A's."""
+        cfg = write_config(tmp_path, grid={"fixed_size": {"n_chunks": [3, 40, 60]}})
+        a, b, c = grid_from_dict({"fixed_size": {"n_chunks": [3, 40, 60]}})
+
+        def bench(name, code):
+            out = tmp_path / name
+            assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+                        "--out", out]) == code
+            rows = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            by_config: dict[str, list[dict]] = {}
+            for row in map(json.loads, rows):
+                config_id = canonical_config(config_from_dict(row["config"]))
+                by_config.setdefault(config_id, []).append(row)
+            return out, by_config
+
+        _, clean = bench("clean", 0)
+        builds = self.counting(monkeypatch, "build_index", fail_on=2)
+        # 10 of 30 evaluations fail, over the failure limit.
+        out, failed = bench("failed", 1)
+        assert len(builds) == 3
+        failures = (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {json.loads(line)["config"] for line in failures} == {canonical_config(b)}
+        assert canonical_config(b) not in failed
+        for config in (a, c):
+            assert failed[canonical_config(config)] == clean[canonical_config(config)]
+        assert clean[canonical_config(b)] == [
+            {**row, "config": config_to_dict(b)} for row in clean[canonical_config(c)]
+        ]
 
 
 # Text that JSON must escape: quotes, backslashes, control characters,

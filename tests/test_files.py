@@ -10,6 +10,7 @@ import pytest
 
 from chunkbench.chunkers import Chunk, write_chunks
 from chunkbench.corpus import Document, QueryRecord, write_corpus
+from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.files import from_json, read_jsonl, replacing, write_jsonl
 
 from conftest import REPO_ROOT
@@ -146,6 +147,27 @@ class TestReplacing:
         with replacing(path) as fh:
             fh.write("x\n")
         assert path.read_text(encoding="utf-8") == "x\n"
+
+    def test_creates_a_missing_nested_directory_in_binary_mode(self, tmp_path):
+        path = tmp_path / "cache" / "deep" / "blob.vec"
+        with replacing(path, "wb") as fh:
+            fh.write(b"\x01")
+        assert path.read_bytes() == b"\x01"
+        assert [p.name for p in path.parent.iterdir()] == ["blob.vec"]
+
+    def test_filling_a_cache_directory_makes_it_at_most_once(self, tmp_path, monkeypatch):
+        made = []
+        real = Path.mkdir
+
+        def mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        spec = EmbedderSpec(backend="test", dimension=16, cache_dir=tmp_path / "cache")
+        embed_batch(spec, [f"cache entry {i}" for i in range(200)])
+        assert len(list((tmp_path / "cache").glob("*.vec"))) == 200
+        assert made == [tmp_path / "cache"]
 
     def test_binary_mode(self, tmp_path):
         path = tmp_path / "blob.bin"

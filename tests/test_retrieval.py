@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chunkbench import retrieval
 from chunkbench.chunkers import Chunk
 from chunkbench.embedding import EmbedderSpec, decode_vectors, deterministic_embed, embed_batch
 from chunkbench.retrieval import ChunkIndex, build_index, retrieve
@@ -165,3 +166,65 @@ class TestRetrieve:
                     (chunk_id, -neg) for neg, chunk_id in reference[:k]
                 ]
 
+
+class TestRankingMemo:
+    def counting_embed(self, monkeypatch, fail_once=None):
+        """Count the query embeddings retrieve asks for; fail the first for fail_once."""
+        calls: list[str] = []
+
+        def embed(spec, texts):
+            calls.extend(texts)
+            if texts == [fail_once] and calls.count(fail_once) == 1:
+                raise RuntimeError("query embedding failed")
+            return embed_batch(spec, texts)
+
+        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        return calls
+
+    def test_a_repeat_call_is_a_fresh_equal_list(self, monkeypatch):
+        index = build_index(word_chunks(["glacier", "espresso", "loom", "tide"]), spec())
+        calls = self.counting_embed(monkeypatch)
+        first = retrieve(index, "espresso and tide", k=3)
+        again = retrieve(index, "espresso and tide", k=3)
+        assert again == first and again is not first
+        assert calls == ["espresso and tide"]
+        again.clear()
+        first.reverse()
+        assert retrieve(index, "espresso and tide", k=3) == list(reversed(first))
+
+    def test_a_larger_k_ranks_again_as_a_fresh_index_does(self, monkeypatch):
+        words = ["one", "two", "three", "four", "five", "six", "seven"]
+        index = build_index(word_chunks(words), spec())
+        expected = retrieve(build_index(word_chunks(words), spec()), "three or four things", k=6)
+        calls = self.counting_embed(monkeypatch)
+        small = retrieve(index, "three or four things", k=2)
+        big = retrieve(index, "three or four things", k=6)
+        assert len(calls) == 2
+        assert big == expected
+        assert big[:2] == small
+        assert retrieve(index, "three or four things", k=4) == big[:4]
+        assert len(calls) == 2
+        everything = retrieve(index, "three or four things", k=50)
+        assert len(everything) == len(words)
+        assert retrieve(index, "three or four things", k=99) == everything
+        assert len(calls) == 3
+
+    def test_a_failed_query_embedding_is_not_remembered(self, monkeypatch):
+        index = build_index(word_chunks(["glacier", "espresso"]), spec())
+        expected = retrieve(build_index(word_chunks(["glacier", "espresso"]), spec()), "loom", 2)
+        calls = self.counting_embed(monkeypatch, fail_once="loom")
+        with pytest.raises(RuntimeError, match="query embedding failed"):
+            retrieve(index, "loom", k=2)
+        assert retrieve(index, "loom", k=2) == expected
+        assert calls == ["loom", "loom"]
+
+    def test_indexes_over_equal_chunks_rank_independently(self):
+        first = build_index(word_chunks(["glacier", "espresso", "loom"]), spec())
+        second = build_index(word_chunks(["glacier", "espresso", "loom"]), spec())
+        assert first.chunks == second.chunks
+        one, two = retrieve(first, "espresso", k=3), retrieve(second, "espresso", k=3)
+        assert one == two
+        for index, got in ((first, one), (second, two)):
+            own = {chunk.chunk_id: chunk for chunk in index.chunks}
+            assert all(chunk is own[chunk.chunk_id] for chunk, _ in got)
+        assert all(a is not b for (a, _), (b, _) in zip(one, two))
