@@ -12,9 +12,9 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterator, Sequence
 
 from .chunkers import (
     Chunk,
@@ -206,28 +206,27 @@ def _corpus_chunker(
 
 def _eligible_queries(
     queries: Sequence[QueryRecord], task: str, sentence_counts: dict[str, int]
-) -> tuple[list[QueryRecord], int]:
-    """Queries with usable ground truth for the task, plus the excluded count."""
-    eligible: list[QueryRecord] = []
+) -> list[tuple[QueryRecord, AbstractSet]]:
+    """Each query with usable ground truth: its relevant doc ids or in-range evidence pairs."""
+    eligible: list[tuple[QueryRecord, AbstractSet]] = []
     for query in queries:
         if task == "doc":
-            if query.relevant_doc_ids:
-                eligible.append(query)
-            continue
-        kept = []
-        for doc_id, index in query.evidence:
-            if 0 <= index < sentence_counts.get(doc_id, 0):
-                kept.append((doc_id, index))
-            else:
-                logger.warning(
-                    "query %s: dropping evidence (%s, %d), index out of range",
-                    query.query_id,
-                    doc_id,
-                    index,
-                )
-        if kept:
-            eligible.append(replace(query, evidence=tuple(kept)))
-    return eligible, len(queries) - len(eligible)
+            truth: AbstractSet = query.relevant_doc_ids
+        else:
+            truth = set()
+            for doc_id, index in query.evidence:
+                if 0 <= index < sentence_counts.get(doc_id, 0):
+                    truth.add((doc_id, index))
+                else:
+                    logger.warning(
+                        "query %s: dropping evidence (%s, %d), index out of range",
+                        query.query_id,
+                        doc_id,
+                        index,
+                    )
+        if truth:
+            eligible.append((query, truth))
+    return eligible
 
 
 def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> None:
@@ -291,6 +290,8 @@ def results_line(
 
 def cmd_stitch(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
+    if cfg.out.resolve() == cfg.dataset.resolve():
+        raise ConfigError(f"stitch would overwrite its source corpus: --out is {cfg.dataset}")
     target = cfg.stitch.target_sentences
     documents, queries = load_corpus(cfg.dataset)
     if not documents:
@@ -325,19 +326,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
 
     segdocs, queries = _segmented_corpus(cfg)
-    sampled = sample_queries(queries, cfg.query_sample, cfg.seed) if queries else []
+    sampled = sample_queries(queries, cfg.query_sample, cfg.seed)
     counts = {doc.doc_id: doc.n for doc in segdocs}
-    eligible, excluded = _eligible_queries(sampled, task, counts)
-    if excluded:
+    # Sorted after the filter, so the dropped-evidence warnings keep the sample's order.
+    eligible = sorted(_eligible_queries(sampled, task, counts), key=lambda pair: pair[0].query_id)
+    if len(eligible) < len(sampled):
         logger.warning(
             "excluded %d of %d sampled queries without usable %s ground truth",
-            excluded,
+            len(sampled) - len(eligible),
             len(sampled),
             task,
         )
     if not eligible:
         raise ConfigError(f"no queries with usable ground truth for task {task!r}")
-    eligible.sort(key=lambda q: q.query_id)
 
     spec, grid = cfg.embedder, cfg.configs
     chunk_corpus = _corpus_chunker(segdocs, grid, spec)
@@ -348,19 +349,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     score = doc_metrics if task == "doc" else evidence_metrics
-    truths = [q.relevant_doc_ids if task == "doc" else set(q.evidence) for q in eligible]
     summary: list[MetricRow] = []
     failures: list[dict] = []
-
     tail = results_tail(task)
-    query_ids = [_json_str(query.query_id) for query in eligible]
-
-    def lines() -> Iterator[str]:
-        """The results.jsonl lines, config by config; fills summary and failures.
-
-        A config that chunks the corpus as the one before it did reuses its
-        index, and with it the index's remembered rankings."""
-        built: tuple[list[Chunk], ChunkIndex] | None = None
+    query_ids = [_json_str(query.query_id) for query, _ in eligible]
+    # A config that chunks the corpus as the last one did reuses its index and rankings.
+    built: tuple[list[Chunk], ChunkIndex] | None = None
+    with replacing(cfg.out / RESULTS_FILENAME) as fh:
         for config in grid:
             config_id = canonical_config(config)
             try:
@@ -369,28 +364,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     built = chunks, build_index(chunks, spec)
                 index = built[1]
             except Exception as exc:
-                failures.extend(_failure(config_id, query, exc) for query in eligible)
+                failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
             head = results_head(config, dataset_name)
             scores: list[list[tuple[float, float, float]]] = []
-            for query, query_id, truth in zip(eligible, query_ids, truths):
+            for (query, truth), query_id in zip(eligible, query_ids):
                 try:
-                    chunks = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
-                    per_k = [score(chunks[:k], truth) for k in cfg.k_list]
+                    hits = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
+                    per_k = [score(hits[:k], truth) for k in cfg.k_list]
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue
                 scores.append(per_k)
-                chunk_ids = [_json_str(chunk.chunk_id) for chunk in chunks]
+                chunk_ids = [_json_str(chunk.chunk_id) for chunk in hits]
                 for k, (recall, precision, f1) in zip(cfg.k_list, per_k):
-                    yield results_line(
-                        head, query_id, k, chunk_ids[:k], recall, precision, f1, tail
+                    fh.write(
+                        results_line(head, query_id, k, chunk_ids[:k], recall, precision, f1, tail)
                     )
             summary.extend(aggregate(config, config_id, cfg.k_list, scores))
-
-    with replacing(cfg.out / RESULTS_FILENAME) as fh:
-        fh.writelines(lines())
     summary.sort(key=lambda row: (row.config.kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)
 
@@ -404,14 +396,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         (cfg.out / BEST_CONFIGS_FILENAME).unlink(missing_ok=True)
 
     total_attempts = len(grid) * len(eligible)
-    elapsed = time.perf_counter() - started
     logger.info(
         "bench task=%s done: %d records, %d/%d failed evaluations, %.1fs",
         task,
         sum(row.n_queries for row in summary),
         len(failures),
         total_attempts,
-        elapsed,
+        time.perf_counter() - started,
     )
     return _failure_budget(cfg.out, failures, total_attempts, "query evaluations")
 
@@ -546,34 +537,28 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{where}: bad summary row: {exc}") from exc
 
+    # Normalise per (dataset, k, hyperparameter names), which fix the chunker and threshold kind.
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault((row["dataset"], row["k"], *row["axes"]), []).append(row)
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
     trends: dict[str, dict[float, dict]] = {}
-    for name in sorted({name for row in rows for name in row["axes"]}):
-        groups: dict[tuple[str, int], list[tuple[float, dict]]] = {}
-        for row in rows:
-            if name in row["axes"]:
-                groups.setdefault((row["dataset"], row["k"]), []).append((row["axes"][name], row))
-        if name in _UNSWEPT_FIELDS and len({v for g in groups.values() for v, _ in g}) == 1:
-            continue
-        accum = trends.setdefault(name, {})
-        for group in groups.values():
-            spans = {}
-            for metric in metrics:
-                values = [row[metric] for _, row in group]
-                spans[metric] = (min(values), max(values))
-            for value, row in group:
-                cell = accum.setdefault(
-                    value,
-                    {metric: 0.0 for metric in metrics} | {"count": 0, "degenerate": False},
+    for group in groups.values():
+        spans = [(m, min(r[m] for r in group), max(r[m] for r in group)) for m in metrics]
+        degenerate = any(lo == hi for _, lo, hi in spans)
+        for row in group:
+            scaled = [0.5 if hi == lo else (row[m] - lo) / (hi - lo) for m, lo, hi in spans]
+            for name, value in row["axes"].items():
+                cell = trends.setdefault(name, {}).setdefault(
+                    value, {"count": 0, "degenerate": False, **dict.fromkeys(metrics, 0.0)}
                 )
                 cell["count"] += 1
-                for metric in metrics:
-                    lo, hi = spans[metric]
-                    if hi == lo:
-                        cell[metric] += 0.5
-                        cell["degenerate"] = True
-                    else:
-                        cell[metric] += (row[metric] - lo) / (hi - lo)
+                cell["degenerate"] |= degenerate
+                for metric, amount in zip(metrics, scaled):
+                    cell[metric] += amount
+    for name in _UNSWEPT_FIELDS:
+        if len(trends.get(name, ())) == 1:
+            del trends[name]
 
     out_path = cfg.out / TRENDS_FILENAME
     with replacing(out_path) as fh:

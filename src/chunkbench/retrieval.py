@@ -11,12 +11,13 @@ from .embedding import EmbedderSpec, embed_batch
 
 
 class ChunkIndex:
-    """An immutable in-memory index: chunks, one unit vector per chunk, and
-    the spec that embedded them, which also embeds each query.
+    """An in-memory index whose chunks, vectors and spec are fixed once built:
+    the chunks, one unit vector per chunk, and the spec that embedded them,
+    which also embeds each query.
 
     The vectors are held as float64, so scores are computed in float64 and
-    ranking is stable. The index remembers each query's ranking, so asking
-    again for a query's top k embeds and ranks nothing.
+    ranking is stable. The index does change in one way: it remembers each
+    query's ranking, so asking again for a query's top k embeds and ranks nothing.
     """
 
     def __init__(self, chunks: Sequence[Chunk], vectors: np.ndarray, spec: EmbedderSpec) -> None:

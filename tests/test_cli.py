@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import shutil
 import threading
 
 import pytest
@@ -488,6 +489,16 @@ class TestStitchCommand:
             outs.append((out / "docs.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("out", ["corpus", "./corpus"], ids=["same", "dot-spelled"])
+    def test_refuses_to_write_over_its_source(self, tmp_path, monkeypatch, capsys, out):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_DATASET, corpus)
+        before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert run(["stitch", "--dataset", corpus, "--out", out]) == 2
+        assert f"would overwrite its source corpus: --out is {corpus}" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
 
 class TestChunkCommand:
     def test_writes_chunks_for_every_document(self, tmp_path):
@@ -659,6 +670,19 @@ class TestBenchCommand:
         with (tmp_path / "out" / "summary.csv").open(encoding="utf-8", newline="") as fh:
             assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
 
+    def test_a_fault_outside_the_per_query_try_leaves_the_last_run(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET, "--out", out]
+        assert run(argv) == 0
+        names = ("results.jsonl", "summary.csv", "best_configs.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        calls = counting(monkeypatch, "aggregate", fail_on=2)
+        assert run(argv) == 1
+        assert len(calls) == 2
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert not list(out.glob("*.tmp"))
+
     def test_torn_cache_entry_heals(self, tmp_path):
         cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(tmp_path / "c")})
 
@@ -678,25 +702,26 @@ class TestBenchCommand:
         assert not (outs[1] / "failures.jsonl").exists()
 
 
+def counting(monkeypatch, name, fail_on=None):
+    """Wrap chunkbench.cli.<name> with a call counter; call number fail_on raises."""
+    calls = []
+    real = getattr(cli, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_on:
+            raise RuntimeError(f"{name} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapped)
+    return calls
+
+
 class TestIndexReuse:
-    def counting(self, monkeypatch, name, fail_on=None):
-        """Wrap chunkbench.cli.<name> with a call counter; call number fail_on raises."""
-        calls = []
-        real = getattr(cli, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == fail_on:
-                raise RuntimeError(f"{name} failed")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, name, wrapped)
-        return calls
-
     @pytest.mark.parametrize("task", ["doc", "evidence"])
     def test_consecutive_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
-        builds = self.counting(monkeypatch, "build_index")
-        retrieves = self.counting(monkeypatch, "retrieve")
+        builds = counting(monkeypatch, "build_index")
+        retrieves = counting(monkeypatch, "retrieve")
         assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
                     "--out", tmp_path / "out"]) == 0
         # With the default run config, 72 of the 218 default-grid configs chunk
@@ -723,7 +748,7 @@ class TestIndexReuse:
             return out, by_config
 
         _, clean = bench("clean", 0)
-        builds = self.counting(monkeypatch, "build_index", fail_on=2)
+        builds = counting(monkeypatch, "build_index", fail_on=2)
         # 10 of 30 evaluations fail, over the failure limit.
         out, failed = bench("failed", 1)
         assert len(builds) == 3
@@ -1060,6 +1085,46 @@ class TestSweepReportCommand:
             if row["hyperparameter"] == "single_linkage.stop_distance"
         ]
         assert values == [0.25, 0.5, 0.75]
+
+    def test_normalises_per_dataset_and_threshold_kind(self, tmp_path):
+        # (dataset, threshold kind, amount, recall, precision, f1)
+        runs = {
+            "a": [
+                ("alpha", "percentile", 50, 0.2, 0.4, 0.1),
+                ("alpha", "percentile", 90, 0.6, 0.2, 0.3),
+                ("alpha", "std_dev", 1.0, 0.9, 0.9, 0.9),
+                ("alpha", "std_dev", 2.0, 0.1, 0.5, 0.5),
+            ],
+            "b": [
+                ("beta", "percentile", 50, 0.4, 0.3, 0.2),
+                ("beta", "percentile", 70, 0.5, 0.2, 0.6),
+                ("beta", "percentile", 90, 0.8, 0.1, 0.4),
+                ("beta", "std_dev", 1.5, 0.3, 0.3, 0.3),
+            ],
+        }
+        for name, rows in runs.items():
+            (tmp_path / "runs" / name).mkdir(parents=True)
+            with (tmp_path / "runs" / name / "summary.csv").open("w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(
+                    ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
+                )
+                for dataset, kind, amount, *metrics in rows:
+                    policy = {"kind": "breakpoint", "policy": {"kind": kind, "amount": amount}}
+                    writer.writerow([dataset, "breakpoint", json.dumps(policy), 1, *metrics, 10])
+        out = tmp_path / "report"
+        assert run(["sweep-report", tmp_path / "runs", "--out", out]) == 0
+        # Each (dataset, threshold kind) group spans 0 to 1 on its own; beta's
+        # one std_dev row has no spread, so it scores 0.5 and is degenerate.
+        assert (out / "trends.csv").read_text(encoding="utf-8").splitlines() == [
+            "hyperparameter,value,recall,precision,f1,degenerate",
+            "breakpoint.percentile.amount,50.0,0.000000,1.000000,0.000000,0",
+            "breakpoint.percentile.amount,70.0,0.250000,0.500000,1.000000,0",
+            "breakpoint.percentile.amount,90.0,1.000000,0.000000,0.750000,0",
+            "breakpoint.std_dev.amount,1.0,1.000000,1.000000,1.000000,0",
+            "breakpoint.std_dev.amount,1.5,0.500000,0.500000,0.500000,1",
+            "breakpoint.std_dev.amount,2.0,0.000000,0.000000,0.000000,0",
+        ]
 
     @pytest.mark.parametrize("tail", [",1", ",1,0.5,0.5,0.5,10,extra"], ids=["short", "long"])
     def test_summary_row_of_the_wrong_length_names_file_and_line(self, tmp_path, capsys, tail):
