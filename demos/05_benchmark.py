@@ -11,7 +11,7 @@ from chunkbench.chunkers import canonical_config, chunk_document, config_from_di
 from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.evaluation import aggregate, doc_metrics, select_best_config
-from chunkbench.retrieval import build_index, retrieve
+from chunkbench.retrieval import ScoreTable, build_index, retrieve
 from chunkbench.segmenter import segment_document
 
 DATASET = Path(__file__).resolve().parents[1] / "data" / "mini"
@@ -43,7 +43,7 @@ def main():
         chunks = []
         for doc in segdocs:
             chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-        index = build_index(chunks, spec)
+        index = build_index(chunks, ScoreTable(spec))
         # Per query, (recall, precision, f1) at each k, in query_id order.
         scores = []
         for query in sorted(queries, key=lambda q: q.query_id):

@@ -12,7 +12,7 @@ from chunkbench.chunkers import canonical_config, chunk_document, config_from_di
 from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.evaluation import doc_metrics, paired_permutation_test
-from chunkbench.retrieval import build_index, retrieve
+from chunkbench.retrieval import ScoreTable, build_index, retrieve
 from chunkbench.segmenter import segment_document
 
 DATASET = Path(__file__).resolve().parents[1] / "data" / "mini"
@@ -27,7 +27,7 @@ def per_query_f1(raw_config, segdocs, vectors, queries, spec):
     chunks = []
     for doc in segdocs:
         chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-    index = build_index(chunks, spec)
+    index = build_index(chunks, ScoreTable(spec))
     scores = []
     for query in queries:
         top = [chunk for chunk, _ in retrieve(index, query.text, K)]

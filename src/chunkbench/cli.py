@@ -53,7 +53,7 @@ from .generation import (
     generate_answer,
     qa_similarity,
 )
-from .retrieval import ChunkIndex, build_index, retrieve
+from .retrieval import ChunkIndex, ScoreTable, build_index, retrieve
 from .segmenter import RuleSegmenter, SegmentedDocument, load_abbreviations, segment_document
 
 logger = logging.getLogger(__name__)
@@ -353,7 +353,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     tail = results_tail(task)
     query_ids = [_json_str(query.query_id) for query, _ in eligible]
-    # A config that chunks the corpus as the last one did reuses its index and rankings.
+    # Each distinct chunk text is embedded and scored against each query once per run,
+    # and a config that chunks the corpus as the last one did reuses its index and rankings.
+    table = ScoreTable(spec)
     built: tuple[list[Chunk], ChunkIndex] | None = None
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
         for config in grid:
@@ -361,7 +363,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             try:
                 chunks = chunk_corpus(config)
                 if built is None or chunks != built[0]:
-                    built = chunks, build_index(chunks, spec)
+                    built = chunks, build_index(chunks, table)
                 index = built[1]
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
@@ -447,7 +449,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sample_queries(queries, cfg.query_sample, cfg.seed), key=lambda q: q.query_id
     )
     spec = cfg.embedder
-    index = build_index(_corpus_chunker(segdocs, [config], spec)(config), spec)
+    index = build_index(_corpus_chunker(segdocs, [config], spec)(config), ScoreTable(spec))
 
     # Embedding runs here, one batch at a time, and a failed batch fails each
     # query it covers; the pool only sends generation requests.
@@ -528,6 +530,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
                 config = config_to_dict(config_from_dict(json.loads(line["config"])))
                 rows.append(
                     {
+                        "path": path,
                         "dataset": line["dataset"],
                         "k": int(line["k"]),
                         "axes": dict(_hyperparameters(config)),
@@ -537,10 +540,11 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{where}: bad summary row: {exc}") from exc
 
-    # Normalise per (dataset, k, hyperparameter names), which fix the chunker and threshold kind.
+    # Normalise per (summary file, dataset, k, hyperparameter names): the names fix the
+    # chunker and threshold kind, and the file keeps a doc run apart from an evidence run.
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        groups.setdefault((row["dataset"], row["k"], *row["axes"]), []).append(row)
+        groups.setdefault((row["path"], row["dataset"], row["k"], *row["axes"]), []).append(row)
     # hyperparameter -> value -> {metric sums, count, degenerate flag}
     trends: dict[str, dict[float, dict]] = {}
     for group in groups.values():

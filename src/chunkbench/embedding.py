@@ -29,7 +29,9 @@ BACKENDS = ("test", "remote")
 _RETRY_ATTEMPTS = 3
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
-# Every vector embedded in this process, per spec; see embed_batch.
+# Every vector embedded in this process, per spec; see embed_batch. Nothing
+# drops a text from it, so memoised_vectors reads a vector back from here for
+# the life of the process.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
 
 
@@ -142,6 +144,20 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
                 cache.put(text, row)
             memo[text] = row
     return np.stack([memo[text] for text in items])
+
+
+def memoised_vectors(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
+    """The rows embed_batch has returned for texts, read back from the memo:
+    for a caller that keeps no copy of the vectors it had embedded, and may
+    rely on the memo keeping each of them for the life of the process.
+    Reading them is no embedding work, so it does not go through a caller's
+    embed_batch; should the memo have been cleared, as a test does to stand
+    in for a new process, the texts are embedded again."""
+    memo = _MEMO.get(spec, {})
+    try:
+        return np.stack([memo[text] for text in texts])
+    except KeyError:
+        return embed_batch(spec, texts)
 
 
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:

@@ -1,44 +1,183 @@
-"""Exact brute-force retrieval over chunk embeddings."""
+"""Exact brute-force retrieval over chunk embeddings, scored through one table.
+
+A ``ScoreTable`` gives each distinct chunk text a row and each query text a
+column, and holds the float64 dot product of their float32 embeddings, so a
+run embeds each text once and scores each (text, query) pair once however
+many chunkings share them. A ``ChunkIndex`` is one chunking's rows of a
+table. ``retrieve`` ranks an index's chunks for a query by the correctly
+rounded exact dot product, ties broken by ascending ``chunk_id``: the table's
+float64 scores decide every pair they can certify, and the few pairs within
+their error bound are resolved exactly.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .chunkers import Chunk
-from .embedding import EmbedderSpec, embed_batch
+from .embedding import EmbedderSpec, embed_batch, memoised_vectors
+
+# Rows read back from the embedding memo per product, so that no float64
+# copy of all the table's vectors is ever held at once.
+_BLOCK_ROWS = 256
+# Covers the rounding of the norms and of the bound itself, about
+# (d + 5) * 2**-53 relative, for any dimension d below 2**30.
+_SLACK = 1.0 + 2.0**-20
+
+
+class _Query:
+    """One column of a ScoreTable: the query's float64 score against every
+    row, and what resolving a score exactly needs: the query's nonzero
+    coordinates, its norm and the exact scores resolved so far, by row."""
+
+    __slots__ = ("scores", "support", "values", "norm", "exact")
+
+    def __init__(self, vector: np.ndarray, capacity: int) -> None:
+        self.scores = np.empty(capacity)
+        self.support = np.flatnonzero(vector)
+        self.values = vector[self.support].astype(np.float64)
+        self.norm = math.sqrt(float(self.values @ self.values))
+        self.exact: dict[int, float] = {}
+
+
+class ScoreTable:
+    """The float64 score of each distinct chunk text against each query text.
+
+    Row r belongs to ``texts[r]``. A query text's column is made the first
+    time an index of the table ranks it: the query is embedded, once per
+    table, and scored against every row. Texts that join later are embedded
+    once, in one ``embed_batch`` call, and scored against every column. The
+    table holds scores, not vectors: whenever it needs vectors again it reads
+    the float32 rows back from the embedding memo, a bounded block at a time.
+    Columns grow one at a time, doubling, so growing never copies the whole
+    table at once.
+    """
+
+    def __init__(self, spec: EmbedderSpec) -> None:
+        self.spec = spec
+        self.texts: list[str] = []
+        self._row: dict[str, int] = {}
+        self._queries: dict[str, _Query] = {}
+        self._capacity = 0
+        self._max_norm = 0.0
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def rows(self, texts: Sequence[str]) -> np.ndarray:
+        """Each text's row, adding the texts the table has not seen."""
+        row = self._row
+        new = list(dict.fromkeys(text for text in texts if text not in row))
+        if new:
+            vectors = embed_batch(self.spec, new)
+            start = len(self.texts)
+            self._reserve(start + len(new))
+            queries = list(self._queries.values())
+            if queries:
+                matrix = memoised_vectors(self.spec, list(self._queries)).astype(np.float64).T
+            for offset in range(0, len(new), _BLOCK_ROWS):
+                block = self._block(vectors[offset : offset + _BLOCK_ROWS])
+                if queries:
+                    at = slice(start + offset, start + offset + len(block))
+                    for query, column in zip(queries, (block @ matrix).T):
+                        query.scores[at] = column
+            self.texts.extend(new)
+            row.update(zip(new, range(start, len(self.texts))))
+        return np.fromiter((row[text] for text in texts), dtype=np.intp, count=len(texts))
+
+    def query(self, text: str) -> _Query:
+        """The query text's column, made on first use."""
+        query = self._queries.get(text)
+        if query is None:
+            vector = embed_batch(self.spec, [text])[0]
+            query = _Query(vector, self._capacity)
+            vector = vector.astype(np.float64)
+            for start in range(0, len(self.texts), _BLOCK_ROWS):
+                texts = self.texts[start : start + _BLOCK_ROWS]
+                block = memoised_vectors(self.spec, texts).astype(np.float64)
+                query.scores[start : start + len(texts)] = block @ vector
+            self._queries[text] = query
+        return query
+
+    def error_bound(self, query: _Query) -> float:
+        """A bound on |score - exact dot product| for every score of the column.
+
+        The products of float32 coordinates are exact in float64, so only the
+        d - 1 additions round, in whatever order the kernel takes them. The
+        error is then at most ``d·2⁻⁵³/(1−d·2⁻⁵³)·|c||q|`` (Higham, Accuracy
+        and Stability of Numerical Algorithms, section 3.1), with |c| the
+        largest row norm of the table; ``_SLACK`` covers the rounding of the
+        bound.
+        """
+        unit = self.spec.dimension * 2.0**-53
+        return unit / (1.0 - unit) * self._max_norm * query.norm * _SLACK
+
+    def exact(self, query: _Query, rows: Sequence[int]) -> list[float]:
+        """The correctly rounded exact score of each row against the query.
+
+        Rows that are bit-equal on the query's nonzero coordinates score
+        alike, a row that is zero on them scores exactly 0, and any other row
+        is the ``math.fsum`` of its products. Each is memoised per (row, query).
+        """
+        known = query.exact
+        try:
+            return [known[r] for r in rows]
+        except KeyError:
+            missing = [r for r in dict.fromkeys(rows) if r not in known]
+            vectors = memoised_vectors(self.spec, [self.texts[r] for r in missing])
+            by_bits: dict[bytes, float] = {}
+            for r, part in zip(missing, vectors[:, query.support]):
+                bits = part.tobytes()
+                if bits not in by_bits:
+                    by_bits[bits] = math.fsum((part * query.values).tolist()) if part.any() else 0.0
+                known[r] = by_bits[bits]
+            return [known[r] for r in rows]
+
+    def _reserve(self, size: int) -> None:
+        if size > self._capacity:
+            self._capacity = max(size, 2 * self._capacity)
+            for query in self._queries.values():
+                scores = np.empty(self._capacity)
+                scores[: len(self.texts)] = query.scores[: len(self.texts)]
+                query.scores = scores
+
+    def _block(self, vectors: np.ndarray) -> np.ndarray:
+        """Float64 rows of vectors, whose norms the error bound then covers."""
+        block = vectors.astype(np.float64)
+        norm = math.sqrt(float(np.einsum("ij,ij->i", block, block).max()))
+        self._max_norm = max(self._max_norm, norm)
+        return block
 
 
 class ChunkIndex:
-    """An in-memory index whose chunks, vectors and spec are fixed once built:
-    the chunks, one unit vector per chunk, and the spec that embedded them,
-    which also embeds each query.
+    """One chunking's rows of a ScoreTable: the chunks, fixed once built, and
+    each chunk's row, the row of its text. The table's spec embedded the
+    chunks and embeds each query.
 
-    The vectors are held as float64, so scores are computed in float64 and
-    ranking is stable. The index does change in one way: it remembers each
-    query's ranking, so asking again for a query's top k embeds and ranks nothing.
+    The index holds no vectors. It does change in one way: it remembers each
+    query's ranking, so asking again for a query's top k ranks nothing.
     """
 
-    def __init__(self, chunks: Sequence[Chunk], vectors: np.ndarray, spec: EmbedderSpec) -> None:
+    def __init__(self, chunks: Sequence[Chunk], rows: Sequence[int], table: ScoreTable) -> None:
         chunks = tuple(chunks)
         if not chunks:
             raise ValueError("cannot build an index over zero chunks")
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("vectors must be a 2D array")
-        if len(chunks) != vectors.shape[0]:
-            raise ValueError(
-                f"{len(chunks)} chunks but {vectors.shape[0]} vectors"
-            )
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != (len(chunks),):
+            raise ValueError(f"{len(chunks)} chunks but {rows.size} rows")
+        if rows.min() < 0 or rows.max() >= len(table):
+            raise ValueError(f"rows must lie in the table's {len(table)} rows")
         seen: set[str] = set()
         for chunk in chunks:
             if chunk.chunk_id in seen:
                 raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
             seen.add(chunk.chunk_id)
         self.chunks = chunks
-        self.vectors = vectors
-        self.spec = spec
+        self.rows = rows
+        self.table = table
         # Each chunk_id's position in ascending id order: the ranking tie-break.
         by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
         self._id_rank = np.empty(len(chunks), dtype=np.int64)
@@ -50,26 +189,67 @@ class ChunkIndex:
         return len(self.chunks)
 
 
-def build_index(chunks: Sequence[Chunk], spec: EmbedderSpec) -> ChunkIndex:
-    """Embed each chunk's assembled text and wrap the result in a ChunkIndex."""
+def build_index(chunks: Sequence[Chunk], table: ScoreTable) -> ChunkIndex:
+    """Map each chunk's assembled text to its row of table; the texts the
+    table has not seen are embedded here, by the table's spec."""
     chunks = tuple(chunks)
-    return ChunkIndex(chunks, embed_batch(spec, [c.text for c in chunks]), spec)
+    return ChunkIndex(chunks, table.rows([chunk.text for chunk in chunks]), table)
 
 
 def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, float]]:
-    """Top-k chunks by dot product, descending; ties broken by ascending chunk_id.
+    """Top-k chunks by exact dot product, descending; ties broken by ascending chunk_id.
 
-    Exact scan over the whole index, with the query embedded by the index's
-    spec; result lists are prefix-consistent across k. Returns a fresh list
-    of (chunk, score) pairs, each chunk the index's own. The index ranks a
-    query once, and again only for a larger k than it has ranked.
+    Exact scan over the whole index, with the query embedded by the table's
+    spec, once per table; result lists are prefix-consistent across k.
+    Returns a fresh list of (chunk, score) pairs, each chunk the index's own.
+    A score is the table's float64 one, within the table's error bound of the
+    exact dot product, or the correctly rounded exact one where that decided
+    the order. The index ranks a query once, and again only for a larger k
+    than it has ranked.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = index._ranked.get(query_text)
     if ranked is None or len(ranked) < min(k, len(index.chunks)):
-        query_vec = embed_batch(index.spec, [query_text])[0].astype(np.float64)
-        scores = index.vectors @ query_vec
-        order = np.lexsort((index._id_rank, -scores))[:k]
-        ranked = index._ranked[query_text] = [(index.chunks[i], float(scores[i])) for i in order]
+        ranked = index._ranked[query_text] = _rank(index, index.table.query(query_text), k)
     return ranked[:k]
+
+
+def _rank(index: ChunkIndex, query: _Query, k: int) -> list[tuple[Chunk, float]]:
+    """Sort by float64 score, then resolve exactly each run of places whose
+    adjacent scores lie within twice the error bound and reach the top k.
+
+    Only the scores within twice that of the k-th can reach the top k, so
+    only they are sorted: a score further below is more than two bounds
+    under it, even after rounding the threshold."""
+    scores = query.scores[index.rows]
+    n, top = len(scores), min(k, len(scores))
+    window = 2.0 * index.table.error_bound(query)
+    if top < n:
+        kth = np.partition(scores, n - top)[n - top]
+        candidates = (scores >= kth - 2.0 * window).nonzero()[0]
+    else:
+        candidates = np.arange(n)
+    # (-score, chunk_id rank, position in the index), best first.
+    ranked = sorted(
+        zip(
+            (-scores[candidates]).tolist(),
+            index._id_rank[candidates].tolist(),
+            candidates.tolist(),
+        )
+    )
+    start = 0
+    while start < top:
+        stop = start + 1
+        while stop < len(ranked) and ranked[stop][0] - ranked[stop - 1][0] <= window:
+            stop += 1
+        if stop - start > 1:
+            run = ranked[start:stop]
+            rows = index.rows[[position for _, _, position in run]].tolist()
+            if rows.count(rows[0]) < len(rows):  # one text: equal scores, in chunk_id order
+                exact = index.table.exact(query, rows)
+                ranked[start:stop] = sorted(
+                    (-score, by_id, position) for score, (_, by_id, position) in zip(exact, run)
+                )
+        start = stop
+    return [(index.chunks[position], -negated) for negated, _, position in ranked[:top]]

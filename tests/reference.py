@@ -25,6 +25,10 @@ one score vector per (config, query) and set arithmetic.
 the one-sort version must give the same bits, and the breakpoint oracle
 cuts at it.
 
+``rank_reference`` is the ranking ``chunkbench.retrieval.retrieve`` must
+give: every score the ``math.fsum`` of its float32 products, so the
+correctly rounded exact dot product, and ties broken by ``chunk_id``.
+
 ``rule_spans_reference`` is the character scanner that
 ``chunkbench.segmenter.RuleSegmenter`` once ran over each block between
 hard breaks: the one-pattern version must give the same spans.
@@ -347,6 +351,18 @@ def bench_rows_reference(
                     "precision": precision,
                     "f1": f1,
                 }
+
+
+def rank_reference(chunks, vectors, query_vector, k: int) -> list[tuple[str, float]]:
+    """(chunk_id, exact score) of the top k chunks, by descending score and then
+    ascending chunk_id. Each product of two float32 coordinates is exact in
+    float64, so math.fsum of them is the exact dot product, correctly rounded."""
+    query = [float(x) for x in query_vector]
+    scored = sorted(
+        (-math.fsum(float(c) * q for c, q in zip(vector, query)), chunk.chunk_id)
+        for chunk, vector in zip(chunks, vectors)
+    )
+    return [(chunk_id, -negated) for negated, chunk_id in scored[:k]]
 
 
 def rule_spans_reference(

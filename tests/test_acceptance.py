@@ -23,7 +23,7 @@ from chunkbench.corpus import Document, QueryRecord, load_corpus, stitch
 from chunkbench.distance import ThresholdPolicy, threshold
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.evaluation import doc_metrics, evidence_metrics, paired_permutation_test
-from chunkbench.retrieval import build_index, retrieve
+from chunkbench.retrieval import ScoreTable, build_index, retrieve
 from chunkbench.segmenter import segment
 
 from conftest import MINI_DATASET, REPO_ROOT, make_doc, pick_disjoint_tokens
@@ -373,7 +373,7 @@ class TestAcceptance:
                 Chunk(chunk_id=f"c-{j:04d}", doc_id="d", sentence_indices=(j,), text=t)
                 for j, t in enumerate(texts)
             ]
-            index = build_index(chunks, spec)
+            index = build_index(chunks, ScoreTable(spec))
             query = " ".join(rng.choice(vocab, size=2))
             k = int(rng.integers(1, m + 3))
             hits = retrieve(index, query, k)

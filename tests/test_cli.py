@@ -702,10 +702,11 @@ class TestBenchCommand:
         assert not (outs[1] / "failures.jsonl").exists()
 
 
-def counting(monkeypatch, name, fail_on=None):
-    """Wrap chunkbench.cli.<name> with a call counter; call number fail_on raises."""
+def counting(monkeypatch, name, fail_on=None, module=cli):
+    """Wrap module.<name> (chunkbench.cli's by default) with a call counter;
+    call number fail_on raises."""
     calls = []
-    real = getattr(cli, name)
+    real = getattr(module, name)
 
     def wrapped(*args, **kwargs):
         calls.append(args)
@@ -713,7 +714,7 @@ def counting(monkeypatch, name, fail_on=None):
             raise RuntimeError(f"{name} failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -728,6 +729,21 @@ class TestIndexReuse:
         # data/mini as the config before them.
         assert len(builds) == 146
         assert len(retrieves) == 218 * 10
+
+    @pytest.mark.parametrize("task", ["doc", "evidence"])
+    def test_each_chunk_text_and_query_is_embedded_once_per_run(self, tmp_path, monkeypatch, task):
+        builds = counting(monkeypatch, "build_index")
+        embeds = counting(monkeypatch, "embed_batch", module=retrieval)
+        assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
+                    "--out", tmp_path / "out"]) == 0
+        assert len(builds) == 146
+        queries = {query.text for query in load_corpus(MINI_DATASET)[1]}
+        query_embeds = [texts for _, texts in embeds if texts[0] in queries]
+        chunk_texts = [text for _, texts in embeds if texts[0] not in queries for text in texts]
+        # The 391 distinct chunk texts of the default grid on data/mini, each
+        # embedded once however many of the 146 builds hold it.
+        assert len(chunk_texts) == len(set(chunk_texts)) == 391
+        assert sorted(query_embeds) == sorted([text] for text in queries)
 
     def test_a_failed_build_is_not_kept_for_the_next_config(self, tmp_path, monkeypatch):
         """A chunks data/mini one way; B and C (more chunks than any document has
@@ -1033,6 +1049,21 @@ class TestGenCommand:
         assert {f["error"] for f in failures} == {"embedding backend failed"}
 
 
+def write_breakpoint_summaries(root, runs):
+    """One summary.csv per run under root: breakpoint rows at k=1, each given as
+    (dataset, threshold kind, amount, recall, precision, f1)."""
+    for name, rows in runs.items():
+        (root / name).mkdir(parents=True)
+        with (root / name / "summary.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
+            )
+            for dataset, kind, amount, *metrics in rows:
+                policy = {"kind": "breakpoint", "policy": {"kind": kind, "amount": amount}}
+                writer.writerow([dataset, "breakpoint", json.dumps(policy), 1, *metrics, 10])
+
+
 class TestSweepReportCommand:
     def test_trends_over_bench_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1056,10 +1087,10 @@ class TestSweepReportCommand:
             assert 0.0 <= float(row["f1"]) <= 1.0
         keys = [(row["hyperparameter"], float(row["value"])) for row in rows]
         assert keys == sorted(keys)
-        # The bytes of the report on this grid, pinned when the trend names
-        # were still spelled out per chunker kind.
+        # The bytes of the report on this grid, each run normalised on its own;
+        # an independent recomputation from the two summary.csv files agrees.
         assert hashlib.sha256((out / "trends.csv").read_bytes()).hexdigest() == (
-            "e6ecc5c84e71149b9a6fe349521ab25ec4a8d7646b4ee255e95294e7917378c1"
+            "5248e4df8f32feb1f1767196ee4e47ec934eea2c43e8ac8a336e5ece6b9c3525"
         )
 
     def test_a_swept_stop_distance_has_its_trend(self, tmp_path):
@@ -1102,16 +1133,7 @@ class TestSweepReportCommand:
                 ("beta", "std_dev", 1.5, 0.3, 0.3, 0.3),
             ],
         }
-        for name, rows in runs.items():
-            (tmp_path / "runs" / name).mkdir(parents=True)
-            with (tmp_path / "runs" / name / "summary.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(
-                    ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
-                )
-                for dataset, kind, amount, *metrics in rows:
-                    policy = {"kind": "breakpoint", "policy": {"kind": kind, "amount": amount}}
-                    writer.writerow([dataset, "breakpoint", json.dumps(policy), 1, *metrics, 10])
+        write_breakpoint_summaries(tmp_path / "runs", runs)
         out = tmp_path / "report"
         assert run(["sweep-report", tmp_path / "runs", "--out", out]) == 0
         # Each (dataset, threshold kind) group spans 0 to 1 on its own; beta's
@@ -1124,6 +1146,32 @@ class TestSweepReportCommand:
             "breakpoint.std_dev.amount,1.0,1.000000,1.000000,1.000000,0",
             "breakpoint.std_dev.amount,1.5,0.500000,0.500000,0.500000,1",
             "breakpoint.std_dev.amount,2.0,0.000000,0.000000,0.000000,0",
+        ]
+
+    def test_normalises_each_run_of_one_dataset_apart(self, tmp_path):
+        """A doc run and an evidence run of one dataset: each summary.csv spans
+        0 to 1 on its own, so the evidence run's lower scores do not pull the
+        doc run's configs up the pooled span."""
+        write_breakpoint_summaries(
+            tmp_path / "runs",
+            {
+                "doc": [
+                    ("mini", "percentile", 50, 0.5, 0.6, 0.5),
+                    ("mini", "percentile", 90, 0.7, 0.2, 0.9),
+                ],
+                "evidence": [
+                    ("mini", "percentile", 50, 0.1, 0.3, 0.2),
+                    ("mini", "percentile", 90, 0.2, 0.1, 0.4),
+                ],
+            },
+        )
+        out = tmp_path / "report"
+        assert run(["sweep-report", tmp_path / "runs", "--out", out]) == 0
+        # Pooled, recall would span 0.1-0.7 and give 50 a mean of 0.333333.
+        assert (out / "trends.csv").read_text(encoding="utf-8").splitlines() == [
+            "hyperparameter,value,recall,precision,f1,degenerate",
+            "breakpoint.percentile.amount,50.0,0.000000,1.000000,0.000000,0",
+            "breakpoint.percentile.amount,90.0,1.000000,0.000000,1.000000,0",
         ]
 
     @pytest.mark.parametrize("tail", [",1", ",1,0.5,0.5,0.5,10,extra"], ids=["short", "long"])

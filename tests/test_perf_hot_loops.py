@@ -1,9 +1,11 @@
 """Layer microbenchmarks, marked perf and so deselected by default:
 segmenting data/mini, the test embedder over every distinct chunk text of
 the default grid on data/mini, an index built for each of the grid's
-chunkings of data/mini, doc retrieval and scoring over a fresh index and
-again over an index that has ranked every query, evidence scoring of 10-hit
-lists, and encoding every results.jsonl line of a doc bench on data/mini.
+chunkings of data/mini, one score table over all of those chunkings with
+every doc query ranked on each, doc retrieval and scoring over a fresh
+index and table and again over an index that has ranked every query,
+evidence scoring of 10-hit lists, and encoding every results.jsonl line of
+a doc bench on data/mini.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
@@ -27,7 +29,7 @@ from chunkbench.cli import main, results_head, results_line, results_tail  # noq
 from chunkbench.corpus import load_corpus  # noqa: E402
 from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
 from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
-from chunkbench.retrieval import build_index, retrieve  # noqa: E402
+from chunkbench.retrieval import ScoreTable, build_index, retrieve  # noqa: E402
 from chunkbench.segmenter import RuleSegmenter, segment_document  # noqa: E402
 
 from conftest import MINI_DATASET  # noqa: E402
@@ -75,10 +77,10 @@ def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
     assert matrix.shape == (len(texts), SPEC.dimension)
 
 
-def test_build_an_index_per_chunking_of_the_grid(benchmark):
-    docs, _ = segmented_mini()
+def grid_chunkings(docs):
+    """Each default-grid config's chunks of data/mini."""
     states = [DocumentDistances(doc, embed_batch(SPEC, doc.sentence_texts)) for doc in docs]
-    chunkings = [
+    return [
         [
             chunk
             for doc, state in zip(docs, states)
@@ -86,23 +88,49 @@ def test_build_an_index_per_chunking_of_the_grid(benchmark):
         ]
         for config in default_grid()
     ]
+
+
+def test_build_an_index_per_chunking_of_the_grid(benchmark):
+    docs, _ = segmented_mini()
+    chunkings = grid_chunkings(docs)
     assert len(chunkings) == 218
     # Every chunk text embedded once up front, so each round reads the memo
     # as the configs after the first few do in one bench run.
     embed_batch(SPEC, [chunk.text for chunks in chunkings for chunk in chunks])
 
     def build_all():
-        return [build_index(chunks, SPEC) for chunks in chunkings]
+        return [build_index(chunks, ScoreTable(SPEC)) for chunks in chunkings]
 
     indexes = benchmark(build_all)
     assert [len(index.chunks) for index in indexes] == [len(chunks) for chunks in chunkings]
+
+
+def test_rank_every_doc_query_over_the_grid_through_one_table(benchmark):
+    docs, queries = segmented_mini()
+    chunkings = grid_chunkings(docs)
+    texts = [q.text for q in queries if q.relevant_doc_ids]
+    # The vectors come from the memo, as they do after the first configs of a run.
+    embed_batch(SPEC, [chunk.text for chunks in chunkings for chunk in chunks] + texts)
+
+    # As bench does: one table for the run, an index per chunking, every
+    # query ranked on it; each round starts from a fresh table.
+    def rank_all():
+        table = ScoreTable(SPEC)
+        for chunks in chunkings:
+            index = build_index(chunks, table)
+            for text in texts:
+                retrieve(index, text, K_LIST[-1])
+        return table
+
+    table = benchmark.pedantic(rank_all, rounds=10)
+    assert len(table) == 391
 
 
 def test_evidence_metrics_over_10_hit_lists(benchmark):
     docs, queries = segmented_mini()
     config = FixedSizeConfig(n_chunks=5)
     chunks = [chunk for doc in docs for chunk in chunk_document(doc, None, config)]
-    index = build_index(chunks, SPEC)
+    index = build_index(chunks, ScoreTable(SPEC))
     cases = [
         ([chunk for chunk, _ in retrieve(index, q.text, 10)], set(q.evidence))
         for q in queries
@@ -140,10 +168,11 @@ def score_all(index, cases):
 def test_retrieve_and_score_every_doc_query(benchmark):
     chunks, cases = doc_query_cases()
 
-    # Each round gets a fresh index, so it ranks every query (the query
-    # vectors come from the memo after the first round).
+    # Each round gets a fresh index over a fresh table, so it scores and
+    # ranks every query rather than reading the table (the query vectors
+    # come from the memo after the first round).
     def fresh_index():
-        return (build_index(chunks, SPEC), cases), {}
+        return (build_index(chunks, ScoreTable(SPEC)), cases), {}
 
     scores = benchmark.pedantic(score_all, setup=fresh_index, rounds=200)
     assert len(scores) == len(cases) * len(K_LIST)
@@ -151,7 +180,7 @@ def test_retrieve_and_score_every_doc_query(benchmark):
 
 def test_score_every_doc_query_again_on_one_index(benchmark):
     chunks, cases = doc_query_cases()
-    index = build_index(chunks, SPEC)
+    index = build_index(chunks, ScoreTable(SPEC))
     first = score_all(index, cases)
 
     # As a config whose chunking equals the one before it: every query's
