@@ -37,16 +37,20 @@ def main():
         doc.doc_id: embed_batch(spec, [s.text for s in doc.sentences]) for doc in segdocs
     }
 
+    queries = sorted(queries, key=lambda q: q.query_id)
+    # One score table for every config: each chunk text is scored against each query once.
+    table = ScoreTable(spec, [query.text for query in queries])
+
     rows = []
     for raw in GRID:
         config = config_from_dict(raw)
         chunks = []
         for doc in segdocs:
             chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-        index = build_index(chunks, ScoreTable(spec))
+        index = build_index(chunks, table)
         # Per query, (recall, precision, f1) at each k, in query_id order.
         scores = []
-        for query in sorted(queries, key=lambda q: q.query_id):
+        for query in queries:
             top = [chunk for chunk, _ in retrieve(index, query.text, max(K_VALUES))]
             scores.append([doc_metrics(top[:k], set(query.relevant_doc_ids)) for k in K_VALUES])
         rows.extend(aggregate(config, canonical_config(config), K_VALUES, scores))

@@ -22,12 +22,12 @@ LEFT = {"kind": "fixed_size", "n_chunks": 3, "overlap": 0}
 RIGHT = {"kind": "breakpoint", "policy": {"kind": "percentile", "amount": 90}}
 
 
-def per_query_f1(raw_config, segdocs, vectors, queries, spec):
+def per_query_f1(raw_config, segdocs, vectors, queries, table):
     config = config_from_dict(raw_config)
     chunks = []
     for doc in segdocs:
         chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-    index = build_index(chunks, ScoreTable(spec))
+    index = build_index(chunks, table)
     scores = []
     for query in queries:
         top = [chunk for chunk, _ in retrieve(index, query.text, K)]
@@ -45,8 +45,10 @@ def main():
         doc.doc_id: embed_batch(spec, [s.text for s in doc.sentences]) for doc in segdocs
     }
 
-    left = per_query_f1(LEFT, segdocs, vectors, queries, spec)
-    right = per_query_f1(RIGHT, segdocs, vectors, queries, spec)
+    # One score table for both configs: each chunk text is scored against each query once.
+    table = ScoreTable(spec, [query.text for query in queries])
+    left = per_query_f1(LEFT, segdocs, vectors, queries, table)
+    right = per_query_f1(RIGHT, segdocs, vectors, queries, table)
 
     print(f"per-query F1@{K} on {len(queries)} queries\n")
     print(f"{'query':<6} {'left':>6} {'right':>6} {'diff':>7}")

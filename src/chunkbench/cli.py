@@ -355,7 +355,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     query_ids = [_json_str(query.query_id) for query, _ in eligible]
     # Each distinct chunk text is embedded and scored against each query once per run,
     # and a config that chunks the corpus as the last one did reuses its index and rankings.
-    table = ScoreTable(spec)
+    table = ScoreTable(spec, [query.text for query, _ in eligible])
     built: tuple[list[Chunk], ChunkIndex] | None = None
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
         for config in grid:
@@ -449,19 +449,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sample_queries(queries, cfg.query_sample, cfg.seed), key=lambda q: q.query_id
     )
     spec = cfg.embedder
-    index = build_index(_corpus_chunker(segdocs, [config], spec)(config), ScoreTable(spec))
 
-    # Embedding runs here, one batch at a time, and a failed batch fails each
-    # query it covers; the pool only sends generation requests.
+    # Embedding runs here, one batch at a time: a failed query batch fails each
+    # query, a failed chunk batch the command; the pool only sends generation requests.
     errors: dict[QueryRecord, Exception] = {}
     contexts: dict[QueryRecord, list[str]] = {}
     try:
-        embed_batch(spec, [query.text for query in sampled])
+        table = ScoreTable(spec, [query.text for query in sampled])
+    except Exception as exc:
+        errors = dict.fromkeys(sampled, exc)
+    else:
+        index = build_index(_corpus_chunker(segdocs, [config], spec)(config), table)
         for query in sampled:
             hits = retrieve(index, query.text, gen_cfg.top_k_context)
             contexts[query] = [chunk.text for chunk, _ in hits]
-    except Exception as exc:
-        contexts, errors = {}, dict.fromkeys(sampled, exc)
     # Only gen sends requests in parallel, so the other commands never load the pool.
     from concurrent.futures import ThreadPoolExecutor
 

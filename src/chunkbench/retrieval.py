@@ -1,13 +1,14 @@
 """Exact brute-force retrieval over chunk embeddings, scored through one table.
 
-A ``ScoreTable`` gives each distinct chunk text a row and each query text a
-column, and holds the float64 dot product of their float32 embeddings, so a
-run embeds each text once and scores each (text, query) pair once however
-many chunkings share them. A ``ChunkIndex`` is one chunking's rows of a
-table. ``retrieve`` ranks an index's chunks for a query by the correctly
-rounded exact dot product, ties broken by ascending ``chunk_id``: the table's
-float64 scores decide every pair they can certify, and the few pairs within
-their error bound are resolved exactly.
+A ``ScoreTable`` is made over a fixed list of query texts, one column each.
+It gives each distinct chunk text a row and holds the float64 dot product of
+their float32 embeddings, so a run embeds each text once and scores each
+(text, query) pair once however many chunkings share them. A ``ChunkIndex``
+is one chunking's rows of a table. ``retrieve`` ranks an index's chunks for
+one of the table's queries by the correctly rounded exact dot product, ties
+broken by ascending ``chunk_id``: the table's float64 scores decide every
+pair they can certify, and the few pairs within their error bound are
+resolved exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .chunkers import Chunk
 from .embedding import EmbedderSpec, embed_batch, memoised_vectors
 
-# Rows read back from the embedding memo per product, so that no float64
-# copy of all the table's vectors is ever held at once.
+# New rows scored per product, so that no float64 copy of a build's vectors
+# is ever held at once.
 _BLOCK_ROWS = 256
 # Covers the rounding of the norms and of the bound itself, about
 # (d + 5) * 2**-53 relative, for any dimension d below 2**30.
@@ -29,14 +30,14 @@ _SLACK = 1.0 + 2.0**-20
 
 
 class _Query:
-    """One column of a ScoreTable: the query's float64 score against every
-    row, and what resolving a score exactly needs: the query's nonzero
-    coordinates, its norm and the exact scores resolved so far, by row."""
+    """One column of a ScoreTable, and what resolving a score exactly needs:
+    the query's nonzero coordinates, its norm and the exact scores resolved
+    so far, by row."""
 
-    __slots__ = ("scores", "support", "values", "norm", "exact")
+    __slots__ = ("column", "support", "values", "norm", "exact")
 
-    def __init__(self, vector: np.ndarray, capacity: int) -> None:
-        self.scores = np.empty(capacity)
+    def __init__(self, column: int, vector: np.ndarray) -> None:
+        self.column = column
         self.support = np.flatnonzero(vector)
         self.values = vector[self.support].astype(np.float64)
         self.norm = math.sqrt(float(self.values @ self.values))
@@ -46,61 +47,46 @@ class _Query:
 class ScoreTable:
     """The float64 score of each distinct chunk text against each query text.
 
-    Row r belongs to ``texts[r]``. A query text's column is made the first
-    time an index of the table ranks it: the query is embedded, once per
-    table, and scored against every row. Texts that join later are embedded
-    once, in one ``embed_batch`` call, and scored against every column. The
-    table holds scores, not vectors: whenever it needs vectors again it reads
-    the float32 rows back from the embedding memo, a bounded block at a time.
-    Columns grow one at a time, doubling, so growing never copies the whole
-    table at once.
+    The distinct query texts are embedded once, when the table is made, and
+    ``queries`` maps each to its column. Row r belongs to ``texts[r]``; texts
+    that join later are embedded once, in one ``embed_batch`` call, and
+    scored against every column. The table keeps the query vectors, not the
+    rows' vectors: ``exact`` reads those back from the embedding memo. The
+    score array doubles its rows as it fills, so growing copies it only a
+    logarithmic number of times.
     """
 
-    def __init__(self, spec: EmbedderSpec) -> None:
+    def __init__(self, spec: EmbedderSpec, queries: Sequence[str]) -> None:
         self.spec = spec
         self.texts: list[str] = []
         self._row: dict[str, int] = {}
-        self._queries: dict[str, _Query] = {}
-        self._capacity = 0
+        self.queries, self._matrix = _embed_queries(spec, queries)
+        self._scores = np.empty((0, len(self.queries)))
         self._max_norm = 0.0
 
     def __len__(self) -> int:
         return len(self.texts)
 
     def rows(self, texts: Sequence[str]) -> np.ndarray:
-        """Each text's row, adding the texts the table has not seen."""
+        """Each text's row, adding and scoring the texts the table has not seen."""
         row = self._row
         new = list(dict.fromkeys(text for text in texts if text not in row))
         if new:
             vectors = embed_batch(self.spec, new)
-            start = len(self.texts)
-            self._reserve(start + len(new))
-            queries = list(self._queries.values())
-            if queries:
-                matrix = memoised_vectors(self.spec, list(self._queries)).astype(np.float64).T
+            start, end = len(self.texts), len(self.texts) + len(new)
+            if end > len(self._scores):
+                scores = np.empty((max(end, 2 * len(self._scores)), len(self.queries)))
+                scores[:start] = self._scores[:start]
+                self._scores = scores
             for offset in range(0, len(new), _BLOCK_ROWS):
-                block = self._block(vectors[offset : offset + _BLOCK_ROWS])
-                if queries:
-                    at = slice(start + offset, start + offset + len(block))
-                    for query, column in zip(queries, (block @ matrix).T):
-                        query.scores[at] = column
+                block = vectors[offset : offset + _BLOCK_ROWS].astype(np.float64)
+                norm = math.sqrt(float(np.einsum("ij,ij->i", block, block).max()))
+                self._max_norm = max(self._max_norm, norm)
+                at = start + offset
+                self._scores[at : at + len(block)] = block @ self._matrix.T
             self.texts.extend(new)
-            row.update(zip(new, range(start, len(self.texts))))
+            row.update(zip(new, range(start, end)))
         return np.fromiter((row[text] for text in texts), dtype=np.intp, count=len(texts))
-
-    def query(self, text: str) -> _Query:
-        """The query text's column, made on first use."""
-        query = self._queries.get(text)
-        if query is None:
-            vector = embed_batch(self.spec, [text])[0]
-            query = _Query(vector, self._capacity)
-            vector = vector.astype(np.float64)
-            for start in range(0, len(self.texts), _BLOCK_ROWS):
-                texts = self.texts[start : start + _BLOCK_ROWS]
-                block = memoised_vectors(self.spec, texts).astype(np.float64)
-                query.scores[start : start + len(texts)] = block @ vector
-            self._queries[text] = query
-        return query
 
     def error_bound(self, query: _Query) -> float:
         """A bound on |score - exact dot product| for every score of the column.
@@ -136,47 +122,39 @@ class ScoreTable:
                 known[r] = by_bits[bits]
             return [known[r] for r in rows]
 
-    def _reserve(self, size: int) -> None:
-        if size > self._capacity:
-            self._capacity = max(size, 2 * self._capacity)
-            for query in self._queries.values():
-                scores = np.empty(self._capacity)
-                scores[: len(self.texts)] = query.scores[: len(self.texts)]
-                query.scores = scores
 
-    def _block(self, vectors: np.ndarray) -> np.ndarray:
-        """Float64 rows of vectors, whose norms the error bound then covers."""
-        block = vectors.astype(np.float64)
-        norm = math.sqrt(float(np.einsum("ij,ij->i", block, block).max()))
-        self._max_norm = max(self._max_norm, norm)
-        return block
+def _embed_queries(
+    spec: EmbedderSpec, texts: Sequence[str]
+) -> tuple[dict[str, _Query], np.ndarray]:
+    """Each distinct query text's column, and the float64 matrix of their
+    vectors, a row per column, from one embed_batch call."""
+    # Its own function, named for queries: perfbench tells a query embed from a
+    # sentence embed by the calling function's name when no span encloses it.
+    distinct = list(dict.fromkeys(texts))
+    vectors = embed_batch(spec, distinct)
+    columns = {text: _Query(j, vector) for j, (text, vector) in enumerate(zip(distinct, vectors))}
+    return columns, vectors.astype(np.float64)
 
 
 class ChunkIndex:
     """One chunking's rows of a ScoreTable: the chunks, fixed once built, and
-    each chunk's row, the row of its text. The table's spec embedded the
-    chunks and embeds each query.
+    each chunk's row, the row of its text, added to the table if it is new.
 
     The index holds no vectors. It does change in one way: it remembers each
     query's ranking, so asking again for a query's top k ranks nothing.
     """
 
-    def __init__(self, chunks: Sequence[Chunk], rows: Sequence[int], table: ScoreTable) -> None:
+    def __init__(self, chunks: Sequence[Chunk], table: ScoreTable) -> None:
         chunks = tuple(chunks)
         if not chunks:
             raise ValueError("cannot build an index over zero chunks")
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.shape != (len(chunks),):
-            raise ValueError(f"{len(chunks)} chunks but {rows.size} rows")
-        if rows.min() < 0 or rows.max() >= len(table):
-            raise ValueError(f"rows must lie in the table's {len(table)} rows")
         seen: set[str] = set()
         for chunk in chunks:
             if chunk.chunk_id in seen:
                 raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
             seen.add(chunk.chunk_id)
         self.chunks = chunks
-        self.rows = rows
+        self.rows = table.rows([chunk.text for chunk in chunks])
         self.table = table
         # Each chunk_id's position in ascending id order: the ranking tie-break.
         by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
@@ -192,15 +170,14 @@ class ChunkIndex:
 def build_index(chunks: Sequence[Chunk], table: ScoreTable) -> ChunkIndex:
     """Map each chunk's assembled text to its row of table; the texts the
     table has not seen are embedded here, by the table's spec."""
-    chunks = tuple(chunks)
-    return ChunkIndex(chunks, table.rows([chunk.text for chunk in chunks]), table)
+    return ChunkIndex(chunks, table)
 
 
 def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, float]]:
     """Top-k chunks by exact dot product, descending; ties broken by ascending chunk_id.
 
-    Exact scan over the whole index, with the query embedded by the table's
-    spec, once per table; result lists are prefix-consistent across k.
+    Exact scan over the whole index for one of the table's queries; any
+    other text raises ValueError. Result lists are prefix-consistent across k.
     Returns a fresh list of (chunk, score) pairs, each chunk the index's own.
     A score is the table's float64 one, within the table's error bound of the
     exact dot product, or the correctly rounded exact one where that decided
@@ -211,7 +188,10 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = index._ranked.get(query_text)
     if ranked is None or len(ranked) < min(k, len(index.chunks)):
-        ranked = index._ranked[query_text] = _rank(index, index.table.query(query_text), k)
+        query = index.table.queries.get(query_text)
+        if query is None:
+            raise ValueError(f"query {query_text!r} is not one of the score table's queries")
+        ranked = index._ranked[query_text] = _rank(index, query, k)
     return ranked[:k]
 
 
@@ -222,7 +202,7 @@ def _rank(index: ChunkIndex, query: _Query, k: int) -> list[tuple[Chunk, float]]
     Only the scores within twice that of the k-th can reach the top k, so
     only they are sorted: a score further below is more than two bounds
     under it, even after rounding the threshold."""
-    scores = query.scores[index.rows]
+    scores = index.table._scores[:, query.column][index.rows]
     n, top = len(scores), min(k, len(scores))
     window = 2.0 * index.table.error_bound(query)
     if top < n:

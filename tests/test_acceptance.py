@@ -373,8 +373,8 @@ class TestAcceptance:
                 Chunk(chunk_id=f"c-{j:04d}", doc_id="d", sentence_indices=(j,), text=t)
                 for j, t in enumerate(texts)
             ]
-            index = build_index(chunks, ScoreTable(spec))
             query = " ".join(rng.choice(vocab, size=2))
+            index = build_index(chunks, ScoreTable(spec, [query]))
             k = int(rng.integers(1, m + 3))
             hits = retrieve(index, query, k)
 

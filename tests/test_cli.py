@@ -613,14 +613,14 @@ class TestBenchCommand:
         """One query of ten failing under every config of the default grid is
         218 of 2,180 evaluations, exactly the 10% limit: the run exits 0."""
         victim = mini_queries()[3]
-        real = retrieval.embed_batch
+        real = cli.retrieve
 
-        def embed(spec, texts):
-            if texts == [victim["text"]]:
-                raise RuntimeError("query embedding failed")
-            return real(spec, texts)
+        def ranking(index, text, k):
+            if text == victim["text"]:
+                raise RuntimeError("query ranking failed")
+            return real(index, text, k)
 
-        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        monkeypatch.setattr(cli, "retrieve", ranking)
         cfg = write_config(tmp_path, grid=None, k_list=[1, 3, 5, 10])
         out = tmp_path / "out"
         assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
@@ -631,7 +631,7 @@ class TestBenchCommand:
         ]
         assert len(failures) == 218
         assert {(f["query_id"], f["error"]) for f in failures} == {
-            (victim["query_id"], "query embedding failed")
+            (victim["query_id"], "query ranking failed")
         }
         assert [f["config"] for f in failures] == [canonical_config(c) for c in default_grid()]
         rows = [
@@ -642,6 +642,30 @@ class TestBenchCommand:
         assert victim["query_id"] not in {row["query_id"] for row in rows}
         with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
             assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
+
+    def test_a_failed_query_embedding_fails_the_run_and_leaves_the_last(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The queries are embedded in one batch as the run's score table is
+        made, before any config: like a failed sentence embedding, a failure
+        there ends the run with exit 1 and no output file replaced."""
+        out = self.bench(tmp_path, "doc", "out")
+        names = ("results.jsonl", "summary.csv", "best_configs.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        texts = {query["text"] for query in mini_queries()}
+        real = retrieval.embed_batch
+
+        def embed(spec, batch):
+            if texts & set(batch):
+                raise embedding.EmbeddingError("embedding backend failed")
+            return real(spec, batch)
+
+        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        assert run(["bench", "--task", "doc", "--config", tmp_path / "run.json",
+                    "--dataset", MINI_DATASET, "--out", out]) == 1
+        assert "error: embedding backend failed" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert not (out / "failures.jsonl").exists()
 
     def test_out_of_range_evidence_is_dropped_with_a_warning(self, tmp_path, caplog):
         queries = mini_queries()
@@ -743,7 +767,9 @@ class TestIndexReuse:
         # The 391 distinct chunk texts of the default grid on data/mini, each
         # embedded once however many of the 146 builds hold it.
         assert len(chunk_texts) == len(set(chunk_texts)) == 391
-        assert sorted(query_embeds) == sorted([text] for text in queries)
+        # Every query in one call, as the run's score table is made.
+        assert len(query_embeds) == 1
+        assert sorted(query_embeds[0]) == sorted(queries)
 
     def test_a_failed_build_is_not_kept_for_the_next_config(self, tmp_path, monkeypatch):
         """A chunks data/mini one way; B and C (more chunks than any document has
@@ -994,10 +1020,10 @@ class TestGenCommand:
         code, _, requests = self.gen_on_the_mock(tmp_path, mock_service, 4)
         assert code == 0
         assert threads and set(threads) == {threading.main_thread()}
-        # The 36 chunk texts in batches of 32 and 4, sent at once so either may
-        # reach the service first, then every query, then every answer.
+        # Every query, then the 36 chunk texts in batches of 32 and 4, sent at
+        # once so either may reach the service first, then every answer.
         assert len(requests) == 4
-        first, second, queries, answers = (r["payload"]["texts"] for r in requests)
+        queries, first, second, answers = (r["payload"]["texts"] for r in requests)
         assert sorted([len(first), len(second)]) == [4, 32]
         documents, _ = load_corpus(MINI_DATASET)
         config = FixedSizeConfig(n_chunks=3)
@@ -1026,14 +1052,15 @@ class TestGenCommand:
         assert failure["query_id"] == "q03"
         assert failure["error"] == 'generation response has an empty "text" field'
 
-    @pytest.mark.parametrize("module", [cli, generation], ids=["queries", "answers"])
+    @pytest.mark.parametrize("module", [retrieval, generation], ids=["queries", "answers"])
     def test_a_failed_embedding_batch_fails_each_query(
         self, tmp_path, mock_service, monkeypatch, module
     ):
         def fail(spec, texts):
             raise embedding.EmbeddingError("embedding backend failed")
 
-        # cli embeds the query batch; generation embeds the answer batch.
+        # retrieval embeds the query batch as the score table is made, before
+        # any chunk; generation embeds the answer batch.
         monkeypatch.setattr(module, "embed_batch", fail)
         mock_service.set_handler(lambda payload: (200, {"text": "an answer"}))
         cfg = write_config(tmp_path, generation={"endpoint": mock_service.url})

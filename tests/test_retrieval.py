@@ -46,7 +46,7 @@ def word_chunks(words):
 class TestChunkIndex:
     def test_vectors_match_embedder(self):
         chunks = word_chunks(["tide", "ember", "moss"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), []))
         expected = embed_batch(spec(), [c.text for c in chunks])
         texts = [index.table.texts[row] for row in index.rows]
         assert texts == [c.text for c in chunks]
@@ -58,41 +58,30 @@ class TestChunkIndex:
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(ValueError, match="zero chunks"):
-            build_index([], ScoreTable(spec()))
+            build_index([], ScoreTable(spec(), []))
+        table = ScoreTable(spec(dim=4), [])
         with pytest.raises(ValueError, match="zero chunks"):
-            ChunkIndex([], np.zeros(0, dtype=np.intp), ScoreTable(spec(dim=4)))
+            ChunkIndex([], table)
 
     def test_duplicate_chunk_ids_rejected(self):
         chunk = make_chunk(0, "d", "text here")
-        table = ScoreTable(spec(dim=4))
+        table = ScoreTable(spec(dim=4), [])
         with pytest.raises(ValueError, match="duplicate chunk_id"):
-            ChunkIndex([chunk, chunk], table.rows([chunk.text, chunk.text]), table)
-
-    def test_count_mismatch_rejected(self):
-        chunk = make_chunk(0, "d", "text here")
-        table = ScoreTable(spec(dim=4))
-        with pytest.raises(ValueError, match="1 chunks but 2 rows"):
-            ChunkIndex([chunk], table.rows([chunk.text, chunk.text]), table)
-
-    def test_rows_outside_the_table_rejected(self):
-        chunk = make_chunk(0, "d", "text here")
-        table = ScoreTable(spec(dim=4))
-        table.rows([chunk.text])
-        for rows in ([1], [-1]):
-            with pytest.raises(ValueError, match="the table's 1 rows"):
-                ChunkIndex([chunk], rows, table)
+            ChunkIndex([chunk, chunk], table)
+        # A rejected index adds no rows.
+        assert len(table) == 0
 
     def test_vectors_are_embedded_again_after_the_memo_is_cleared(self):
         chunks = word_chunks(["tide", "ember"])
-        fresh = ScoreTable(spec())
+        fresh = ScoreTable(spec(), ["tide"])
         expected = retrieve(build_index(chunks, fresh), "tide", 2)
-        exact = fresh.exact(fresh.query("tide"), [0, 1])
-        table = ScoreTable(spec())
+        exact = fresh.exact(fresh.queries["tide"], [0, 1])
+        table = ScoreTable(spec(), ["tide"])
         index = build_index(chunks, table)
         embedding._MEMO.clear()  # as a new process would start
         assert retrieve(index, "tide", 2) == expected
         embedding._MEMO.clear()
-        assert table.exact(table.query("tide"), [0, 1]) == exact
+        assert table.exact(table.queries["tide"], [0, 1]) == exact
 
     def test_indexes_of_one_table_share_rows_by_text(self, monkeypatch):
         embedded: list[str] = []
@@ -102,7 +91,7 @@ class TestChunkIndex:
             return embed_batch(spec, texts)
 
         monkeypatch.setattr(retrieval, "embed_batch", embed)
-        table = ScoreTable(spec())
+        table = ScoreTable(spec(), [])
         first = build_index(word_chunks(["tide", "ember", "tide"]), table)
         second = build_index(word_chunks(["ember", "moss"]), table)
         assert len(table) == 3
@@ -112,16 +101,64 @@ class TestChunkIndex:
         assert embedded == [first.chunks[0].text, first.chunks[1].text, second.chunks[1].text]
 
 
+class TestScoreTable:
+    def test_a_query_outside_the_table_is_rejected_by_name(self):
+        index = build_index(word_chunks(["glacier", "espresso"]), ScoreTable(spec(), ["espresso"]))
+        with pytest.raises(ValueError, match="'a stranger'"):
+            retrieve(index, "a stranger", k=1)
+        assert len(retrieve(index, "espresso", k=1)) == 1
+
+    def test_a_query_listed_twice_gets_one_column_and_one_embed(self, monkeypatch):
+        embedded: list[list[str]] = []
+
+        def embed(spec, texts):
+            embedded.append(list(texts))
+            return embed_batch(spec, texts)
+
+        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        table = ScoreTable(spec(), ["tide", "ember", "tide"])
+        assert embedded == [["tide", "ember"]]
+        assert {text: query.column for text, query in table.queries.items()} == {
+            "tide": 0,
+            "ember": 1,
+        }
+        chunks = word_chunks(["tide", "ember", "moss"])
+        index = build_index(chunks, table)
+        assert table._scores.shape[1] == 2
+        alone = build_index(chunks, ScoreTable(spec(), ["tide"]))
+        assert retrieve(index, "tide", 3) == retrieve(alone, "tide", 3)
+
+    def test_rows_added_over_many_builds_rank_as_the_reference(self):
+        """Builds of 1 to 300 new texts grow the score array to fit and by
+        doubling, some across two blocks of new rows; each build's index
+        holds every text so far, so the earlier rows must keep their scores."""
+        words = [f"w{i}" for i in range(60)]
+        rng = np.random.default_rng(7)
+        texts = list(dict.fromkeys(" ".join(rng.choice(words, size=3)) for _ in range(2000)))
+        queries = ["w1 w2 w3", "w7 w40"]
+        table = ScoreTable(spec(dim=16), queries)
+        end = 0
+        for added in (1, 2, 1, 5, 300, 20, 290):
+            end += added
+            chunks = [make_chunk(j, "d", text) for j, text in enumerate(texts[:end])]
+            index = build_index(chunks, table)
+            assert len(table) == end
+            vectors = embed_batch(spec(dim=16), texts[:end])
+            for query in queries:
+                query_vector = embed_batch(spec(dim=16), [query])[0]
+                check_against_reference(index, chunks, vectors, query, query_vector, 10)
+
+
 class TestRetrieve:
     def test_exact_match_ranks_first(self):
         chunks = word_chunks(["glacier", "espresso", "loom"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["tell me about the espresso"]))
         got = retrieve(index, "tell me about the espresso", k=1)
         assert got[0][0].chunk_id == "doc1-0001"
 
     def test_returns_the_index_own_chunks(self):
         chunks = word_chunks(["glacier", "espresso", "loom"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["espresso"]))
         own = {chunk.chunk_id: chunk for chunk in index.chunks}
         got = retrieve(index, "espresso", k=3)
         assert len(got) == 3
@@ -129,18 +166,18 @@ class TestRetrieve:
 
     def test_query_is_embedded_with_the_index_spec(self, tmp_path):
         cached = EmbedderSpec(backend="test", dimension=64, cache_dir=tmp_path)
-        index = build_index(word_chunks(["glacier", "espresso"]), ScoreTable(cached))
-        before = set(tmp_path.glob("*.vec"))
-        assert len(before) == 2
         query = "a query seen nowhere else"
-        assert len(retrieve(index, query, k=2)) == 2
-        (entry,) = set(tmp_path.glob("*.vec")) - before
+        table = ScoreTable(cached, [query])
+        (entry,) = tmp_path.glob("*.vec")
         _, matrix = decode_vectors(entry.read_bytes())
         np.testing.assert_array_equal(matrix, deterministic_embed(query, 64)[None, :])
+        index = build_index(word_chunks(["glacier", "espresso"]), table)
+        assert len(list(tmp_path.glob("*.vec"))) == 3
+        assert len(retrieve(index, query, k=2)) == 2
 
     def test_scores_are_query_chunk_dots(self):
         chunks = word_chunks(["glacier", "espresso"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["espresso machine"]))
         got = dict(retrieve(index, "espresso machine", k=2))
         query = deterministic_embed("espresso machine", 64).astype(np.float64)
         for chunk in chunks:
@@ -152,25 +189,25 @@ class TestRetrieve:
             make_chunk(1, "z", "identical text body"),
             make_chunk(0, "a", "identical text body"),
         ]
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["identical text body"]))
         got = retrieve(index, "identical text body", k=2)
         assert [chunk.chunk_id for chunk, _ in got] == ["a-0000", "z-0001"]
 
     def test_prefix_consistency(self):
         chunks = word_chunks(["one", "two", "three", "four", "five", "six"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["three or four things"]))
         big = retrieve(index, "three or four things", k=6)
         small = retrieve(index, "three or four things", k=2)
         assert big[:2] == small
 
     def test_k_beyond_index_returns_all(self):
         chunks = word_chunks(["one", "two"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["anything"]))
         got = retrieve(index, "anything", k=50)
         assert len(got) == 2
 
     def test_k_validated(self):
-        index = build_index(word_chunks(["one"]), ScoreTable(spec()))
+        index = build_index(word_chunks(["one"]), ScoreTable(spec(), ["q"]))
         with pytest.raises(ValueError):
             retrieve(index, "q", k=0)
 
@@ -183,8 +220,8 @@ class TestRetrieve:
                 make_chunk(i, f"d{i % 3}", f"text about {words[int(w)]}")
                 for i, w in enumerate(picks)
             ]
-            index = build_index(chunks, ScoreTable(spec(dim=32)))
             query = f"question mentioning {words[int(rng.integers(0, len(words)))]}"
+            index = build_index(chunks, ScoreTable(spec(dim=32), [query]))
             k = int(rng.integers(1, count + 2))
             got = retrieve(index, query, k=k)
 
@@ -217,13 +254,13 @@ class TestRetrieve:
                 )
                 for chunk_id in ids
             ]
-            index = build_index(chunks, ScoreTable(spec(dim=16)))
             query = texts[int(rng.integers(0, len(texts)))]
+            index = build_index(chunks, ScoreTable(spec(dim=16), [query]))
             vectors = embed_batch(spec(dim=16), [c.text for c in chunks])
             qv = embed_batch(spec(dim=16), [query])[0]
             reference = rank_reference(chunks, vectors, qv, count)
             assert len({score for _, score in reference}) < count
-            column = index.table.query(query)
+            column = index.table.queries[query]
             bound = index.table.error_bound(column)
             for k in (1, max(1, count // 2), count):
                 got = retrieve(index, query, k=k)
@@ -231,7 +268,7 @@ class TestRetrieve:
                 # Each score is, bit for bit, the table's float64 score or the exact one.
                 for (chunk, score), (_, exact) in zip(got, reference):
                     (row,) = index.table.rows([chunk.text])
-                    assert score in (column.scores[row], exact)
+                    assert score in (index.table._scores[row, column.column], exact)
                     assert abs(score - exact) <= bound
                 # Chunks of one text score alike, bit for bit.
                 by_text: dict[str, set[float]] = {}
@@ -241,14 +278,12 @@ class TestRetrieve:
 
 
 class TestRankingMemo:
-    def counting_embed(self, monkeypatch, fail_once=None):
-        """Count the query embeddings retrieve asks for; fail the first for fail_once."""
+    def counting_embed(self, monkeypatch):
+        """Count the texts retrieval embeds."""
         calls: list[str] = []
 
         def embed(spec, texts):
             calls.extend(texts)
-            if texts == [fail_once] and calls.count(fail_once) == 1:
-                raise RuntimeError("query embedding failed")
             return embed_batch(spec, texts)
 
         monkeypatch.setattr(retrieval, "embed_batch", embed)
@@ -256,20 +291,21 @@ class TestRankingMemo:
 
     def test_a_repeat_call_is_a_fresh_equal_list(self, monkeypatch):
         chunks = word_chunks(["glacier", "espresso", "loom", "tide"])
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), ["espresso and tide"]))
         calls = self.counting_embed(monkeypatch)
         first = retrieve(index, "espresso and tide", k=3)
         again = retrieve(index, "espresso and tide", k=3)
         assert again == first and again is not first
-        assert calls == ["espresso and tide"]
+        # The table embedded the query when it was made; ranking embeds nothing.
+        assert calls == []
         again.clear()
         first.reverse()
         assert retrieve(index, "espresso and tide", k=3) == list(reversed(first))
 
     def test_a_larger_k_ranks_again_as_a_fresh_index_does(self, monkeypatch):
         words = ["one", "two", "three", "four", "five", "six", "seven"]
-        index = build_index(word_chunks(words), ScoreTable(spec()))
-        fresh = build_index(word_chunks(words), ScoreTable(spec()))
+        index = build_index(word_chunks(words), ScoreTable(spec(), ["three or four things"]))
+        fresh = build_index(word_chunks(words), ScoreTable(spec(), ["three or four things"]))
         expected = retrieve(fresh, "three or four things", k=6)
         calls = self.counting_embed(monkeypatch)
         ranks = []
@@ -288,22 +324,13 @@ class TestRankingMemo:
         assert len(everything) == len(words)
         assert retrieve(index, "three or four things", k=99) == everything
         assert ranks == [2, 6, 50]
-        # The query is embedded once per table, however often it is ranked.
-        assert calls == ["three or four things"]
-
-    def test_a_failed_query_embedding_is_not_remembered(self, monkeypatch):
-        index = build_index(word_chunks(["glacier", "espresso"]), ScoreTable(spec()))
-        fresh = build_index(word_chunks(["glacier", "espresso"]), ScoreTable(spec()))
-        expected = retrieve(fresh, "loom", 2)
-        calls = self.counting_embed(monkeypatch, fail_once="loom")
-        with pytest.raises(RuntimeError, match="query embedding failed"):
-            retrieve(index, "loom", k=2)
-        assert retrieve(index, "loom", k=2) == expected
-        assert calls == ["loom", "loom"]
+        # However often the query is ranked, nothing is embedded again.
+        assert calls == []
 
     def test_indexes_over_equal_chunks_rank_independently(self):
-        first = build_index(word_chunks(["glacier", "espresso", "loom"]), ScoreTable(spec()))
-        second = build_index(word_chunks(["glacier", "espresso", "loom"]), ScoreTable(spec()))
+        words = ["glacier", "espresso", "loom"]
+        first = build_index(word_chunks(words), ScoreTable(spec(), ["espresso"]))
+        second = build_index(word_chunks(words), ScoreTable(spec(), ["espresso"]))
         assert first.chunks == second.chunks
         one, two = retrieve(first, "espresso", k=3), retrieve(second, "espresso", k=3)
         assert one == two
@@ -325,7 +352,7 @@ def check_against_reference(index, chunks, vectors, query, query_vector, k):
     expected = rank_reference(chunks, vectors, query_vector, k)
     got = retrieve(index, query, k)
     assert [chunk.chunk_id for chunk, _ in got] == [chunk_id for chunk_id, _ in expected]
-    bound = index.table.error_bound(index.table.query(query))
+    bound = index.table.error_bound(index.table.queries[query])
     for (_, score), (_, exact) in zip(got, expected):
         assert abs(score - exact) <= bound
 
@@ -364,10 +391,10 @@ class TestExactRanking:
         queries = {"query": query_vector, "other": other_vector}
         seeded_spec = seeded({**dict(zip(texts, vectors)), **queries}, dim)
 
-        fresh = build_index(chunks, ScoreTable(seeded_spec))
-        # The first chunks' rows are scored as the queries' columns are made,
-        # the others as they join a table that already has the columns.
-        table = ScoreTable(seeded_spec)
+        fresh = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
+        # The first chunks are ranked before the others join the table; then
+        # all of them are ranked together.
+        table = ScoreTable(seeded_spec, list(queries))
         first = build_index(chunks[:early], table)
         for query, query_vector in queries.items():
             check_against_reference(fresh, chunks, vectors, query, query_vector, k)
@@ -418,7 +445,7 @@ class TestExactRanking:
         ]
         for k in (1, 2, 3):
             # A fresh index per k, so each k ranks rather than cutting a longer list.
-            index = build_index(chunks, ScoreTable(seeded_spec))
+            index = build_index(chunks, ScoreTable(seeded_spec, ["query"]))
             got = retrieve(index, "query", k)
             assert [chunk.text for chunk, _ in got] == ["between", "nudged", "cancel"][:k]
             check_against_reference(
@@ -433,10 +460,10 @@ class TestExactRanking:
         seeded_spec = seeded(vectors, 8)
         cancel, other = make_chunk(0, "a", "cancel"), make_chunk(1, "b", "between")
         for before in ([cancel], [other]):
-            table = ScoreTable(seeded_spec)
+            table = ScoreTable(seeded_spec, ["query"])
             retrieve(build_index(before, table), "query", 1)
             both = build_index([cancel, other], table)
-            fresh = build_index([cancel, other], ScoreTable(seeded_spec))
+            fresh = build_index([cancel, other], ScoreTable(seeded_spec, ["query"]))
             for index in (both, fresh):
                 got = [chunk.text for chunk, _ in retrieve(index, "query", 2)]
                 assert got == ["between", "cancel"]
@@ -454,7 +481,7 @@ class TestExactRanking:
             Chunk(chunk_id=f"c{ids[j]:05d}", doc_id="d", sentence_indices=(j,), text=text)
             for j, text in enumerate(texts)
         ]
-        index = build_index(chunks, ScoreTable(spec()))
+        index = build_index(chunks, ScoreTable(spec(), [query]))
         assert len(index.table) < len(texts)
         vectors = embed_batch(spec(), texts)
         query_vector = embed_batch(spec(), [query])[0]
