@@ -51,7 +51,7 @@ DEFAULT_GRID = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """A group of sentences from one document, identified by doc_id + ordinal."""
 
@@ -205,14 +205,16 @@ class DocumentDistances:
     Built lazily. Its numpy arrays are the consecutive-distance profile and
     its gradient, one combined-distance blend per positional weight, and for
     single linkage one pair order per weight (the pairs sorted by distance,
-    ties by index), which no size cap changes.
+    ties by index), which no size cap changes, with the count of pairs
+    within each stop distance asked for.
 
     It also memoises groupings: each chunker keys its grouping by exactly
     what the grouping depends on, so a grouping is computed once per key.
-    A grouping is held as an ordered tuple of parts, each part one distinct
-    sentence-index tuple with its joined text, held once per document. No
-    Chunk list is kept: every call gets fresh Chunks, with chunk ids shared
-    per ordinal.
+    The state hands out one Chunk per (ordinal, sentence indices) for its
+    whole life, and every call gets a fresh list of them: a grouping reached
+    under a second key is made of the first key's Chunks, and Chunks with
+    equal sentence indices share one text. So chunkings of the corpus are
+    equal exactly when their Chunks are the same objects.
     """
 
     def __init__(
@@ -224,10 +226,12 @@ class DocumentDistances:
         self.embeddings = sentence_embeddings
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._groupings: dict[tuple, tuple[tuple[tuple[int, ...], str], ...]] = {}
+        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._within: dict[tuple[float, float], int] = {}
+        self._groupings: dict[tuple, tuple[Chunk, ...]] = {}
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
-        self._ids: list[str] = []
+        # Per ordinal: its chunk id and its Chunk for each sentence-index tuple.
+        self._ordinals: list[tuple[str, dict[tuple[int, ...], Chunk]]] = []
 
     def required_embeddings(self) -> np.ndarray:
         """The sentence embeddings; a state built without them raises ValueError."""
@@ -251,28 +255,37 @@ class DocumentDistances:
             self._blends[positional_weight] = dmat
         return dmat
 
-    def pair_order(self, positional_weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(distance, first, second) of every pair first < second, in ascending
-        (distance, first, second) order."""
+    def pair_order(self, positional_weight: float) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) of every pair first < second, in ascending
+        (distance, first, second) order, as pair_index_dtype(n) integers."""
         pairs = self._pairs.get(positional_weight)
         if pairs is None:
             dmat = self.blend(positional_weight)
             first, second = np.triu_indices(dmat.shape[0], k=1)
-            dist = dmat[first, second]
             # triu_indices lists pairs by (first, second), so a stable sort on
             # distance alone breaks ties by index.
-            order = np.argsort(dist, kind="stable")
-            # int32 indices take half the bytes of int64, which on 100-sentence
-            # documents more than pays for the grouping memo.
-            pairs = (dist[order], first[order].astype(np.int32), second[order].astype(np.int32))
+            order = np.argsort(dmat[first, second], kind="stable")
+            dtype = pair_index_dtype(dmat.shape[0])
+            pairs = (first[order].astype(dtype), second[order].astype(dtype))
             self._pairs[positional_weight] = pairs
         return pairs
+
+    def within(self, positional_weight: float, distance: float) -> int:
+        """How many pairs first < second lie at most distance apart at this
+        weight: the length of pair_order's prefix that is within it."""
+        key = (positional_weight, distance)
+        count = self._within.get(key)
+        if count is None:
+            close = self.blend(positional_weight) <= distance
+            count = self._within[key] = int(np.count_nonzero(np.triu(close, k=1)))
+        return count
 
     def chunks(
         self, key: tuple, group: Callable[..., Iterable[Sequence[int]]], *args
     ) -> list[Chunk]:
-        """Fresh Chunks of the grouping memoised under key, which must determine
-        it; on a miss group(*args) gives its sentence groups, in any order.
+        """A fresh list of the Chunks of the grouping memoised under key, which
+        must determine it; on a miss group(*args) gives its sentence groups,
+        in any order.
 
         Chunks are numbered in order of their first sentence, and each
         chunk's text is its sentences joined in document order.
@@ -280,12 +293,21 @@ class DocumentDistances:
         grouping = self._groupings.get(key)
         if grouping is None:
             ordered = sorted((sorted(g) for g in group(*args) if g), key=lambda g: g[0])
-            grouping = self._groupings[key] = tuple(map(self._part, ordered))
-        ids = self._ids
-        while len(ids) < len(grouping):
-            ids.append(f"{self.doc.doc_id}-{len(ids):04d}")
-        doc_id = self.doc.doc_id
-        return [Chunk(cid, doc_id, indices, text) for cid, (indices, text) in zip(ids, grouping)]
+            grouping = self._groupings[key] = tuple(
+                self._chunk(ordinal, g) for ordinal, g in enumerate(ordered)
+            )
+        return list(grouping)
+
+    def _chunk(self, ordinal: int, group: list[int]) -> Chunk:
+        indices, text = self._part(group)
+        ordinals = self._ordinals
+        while len(ordinals) <= ordinal:
+            ordinals.append((f"{self.doc.doc_id}-{len(ordinals):04d}", {}))
+        chunk_id, chunks = ordinals[ordinal]
+        chunk = chunks.get(indices)
+        if chunk is None:
+            chunk = chunks[indices] = Chunk(chunk_id, self.doc.doc_id, indices, text)
+        return chunk
 
     def _part(self, group: list[int]) -> tuple[tuple[int, ...], str]:
         indices = tuple(group)
@@ -294,6 +316,12 @@ class DocumentDistances:
             text = " ".join(self.doc.sentences[i].text for i in indices)
             part = self._parts[indices] = (indices, text)
         return part
+
+
+def pair_index_dtype(n: int) -> type[np.signedinteger]:
+    """The integer type pair orders hold sentence indices in, for an n-sentence
+    document: int16 up to 32,767 sentences, int32 above."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
 def _fixed_size(state: DocumentDistances, config: FixedSizeConfig) -> list[Chunk]:
@@ -336,8 +364,8 @@ def _single_linkage(state: DocumentDistances, config: SingleLinkageConfig) -> li
     """
     n = state.doc.n
     max_size = -(-n // config.n_clusters)  # ceil(n / n_clusters), exact for any int
-    dist, first, second = state.pair_order(config.positional_weight)
-    stop = int(np.searchsorted(dist, config.stop_distance, side="right"))
+    first, second = state.pair_order(config.positional_weight)
+    stop = state.within(config.positional_weight, config.stop_distance)
     return state.chunks(
         ("single_linkage", config.positional_weight, max_size, stop),
         _linkage_groups, n, first[:stop], second[:stop], max_size,

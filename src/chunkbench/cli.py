@@ -12,9 +12,12 @@ import json
 import logging
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .chunkers import (
     Chunk,
@@ -65,6 +68,8 @@ FAILURES_FILENAME = "failures.jsonl"
 TRENDS_FILENAME = "trends.csv"
 ANSWERS_FILENAME = "answers.jsonl"
 FAILURE_FRACTION_LIMIT = 0.10
+# How many of the last distinct corpus chunkings bench keeps ranked and scored.
+RECENT_CHUNKINGS = 8
 # trends.csv leaves out these hyperparameters while every row holds them at one value.
 _UNSWEPT_FIELDS = ("single_linkage.stop_distance",)
 
@@ -353,28 +358,42 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     tail = results_tail(task)
     query_ids = [_json_str(query.query_id) for query, _ in eligible]
-    # Each distinct chunk text is embedded and scored against each query once per run,
-    # and a config that chunks the corpus as the last one did reuses its index and rankings.
+    # Each distinct chunk text is embedded and scored against each query once per run.
+    # The states hand out one Chunk per (document, ordinal, sentence indices) for the
+    # run and keep every one alive, so the identities of a chunking's Chunks name it
+    # exactly; packed into bytes, they take a fifth of the memory of a tuple of ints.
+    # Each of the last RECENT_CHUNKINGS distinct chunkings keeps its index,
+    # which remembers each query's ranking, and each query's (recall, precision, f1)
+    # per k: a config that chunks the corpus as one of them did ranks and scores
+    # nothing anew. A chunking whose build fails is not kept.
     table = ScoreTable(spec, [query.text for query, _ in eligible])
-    built: tuple[list[Chunk], ChunkIndex] | None = None
+    recent: OrderedDict[bytes, tuple[ChunkIndex, dict[str, np.ndarray]]] = OrderedDict()
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
         for config in grid:
             config_id = canonical_config(config)
             try:
                 chunks = chunk_corpus(config)
-                if built is None or chunks != built[0]:
-                    built = chunks, build_index(chunks, table)
-                index = built[1]
+                key = np.fromiter(map(id, chunks), np.uintp, len(chunks)).tobytes()
+                if key in recent:
+                    recent.move_to_end(key)
+                else:
+                    recent[key] = build_index(chunks, table), {}
+                    if len(recent) > RECENT_CHUNKINGS:
+                        recent.popitem(last=False)
+                index, scored = recent[key]
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
             head = results_head(config, dataset_name)
-            scores: list[list[tuple[float, float, float]]] = []
+            scores: list[list[list[float]]] = []
             for (query, truth), query_id in zip(eligible, query_ids):
                 try:
                     hits = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
-                    per_k = [score(hits[:k], truth) for k in cfg.k_list]
+                    if query_id not in scored:
+                        # A float64 array holds them in a third of the bytes of tuples.
+                        scored[query_id] = np.array([score(hits[:k], truth) for k in cfg.k_list])
+                    per_k = scored[query_id].tolist()
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue

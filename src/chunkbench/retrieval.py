@@ -52,8 +52,8 @@ class ScoreTable:
     that join later are embedded once, in one ``embed_batch`` call, and
     scored against every column. The table keeps the query vectors, not the
     rows' vectors: ``exact`` reads those back from the embedding memo. The
-    score array doubles its rows as it fills, so growing copies it only a
-    logarithmic number of times.
+    score array grows its rows by half as it fills, so growing copies it only
+    a logarithmic number of times and leaves at most a third of it unused.
     """
 
     def __init__(self, spec: EmbedderSpec, queries: Sequence[str]) -> None:
@@ -75,7 +75,7 @@ class ScoreTable:
             vectors = embed_batch(self.spec, new)
             start, end = len(self.texts), len(self.texts) + len(new)
             if end > len(self._scores):
-                scores = np.empty((max(end, 2 * len(self._scores)), len(self.queries)))
+                scores = np.empty((max(end, len(self._scores) * 3 // 2), len(self.queries)))
                 scores[:start] = self._scores[:start]
                 self._scores = scores
             for offset in range(0, len(new), _BLOCK_ROWS):
@@ -160,8 +160,10 @@ class ChunkIndex:
         by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
         self._id_rank = np.empty(len(chunks), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(chunks))
-        # Query text -> its top-k (chunk, score) pairs, for the largest k asked.
-        self._ranked: dict[str, list[tuple[Chunk, float]]] = {}
+        # Query text -> its top-k chunks and their scores, for the largest k
+        # asked: a tuple and a float64 array take a third of the memory of
+        # (chunk, score) pairs, and bench keeps several indexes at once.
+        self._ranked: dict[str, tuple[tuple[Chunk, ...], np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -187,17 +189,19 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = index._ranked.get(query_text)
-    if ranked is None or len(ranked) < min(k, len(index.chunks)):
+    if ranked is None or len(ranked[0]) < min(k, len(index.chunks)):
         query = index.table.queries.get(query_text)
         if query is None:
             raise ValueError(f"query {query_text!r} is not one of the score table's queries")
         ranked = index._ranked[query_text] = _rank(index, query, k)
-    return ranked[:k]
+    chunks, scores = ranked
+    return list(zip(chunks[:k], scores[:k].tolist()))
 
 
-def _rank(index: ChunkIndex, query: _Query, k: int) -> list[tuple[Chunk, float]]:
-    """Sort by float64 score, then resolve exactly each run of places whose
-    adjacent scores lie within twice the error bound and reach the top k.
+def _rank(index: ChunkIndex, query: _Query, k: int) -> tuple[tuple[Chunk, ...], np.ndarray]:
+    """The top k chunks, best first, and their scores: sort by float64 score,
+    then resolve exactly each run of places whose adjacent scores lie within
+    twice the error bound and reach the top k.
 
     Only the scores within twice that of the k-th can reach the top k, so
     only they are sorted: a score further below is more than two bounds
@@ -232,4 +236,8 @@ def _rank(index: ChunkIndex, query: _Query, k: int) -> list[tuple[Chunk, float]]
                     (-score, by_id, position) for score, (_, by_id, position) in zip(exact, run)
                 )
         start = stop
-    return [(index.chunks[position], -negated) for negated, _, position in ranked[:top]]
+    top_ranked = ranked[:top]
+    return (
+        tuple(index.chunks[position] for _, _, position in top_ranked),
+        -np.array([negated for negated, _, _ in top_ranked]),
+    )

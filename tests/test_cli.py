@@ -742,17 +742,30 @@ def counting(monkeypatch, name, fail_on=None, module=cli):
     return calls
 
 
+def lines_by_config(out):
+    """results.jsonl's lines under out, grouped by their config's canonical id."""
+    by_config: dict[str, list[str]] = {}
+    for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines(keepends=True):
+        config_id = canonical_config(config_from_dict(json.loads(line)["config"]))
+        by_config.setdefault(config_id, []).append(line)
+    return by_config
+
+
 class TestIndexReuse:
     @pytest.mark.parametrize("task", ["doc", "evidence"])
-    def test_consecutive_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
+    def test_recent_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
         builds = counting(monkeypatch, "build_index")
         retrieves = counting(monkeypatch, "retrieve")
+        metrics = counting(monkeypatch, "doc_metrics" if task == "doc" else "evidence_metrics")
         assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
                     "--out", tmp_path / "out"]) == 0
-        # With the default run config, 72 of the 218 default-grid configs chunk
-        # data/mini as the config before them.
-        assert len(builds) == 146
+        # With the default run config, the 218 default-grid configs chunk data/mini
+        # in 69 distinct ways; 134 of them chunk it as one of the last 8 distinct
+        # chunkings did.
+        assert len(builds) == 84
         assert len(retrieves) == 218 * 10
+        # Each kept chunking scores each of the 10 queries once per k of [1, 3, 5, 10].
+        assert len(metrics) == 84 * 10 * 4
 
     @pytest.mark.parametrize("task", ["doc", "evidence"])
     def test_each_chunk_text_and_query_is_embedded_once_per_run(self, tmp_path, monkeypatch, task):
@@ -760,16 +773,45 @@ class TestIndexReuse:
         embeds = counting(monkeypatch, "embed_batch", module=retrieval)
         assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
                     "--out", tmp_path / "out"]) == 0
-        assert len(builds) == 146
+        assert len(builds) == 84
         queries = {query.text for query in load_corpus(MINI_DATASET)[1]}
         query_embeds = [texts for _, texts in embeds if texts[0] in queries]
         chunk_texts = [text for _, texts in embeds if texts[0] not in queries for text in texts]
         # The 391 distinct chunk texts of the default grid on data/mini, each
-        # embedded once however many of the 146 builds hold it.
+        # embedded once however many of the 84 builds hold it.
         assert len(chunk_texts) == len(set(chunk_texts)) == 391
         # Every query in one call, as the run's score table is made.
         assert len(query_embeds) == 1
         assert sorted(query_embeds[0]) == sorted(queries)
+
+    def bench(self, tmp_path, name, n_chunks, overlap=(0,)):
+        """bench --task doc on data/mini over a fixed-size grid; its lines by config."""
+        grid = {"fixed_size": {"n_chunks": list(n_chunks), "overlap": list(overlap)}}
+        out = tmp_path / name
+        assert run(["bench", "--task", "doc", "--config", write_config(tmp_path, grid=grid),
+                    "--dataset", MINI_DATASET, "--out", out]) == 0
+        return lines_by_config(out)
+
+    def test_a_chunking_that_recurs_after_another_reuses_its_index(self, tmp_path, monkeypatch):
+        """The data/mini documents have 8 or 9 sentences, so 9 and 10 chunks are
+        both one sentence each, and 2 chunks are not."""
+        clean = self.bench(tmp_path, "clean", [10])
+        builds = counting(monkeypatch, "build_index")
+        metrics = counting(monkeypatch, "doc_metrics")
+        reused = self.bench(tmp_path, "reused", [9, 2, 10])
+        assert len(builds) == 2
+        assert len(metrics) == 2 * 10 * 2
+        assert list(clean.items()) == list(reused.items())[2:]
+
+    def test_a_chunking_evicted_from_the_recent_ones_is_built_again(self, tmp_path, monkeypatch):
+        """Sizes 9, 2, 3, 4, 5 and 8, each with and without overlap, chunk data/mini
+        in 12 distinct ways, more than bench keeps; 10 then chunks like 9."""
+        clean = self.bench(tmp_path, "clean", [10], overlap=[0, 1])
+        builds = counting(monkeypatch, "build_index")
+        evicted = self.bench(tmp_path, "evicted", [9, 2, 3, 4, 5, 8, 10], overlap=[0, 1])
+        assert 12 > cli.RECENT_CHUNKINGS
+        assert len(builds) == 14
+        assert list(clean.items()) == list(evicted.items())[12:]
 
     def test_a_failed_build_is_not_kept_for_the_next_config(self, tmp_path, monkeypatch):
         """A chunks data/mini one way; B and C (more chunks than any document has

@@ -2,8 +2,8 @@
 on a throwaway state of its own, returns what the per-config reference
 loops return, whichever order the configs reach the state in and however
 often. The state's grouping memo computes each grouping once per key,
-hands out fresh lists and serves one document, from one set of sentence
-embeddings, only."""
+hands out fresh lists of one Chunk object per (ordinal, sentence indices)
+and serves one document, from one set of sentence embeddings, only."""
 
 import math
 from collections import Counter
@@ -14,7 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chunkbench.chunkers import DocumentDistances, chunk_document, default_grid
+from chunkbench.chunkers import (
+    DocumentDistances,
+    DbscanConfig,
+    FixedSizeConfig,
+    SingleLinkageConfig,
+    chunk_document,
+    default_grid,
+    pair_index_dtype,
+)
 from chunkbench.corpus import load_corpus, stitch
 from chunkbench.distance import pairwise_joint_distances
 from chunkbench.embedding import EmbedderSpec, embed_batch
@@ -58,7 +66,8 @@ def check_grid(doc, embeddings):
     """Every config of CHECKED gives its reference chunks: read off one state
     visited twice in grid order (the second pass all memo hits), off fresh
     states visited in reverse and in a seeded shuffled order, and off a
-    throwaway state per call, as a caller that passes no state gets."""
+    throwaway state per call, as a caller that passes no state gets. Each
+    state hands out one Chunk object per (ordinal, sentence indices)."""
     expected = [reference(doc, embeddings, config) for config in CHECKED]
     grid_order = list(range(len(CHECKED)))
     shuffled = np.random.default_rng(doc.n).permutation(len(CHECKED)).tolist()
@@ -69,12 +78,33 @@ def check_grid(doc, embeddings):
         (DocumentDistances(doc, embeddings), grid_order[::-1]),
         (DocumentDistances(doc, embeddings), shuffled),
     ]
+    objects = {}
     for distances, order in visits:
         for i in order:
             got = chunk_document(doc, embeddings, CHECKED[i], distances=distances)
             assert got == expected[i], (doc.doc_id, CHECKED[i])
+            for chunk in got:
+                key = (id(distances), chunk.chunk_id, chunk.sentence_indices)
+                assert objects.setdefault(key, chunk) is chunk, (doc.doc_id, CHECKED[i])
     for config, chunks in zip(CHECKED, expected):
         assert chunk_document(doc, embeddings, config) == chunks, (doc.doc_id, config)
+    check_stops_at_blend_values(doc, embeddings, shared)
+
+
+def check_stops_at_blend_values(doc, embeddings, distances):
+    """Single linkage stopped exactly at a pair's distance still merges that
+    pair: the state's count of pairs within a stop distance is the sorted
+    distances' searchsorted(side="right"), and the chunks are the reference's."""
+    n = doc.n
+    for weight in sorted({c.positional_weight for c in CHECKED if c.kind == "single_linkage"}):
+        dist = np.sort(pairwise_joint_distances(embeddings, weight)[np.triu_indices(n, k=1)])
+        stops = {float(dist[i]) for i in (0, len(dist) // 2, len(dist) - 1)} if dist.size else set()
+        for stop in sorted(stops):
+            assert distances.within(weight, stop) == np.searchsorted(dist, stop, side="right")
+            for n_clusters in (1, 2, 3):
+                config = SingleLinkageConfig(n_clusters, weight, stop)
+                got = chunk_document(doc, embeddings, config, distances=distances)
+                assert got == reference(doc, embeddings, config), (doc.doc_id, config)
 
 
 @st.composite
@@ -144,6 +174,35 @@ def test_mutating_a_returned_list_leaves_the_next_call_alone(config):
     first.append(first[0])
     first[0] = first[-1]
     assert chunk_document(doc, embeddings, config, distances=distances) == expected
+
+
+def test_equal_groupings_under_different_keys_are_the_same_chunks():
+    """Fixed size at one sentence per chunk, single linkage capped at one
+    sentence and DBSCAN with every sentence noise all give singletons, each
+    under its own memo key."""
+    doc = make_doc("doc", [f"Sentence {i} is here." for i in range(9)])
+    embeddings = np.eye(9)
+    distances = DocumentDistances(doc, embeddings)
+    configs = [FixedSizeConfig(9), SingleLinkageConfig(9, 0.5), DbscanConfig(0.01, 2, 0.5)]
+    # The first config again: a memo hit under the same key.
+    lists = [
+        chunk_document(doc, embeddings, config, distances=distances)
+        for config in [*configs, configs[0]]
+    ]
+    assert len(lists[0]) == 9
+    for chunks in lists[1:]:
+        assert chunks is not lists[0]
+        assert all(a is b for a, b in zip(chunks, lists[0], strict=True))
+
+
+def test_pair_orders_hold_int16_indices_up_to_32767_sentences():
+    assert pair_index_dtype(1) is np.int16
+    assert pair_index_dtype(32_767) is np.int16
+    assert pair_index_dtype(32_768) is np.int32
+    doc = make_doc("doc", ["A.", "B.", "C."])
+    first, second = DocumentDistances(doc, np.eye(3)).pair_order(0.5)
+    assert first.dtype == second.dtype == np.int16
+    assert (first < second).all()
 
 
 class CountingState(DocumentDistances):
