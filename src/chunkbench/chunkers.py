@@ -204,9 +204,9 @@ class DocumentDistances:
 
     Built lazily. Its numpy arrays are the consecutive-distance profile and
     its gradient, one combined-distance blend per positional weight, and for
-    single linkage one pair order per weight (the pairs sorted by distance,
-    ties by index), which no size cap changes, with the count of pairs
-    within each stop distance asked for.
+    single linkage one pair order per (weight, stop distance): the pairs
+    within the stop, sorted by distance, ties by index, which no size cap
+    changes.
 
     It also memoises groupings: each chunker keys its grouping by exactly
     what the grouping depends on, so a grouping is computed once per key.
@@ -226,8 +226,7 @@ class DocumentDistances:
         self.embeddings = sentence_embeddings
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._within: dict[tuple[float, float], int] = {}
+        self._pairs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
         self._groupings: dict[tuple, tuple[Chunk, ...]] = {}
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         # Per ordinal: its chunk id and its Chunk for each sentence-index tuple.
@@ -255,30 +254,23 @@ class DocumentDistances:
             self._blends[positional_weight] = dmat
         return dmat
 
-    def pair_order(self, positional_weight: float) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) of every pair first < second, in ascending
-        (distance, first, second) order, as pair_index_dtype(n) integers."""
-        pairs = self._pairs.get(positional_weight)
+    def pair_order(
+        self, positional_weight: float, stop_distance: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) of every pair first < second at most stop_distance
+        apart at this weight, in ascending (distance, first, second) order,
+        as int32 arrays."""
+        key = (positional_weight, stop_distance)
+        pairs = self._pairs.get(key)
         if pairs is None:
             dmat = self.blend(positional_weight)
-            first, second = np.triu_indices(dmat.shape[0], k=1)
-            # triu_indices lists pairs by (first, second), so a stable sort on
+            first, second = np.triu(dmat <= stop_distance, k=1).nonzero()
+            # nonzero lists pairs by (first, second), so a stable sort on
             # distance alone breaks ties by index.
             order = np.argsort(dmat[first, second], kind="stable")
-            dtype = pair_index_dtype(dmat.shape[0])
-            pairs = (first[order].astype(dtype), second[order].astype(dtype))
-            self._pairs[positional_weight] = pairs
+            pairs = (first[order].astype(np.int32), second[order].astype(np.int32))
+            self._pairs[key] = pairs
         return pairs
-
-    def within(self, positional_weight: float, distance: float) -> int:
-        """How many pairs first < second lie at most distance apart at this
-        weight: the length of pair_order's prefix that is within it."""
-        key = (positional_weight, distance)
-        count = self._within.get(key)
-        if count is None:
-            close = self.blend(positional_weight) <= distance
-            count = self._within[key] = int(np.count_nonzero(np.triu(close, k=1)))
-        return count
 
     def chunks(
         self, key: tuple, group: Callable[..., Iterable[Sequence[int]]], *args
@@ -316,12 +308,6 @@ class DocumentDistances:
             text = " ".join(self.doc.sentences[i].text for i in indices)
             part = self._parts[indices] = (indices, text)
         return part
-
-
-def pair_index_dtype(n: int) -> type[np.signedinteger]:
-    """The integer type pair orders hold sentence indices in, for an n-sentence
-    document: int16 up to 32,767 sentences, int32 above."""
-    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
 def _fixed_size(state: DocumentDistances, config: FixedSizeConfig) -> list[Chunk]:
@@ -364,11 +350,11 @@ def _single_linkage(state: DocumentDistances, config: SingleLinkageConfig) -> li
     """
     n = state.doc.n
     max_size = -(-n // config.n_clusters)  # ceil(n / n_clusters), exact for any int
-    first, second = state.pair_order(config.positional_weight)
-    stop = state.within(config.positional_weight, config.stop_distance)
+    first, second = state.pair_order(config.positional_weight, config.stop_distance)
+    # Stops with as many pairs within them share one pair set at a weight.
     return state.chunks(
-        ("single_linkage", config.positional_weight, max_size, stop),
-        _linkage_groups, n, first[:stop], second[:stop], max_size,
+        ("single_linkage", config.positional_weight, max_size, len(first)),
+        _linkage_groups, n, first, second, max_size,
     )
 
 
@@ -382,8 +368,9 @@ def _dbscan(state: DocumentDistances, config: DbscanConfig) -> list[Chunk]:
     """
     adjacent = state.blend(config.positional_weight) <= config.eps
     core = adjacent.sum(axis=1) >= config.min_samples
-    # Keyed by its bits, so a matrix equal across weights shares its grouping.
-    key = ("dbscan", np.packbits(adjacent).tobytes(), core.tobytes())
+    # Keyed by its bits, so a matrix equal across weights shares its grouping;
+    # a state serves one document, so n and the padding bits are fixed.
+    key = ("dbscan", np.packbits(adjacent).tobytes(), np.packbits(core).tobytes())
     return state.chunks(key, _dbscan_groups, adjacent, core)
 
 

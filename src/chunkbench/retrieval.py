@@ -8,7 +8,7 @@ is one chunking's rows of a table. ``retrieve`` ranks an index's chunks for
 one of the table's queries by the correctly rounded exact dot product, ties
 broken by ascending ``chunk_id``: the table's float64 scores decide every
 pair they can certify, and the few pairs within their error bound are
-resolved exactly.
+resolved exactly, each row's score by one ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -102,25 +102,16 @@ class ScoreTable:
         return unit / (1.0 - unit) * self._max_norm * query.norm * _SLACK
 
     def exact(self, query: _Query, rows: Sequence[int]) -> list[float]:
-        """The correctly rounded exact score of each row against the query.
-
-        Rows that are bit-equal on the query's nonzero coordinates score
-        alike, a row that is zero on them scores exactly 0, and any other row
-        is the ``math.fsum`` of its products. Each is memoised per (row, query).
-        """
+        """The correctly rounded exact score of each row against the query:
+        the ``math.fsum`` of its products on the query's nonzero coordinates,
+        memoised per (row, query)."""
         known = query.exact
-        try:
-            return [known[r] for r in rows]
-        except KeyError:
-            missing = [r for r in dict.fromkeys(rows) if r not in known]
+        missing = [r for r in dict.fromkeys(rows) if r not in known]
+        if missing:
             vectors = memoised_vectors(self.spec, [self.texts[r] for r in missing])
-            by_bits: dict[bytes, float] = {}
             for r, part in zip(missing, vectors[:, query.support]):
-                bits = part.tobytes()
-                if bits not in by_bits:
-                    by_bits[bits] = math.fsum((part * query.values).tolist()) if part.any() else 0.0
-                known[r] = by_bits[bits]
-            return [known[r] for r in rows]
+                known[r] = math.fsum((part * query.values).tolist())
+        return [known[r] for r in rows]
 
 
 def _embed_queries(

@@ -846,6 +846,41 @@ class TestIndexReuse:
         ]
 
 
+
+FIXED_SIZE = {"kind": "fixed_size", "n_chunks": 3, "overlap": 0}
+BREAKPOINT = {"kind": "breakpoint", "policy": {"kind": "percentile", "amount": 90}}
+
+
+class TestSentenceEmbedding:
+    """chunk and bench embed each document's sentences in one call, and none
+    at all when only fixed-size chunkers run."""
+
+    def check(self, embeds, per_document):
+        documents, _ = load_corpus(MINI_DATASET)
+        sentences = [segment_document(d.doc_id, d.text).sentence_texts for d in documents]
+        assert [list(texts) for _, texts in embeds] == sentences * per_document
+
+    @pytest.mark.parametrize("chunker, per_document", [(FIXED_SIZE, 0), (BREAKPOINT, 1)],
+                             ids=["fixed_size", "breakpoint"])
+    def test_chunk(self, tmp_path, monkeypatch, chunker, per_document):
+        embeds = counting(monkeypatch, "embed_batch")
+        assert run(["chunk", "--chunker", json.dumps(chunker), "--dataset", MINI_DATASET,
+                    "--out", tmp_path / "out"]) == 0
+        self.check(embeds, per_document)
+
+    @pytest.mark.parametrize(
+        "grid, per_document",
+        [({"fixed_size": {"n_chunks": [2, 3], "overlap": [0, 1]}}, 0),
+         ({"fixed_size": {"n_chunks": [3]}, "breakpoint": {"percentile": [50, 90]}}, 1)],
+        ids=["fixed_size", "with-breakpoint"],
+    )
+    def test_bench(self, tmp_path, monkeypatch, grid, per_document):
+        embeds = counting(monkeypatch, "embed_batch")
+        assert run(["bench", "--task", "doc", "--config", write_config(tmp_path, grid=grid),
+                    "--dataset", MINI_DATASET, "--out", tmp_path / "out"]) == 0
+        self.check(embeds, per_document)
+
+
 # Text that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII letters and characters outside the Basic Multilingual Plane.
 JSON_TEXT = st.text(

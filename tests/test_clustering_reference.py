@@ -21,7 +21,6 @@ from chunkbench.chunkers import (
     SingleLinkageConfig,
     chunk_document,
     default_grid,
-    pair_index_dtype,
 )
 from chunkbench.corpus import load_corpus, stitch
 from chunkbench.distance import pairwise_joint_distances
@@ -93,18 +92,41 @@ def check_grid(doc, embeddings):
 
 def check_stops_at_blend_values(doc, embeddings, distances):
     """Single linkage stopped exactly at a pair's distance still merges that
-    pair: the state's count of pairs within a stop distance is the sorted
-    distances' searchsorted(side="right"), and the chunks are the reference's."""
+    pair: the state's pair order at a stop distance is the full order's
+    prefix up to the sorted distances' searchsorted(side="right"), and the
+    chunks are the reference's."""
     n = doc.n
     for weight in sorted({c.positional_weight for c in CHECKED if c.kind == "single_linkage"}):
         dist = np.sort(pairwise_joint_distances(embeddings, weight)[np.triu_indices(n, k=1)])
         stops = {float(dist[i]) for i in (0, len(dist) // 2, len(dist) - 1)} if dist.size else set()
         for stop in sorted(stops):
-            assert distances.within(weight, stop) == np.searchsorted(dist, stop, side="right")
+            count = np.searchsorted(dist, stop, side="right")
+            check_pair_order(distances, embeddings, weight, stop)
+            assert len(distances.pair_order(weight, stop)[0]) == count
             for n_clusters in (1, 2, 3):
                 config = SingleLinkageConfig(n_clusters, weight, stop)
                 got = chunk_document(doc, embeddings, config, distances=distances)
                 assert got == reference(doc, embeddings, config), (doc.doc_id, config)
+
+
+def full_pair_order(embeddings, weight):
+    """Every pair first < second and its distance, in ascending (distance,
+    first, second) order: a stable argsort over the upper triangle."""
+    dmat = pairwise_joint_distances(embeddings, weight)
+    first, second = np.triu_indices(len(embeddings), k=1)
+    order = np.argsort(dmat[first, second], kind="stable")
+    return first[order], second[order], dmat[first, second][order]
+
+
+def check_pair_order(distances, embeddings, weight, stop):
+    """The state's pair order at (weight, stop) is the full order's pairs
+    within stop, as int32 arrays."""
+    first, second, dist = full_pair_order(embeddings, weight)
+    within = dist <= stop
+    got_first, got_second = distances.pair_order(weight, stop)
+    assert got_first.dtype == got_second.dtype == np.int32
+    np.testing.assert_array_equal(got_first, first[within])
+    np.testing.assert_array_equal(got_second, second[within])
 
 
 @st.composite
@@ -195,14 +217,51 @@ def test_equal_groupings_under_different_keys_are_the_same_chunks():
         assert all(a is b for a, b in zip(chunks, lists[0], strict=True))
 
 
-def test_pair_orders_hold_int16_indices_up_to_32767_sentences():
-    assert pair_index_dtype(1) is np.int16
-    assert pair_index_dtype(32_767) is np.int16
-    assert pair_index_dtype(32_768) is np.int32
+def test_pair_orders_hold_the_pairs_within_the_stop_as_int32():
     doc = make_doc("doc", ["A.", "B.", "C."])
-    first, second = DocumentDistances(doc, np.eye(3)).pair_order(0.5)
-    assert first.dtype == second.dtype == np.int16
+    distances = DocumentDistances(doc, np.eye(3))
+    first, second = distances.pair_order(0.5, 1.0)
+    assert first.dtype == second.dtype == np.int32
     assert (first < second).all()
+    assert len(first) == 3
+    check_pair_order(distances, np.eye(3), 0.5, 1.0)
+
+
+def test_pair_order_breaks_distance_ties_by_index():
+    # Rows 0, 2 and 3 repeat, so their three pairs lie at one semantic
+    # distance; at weight 0 they all tie at 0.
+    embeddings = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+    doc = make_doc("doc", [f"Sentence {i} is here." for i in range(5)])
+    distances = DocumentDistances(doc, embeddings)
+    for weight in (0.0, 0.5, 1.0):
+        for stop in (0.0, 0.2, 0.5, 1.0):
+            check_pair_order(distances, embeddings, weight, stop)
+    first, second = distances.pair_order(0.0, 0.0)
+    assert list(zip(first.tolist(), second.tolist())) == [(0, 2), (0, 3), (2, 3)]
+
+
+def test_a_stop_below_every_distance_keeps_no_pairs():
+    embeddings = np.eye(3)
+    doc = make_doc("doc", ["A.", "B.", "C."])
+    distances = DocumentDistances(doc, embeddings)
+    # At weight 0.5 every pair of orthogonal rows is more than 0.5 apart.
+    first, second = distances.pair_order(0.5, 0.25)
+    assert first.shape == second.shape == (0,)
+    assert first.dtype == second.dtype == np.int32
+    config = SingleLinkageConfig(1, 0.5, 0.25)
+    got = chunk_document(doc, embeddings, config, distances=distances)
+    assert got == reference(doc, embeddings, config)
+    assert len(got) == 3
+
+
+def test_a_one_sentence_document_has_no_pairs():
+    embeddings = np.array([[1.0, 0.0]])
+    doc = make_doc("doc", ["Only one."])
+    distances = DocumentDistances(doc, embeddings)
+    for stop in (0.0, 1.0):
+        first, second = distances.pair_order(0.5, stop)
+        assert first.shape == second.shape == (0,)
+        assert first.dtype == second.dtype == np.int32
 
 
 class CountingState(DocumentDistances):
@@ -259,3 +318,22 @@ def test_each_grouping_step_runs_once_per_distinct_key_on_the_mini_corpus():
         runs.update(doc_runs)
     # The memo saves work for every kind on this corpus.
     assert all(runs[kind] < calls[kind] for kind in calls), (runs, calls)
+
+
+def test_stops_with_the_same_pairs_within_them_share_one_grouping():
+    doc = make_doc("doc", [f"Sentence {i} is here." for i in range(9)])
+    embeddings = embed_batch(EmbedderSpec(backend="test"), doc.sentence_texts)
+    _, _, dist = full_pair_order(embeddings, 0.5)
+    # Two stops between the same pair of neighbouring distinct distances.
+    gap = int(np.flatnonzero(np.diff(dist) > 0)[0])
+    low, high = float(dist[gap]), float(dist[gap] + dist[gap + 1]) / 2
+    assert low < high < dist[gap + 1]
+    state = CountingState(doc, embeddings)
+    lists = [
+        chunk_document(doc, embeddings, SingleLinkageConfig(3, 0.5, stop), distances=state)
+        for stop in (low, high)
+    ]
+    assert state.runs == 1
+    assert len(state.pair_order(0.5, low)[0]) == len(state.pair_order(0.5, high)[0]) == gap + 1
+    assert all(a is b for a, b in zip(*lists, strict=True))
+    assert lists[0] == reference(doc, embeddings, SingleLinkageConfig(3, 0.5, high))
