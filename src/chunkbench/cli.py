@@ -272,8 +272,7 @@ def results_tail(task: str) -> str:
     return f'"task": {_json_str(task)}}}\n'
 
 
-def results_line(
-    head: str,
+def results_body(
     query_id: str,
     k: int,
     chunk_ids: Sequence[str],
@@ -282,12 +281,13 @@ def results_line(
     f1: float,
     tail: str,
 ) -> str:
-    """One results.jsonl line, byte for byte json.dumps(row, sort_keys=True) + "\n",
-    spliced from a results_head, the row's keys in sorted order and a results_tail;
-    query_id and the first k chunk_ids come already JSON-encoded."""
+    """The part of one results.jsonl line after its config's results_head: the
+    row's keys in sorted order and a results_tail, so that head and body are byte
+    for byte json.dumps(row, sort_keys=True) + "\n"; query_id and the first k
+    chunk_ids come already JSON-encoded."""
     number = float.__repr__  # what json.dumps writes for a finite float
     return (
-        f'{head}"f1": {number(f1)}, "k": {k}, "precision": {number(precision)}, '
+        f'"f1": {number(f1)}, "k": {k}, "precision": {number(precision)}, '
         f'"query_id": {query_id}, "recall": {number(recall)}, '
         f'"retrieved_chunk_ids": [{", ".join(chunk_ids)}], {tail}'
     )
@@ -362,12 +362,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # The states hand out one Chunk per (document, ordinal, sentence indices) for the
     # run and keep every one alive, so the identities of a chunking's Chunks name it
     # exactly; packed into bytes, they take a fifth of the memory of a tuple of ints.
-    # Each of the last RECENT_CHUNKINGS distinct chunkings keeps its index,
-    # which remembers each query's ranking, and each query's (recall, precision, f1)
-    # per k: a config that chunks the corpus as one of them did ranks and scores
-    # nothing anew. A chunking whose build fails is not kept.
+    # Each of the last RECENT_CHUNKINGS distinct chunkings keeps its index, which
+    # remembers its ranking of every query, and per query the (recall, precision, f1)
+    # at each k and the bodies of its lines: a config that chunks the corpus as one of
+    # them did ranks, scores and renders nothing anew. A chunking whose build fails
+    # is not kept.
     table = ScoreTable(spec, [query.text for query, _ in eligible])
-    recent: OrderedDict[bytes, tuple[ChunkIndex, dict[str, np.ndarray]]] = OrderedDict()
+    recent: OrderedDict[bytes, tuple[ChunkIndex, dict[str, tuple[np.ndarray, list[str]]]]] = (
+        OrderedDict()
+    )
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
         for config in grid:
             config_id = canonical_config(config)
@@ -380,29 +383,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     recent[key] = build_index(chunks, table), {}
                     if len(recent) > RECENT_CHUNKINGS:
                         recent.popitem(last=False)
-                index, scored = recent[key]
+                index, kept = recent[key]
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)
                 continue
-            head = results_head(config, dataset_name)
             scores: list[list[list[float]]] = []
+            bodies: list[str] = []
             for (query, truth), query_id in zip(eligible, query_ids):
                 try:
                     hits = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
-                    if query_id not in scored:
+                    if query_id not in kept:
                         # A float64 array holds them in a third of the bytes of tuples.
-                        scored[query_id] = np.array([score(hits[:k], truth) for k in cfg.k_list])
-                    per_k = scored[query_id].tolist()
+                        per_k = np.array([score(hits[:k], truth) for k in cfg.k_list])
+                        chunk_ids = [_json_str(chunk.chunk_id) for chunk in hits]
+                        kept[query_id] = per_k, [
+                            results_body(query_id, k, chunk_ids[:k], *metrics, tail)
+                            for k, metrics in zip(cfg.k_list, per_k.tolist())
+                        ]
+                    per_k, query_bodies = kept[query_id]
                 except Exception as exc:
                     failures.append(_failure(config_id, query, exc))
                     continue
-                scores.append(per_k)
-                chunk_ids = [_json_str(chunk.chunk_id) for chunk in hits]
-                for k, (recall, precision, f1) in zip(cfg.k_list, per_k):
-                    fh.write(
-                        results_line(head, query_id, k, chunk_ids[:k], recall, precision, f1, tail)
-                    )
+                scores.append(per_k.tolist())
+                bodies.extend(query_bodies)
+            if bodies:
+                head = results_head(config, dataset_name)
+                fh.write(head + head.join(bodies))
             summary.extend(aggregate(config, config_id, cfg.k_list, scores))
     summary.sort(key=lambda row: (row.config.kind, row.config_id, row.k))
     _write_summary_csv(cfg.out / SUMMARY_FILENAME, dataset_name, summary)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -95,17 +96,34 @@ def deterministic_embed(text: str, dimension: int) -> np.ndarray:
     """
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
+    return _hash_embed([text], dimension)[0]
+
+
+def _hash_embed(texts: Sequence[str], dimension: int) -> np.ndarray:
+    """deterministic_embed of each text, as the rows of one float32 array: each
+    distinct token is hashed once, and one bincount over (text, bucket) sums
+    every row's signed token counts."""
+    tokens = [tokenize(text) for text in texts]
+    flat = list(itertools.chain.from_iterable(tokens))
+    distinct = {token: i for i, token in enumerate(dict.fromkeys(flat))}
     buckets = np.array(
-        [token_bucket(token, dimension) for token in tokenize(text)], dtype=np.intp
+        [token_bucket(token, dimension) for token in distinct], dtype=np.intp
     ).reshape(-1, 2)
-    # The sums are small integers, exact in float64 whatever the order.
-    acc = np.bincount(buckets[:, 0], weights=buckets[:, 1], minlength=dimension)
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        out = np.zeros(dimension, dtype=np.float32)
-        out[0] = 1.0
-        return out
-    return (acc / norm).astype(np.float32)
+    which = buckets[np.fromiter(map(distinct.__getitem__, flat), dtype=np.intp, count=len(flat))]
+    text_of = np.repeat(np.arange(len(texts)), [len(ts) for ts in tokens])
+    # The sums are small integers, exact in float64 whatever the order, and so
+    # are the squared norms: each row is what one text alone would give. A
+    # bincount of no tokens at all comes back as integers.
+    acc = np.bincount(
+        text_of * dimension + which[:, 0], weights=which[:, 1], minlength=len(texts) * dimension
+    ).astype(np.float64, copy=False)
+    acc = acc.reshape(len(texts), dimension)
+    norms = np.linalg.norm(acc, axis=1)
+    tokenless = norms == 0.0
+    np.divide(acc, norms[:, None], out=acc, where=~tokenless[:, None])
+    out = acc.astype(np.float32)
+    out[tokenless, 0] = 1.0
+    return out
 
 
 def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
@@ -162,7 +180,7 @@ def memoised_vectors(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
 
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     if spec.backend == "test":
-        return np.stack([deterministic_embed(t, spec.dimension) for t in texts])
+        return _hash_embed(texts, spec.dimension)
     # Only remote batches use threads, so a test-backend run never loads the pool.
     from concurrent.futures import ThreadPoolExecutor
 

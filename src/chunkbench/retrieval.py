@@ -8,7 +8,10 @@ is one chunking's rows of a table. ``retrieve`` ranks an index's chunks for
 one of the table's queries by the correctly rounded exact dot product, ties
 broken by ascending ``chunk_id``: the table's float64 scores decide every
 pair they can certify, and the few pairs within their error bound are
-resolved exactly, each row's score by one ``math.fsum``.
+resolved exactly, each row's score by one ``math.fsum``. The first
+``retrieve`` on an index ranks every query of the table in one numpy pass
+and finds the columns whose top places hold such pairs; a column's pairs
+are resolved when its query is first retrieved.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ class ChunkIndex:
     """One chunking's rows of a ScoreTable: the chunks, fixed once built, and
     each chunk's row, the row of its text, added to the table if it is new.
 
-    The index holds no vectors. It does change in one way: it remembers each
-    query's ranking, so asking again for a query's top k ranks nothing.
+    The index holds no vectors. It does change in one way: it remembers its
+    ranking of every query of the table, so asking again for a query's top k
+    ranks nothing.
     """
 
     def __init__(self, chunks: Sequence[Chunk], table: ScoreTable) -> None:
@@ -147,14 +151,18 @@ class ChunkIndex:
         self.chunks = chunks
         self.rows = table.rows([chunk.text for chunk in chunks])
         self.table = table
-        # Each chunk_id's position in ascending id order: the ranking tie-break.
-        by_id = sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id)
-        self._id_rank = np.empty(len(chunks), dtype=np.int64)
-        self._id_rank[by_id] = np.arange(len(chunks))
-        # Query text -> its top-k chunks and their scores, for the largest k
-        # asked: a tuple and a float64 array take a third of the memory of
-        # (chunk, score) pairs, and bench keeps several indexes at once.
-        self._ranked: dict[str, tuple[tuple[Chunk, ...], np.ndarray]] = {}
+        # The positions in ascending chunk_id order; a position's place in it
+        # is the ranking tie-break.
+        self._by_id = np.array(
+            sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
+        )
+        # Per column, a row each, the positions _rank_columns put at the top
+        # places and their scores.
+        self._places = np.empty((0, 0), dtype=np.int32)
+        self._scores = np.empty((0, 0))
+        # Column -> the runs _resolve is yet to order there: each run's first
+        # place, and its chunks' id ranks and rows in float order.
+        self._unresolved: dict[int, list[tuple[int, list[int], list[int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -174,61 +182,85 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
     Returns a fresh list of (chunk, score) pairs, each chunk the index's own.
     A score is the table's float64 one, within the table's error bound of the
     exact dot product, or the correctly rounded exact one where that decided
-    the order. The index ranks a query once, and again only for a larger k
-    than it has ranked.
+    the order. The first call ranks every query of the table at once, and a
+    later one ranks them again only for a larger k than that; a query's close
+    scores are resolved when it is first asked for, so a failure there fails
+    only that query's calls.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = index._ranked.get(query_text)
-    if ranked is None or len(ranked[0]) < min(k, len(index.chunks)):
-        query = index.table.queries.get(query_text)
-        if query is None:
-            raise ValueError(f"query {query_text!r} is not one of the score table's queries")
-        ranked = index._ranked[query_text] = _rank(index, query, k)
-    chunks, scores = ranked
-    return list(zip(chunks[:k], scores[:k].tolist()))
+    query = index.table.queries.get(query_text)
+    if query is None:
+        raise ValueError(f"query {query_text!r} is not one of the score table's queries")
+    if index._places.shape[1] < min(k, len(index.chunks)):
+        _rank_columns(index, k)
+    if query.column in index._unresolved:
+        _resolve(index, query)
+    places = index._places[query.column, :k].tolist()
+    scores = index._scores[query.column, :k].tolist()
+    return list(zip(map(index.chunks.__getitem__, places), scores))
 
 
-def _rank(index: ChunkIndex, query: _Query, k: int) -> tuple[tuple[Chunk, ...], np.ndarray]:
-    """The top k chunks, best first, and their scores: sort by float64 score,
-    then resolve exactly each run of places whose adjacent scores lie within
-    twice the error bound and reach the top k.
+def _rank_columns(index: ChunkIndex, k: int) -> None:
+    """Rank the index's chunks for every column of its table in one pass: the
+    top min(k, n) places by float64 score, ties by chunk_id, and the runs of
+    places whose order those scores do not certify, left to _resolve.
 
-    Only the scores within twice that of the k-th can reach the top k, so
-    only they are sorted: a score further below is more than two bounds
-    under it, even after rounding the threshold."""
-    scores = index.table._scores[:, query.column][index.rows]
-    n, top = len(scores), min(k, len(scores))
-    window = 2.0 * index.table.error_bound(query)
-    if top < n:
-        kth = np.partition(scores, n - top)[n - top]
-        candidates = (scores >= kth - 2.0 * window).nonzero()[0]
-    else:
-        candidates = np.arange(n)
-    # (-score, chunk_id rank, position in the index), best first.
-    ranked = sorted(
-        zip(
-            (-scores[candidates]).tolist(),
-            index._id_rank[candidates].tolist(),
-            candidates.tolist(),
-        )
-    )
-    start = 0
-    while start < top:
-        stop = start + 1
-        while stop < len(ranked) and ranked[stop][0] - ranked[stop - 1][0] <= window:
-            stop += 1
-        if stop - start > 1:
-            run = ranked[start:stop]
-            rows = index.rows[[position for _, _, position in run]].tolist()
-            if rows.count(rows[0]) < len(rows):  # one text: equal scores, in chunk_id order
-                exact = index.table.exact(query, rows)
-                ranked[start:stop] = sorted(
-                    (-score, by_id, position) for score, (_, by_id, position) in zip(exact, run)
-                )
-        start = stop
-    top_ranked = ranked[:top]
-    return (
-        tuple(index.chunks[position] for _, _, position in top_ranked),
-        -np.array([negated for negated, _, _ in top_ranked]),
-    )
+    A run is a stretch of places whose adjacent scores lie within twice the
+    column's error bound. Its order is the exact scores' to decide unless it
+    holds one row. Only the runs that start in the top places can change them.
+    And only the scores within twice that of the k-th can reach the top k, so
+    only they are sorted: a score further below is more than two bounds under
+    the k-th, even after rounding the threshold, and a run that reaches it is
+    resolved before it could.
+    """
+    table, by_id = index.table, index._by_id
+    n, top = len(by_id), min(k, len(by_id))
+    rows = index.rows[by_id]
+    # A row per column of negated scores, in chunk_id order, so that a stable
+    # sort puts the best first and breaks ties by id.
+    negated = np.negative(table._scores[rows].T, order="C")
+    windows = np.array([2.0 * table.error_bound(query) for query in table.queries.values()])
+    kth = np.partition(negated, top - 1, axis=1)[:, top - 1]
+    # The candidates of every column laid end to end, column by column, each
+    # column's, at least top of them, by score and then id rank.
+    found = np.flatnonzero(negated <= (kth + 2.0 * windows)[:, None])
+    values = negated.ravel()[found]
+    column, id_rank = np.divmod(found, n)
+    sort = np.lexsort((values, column))
+    column, id_rank, ranked = column[sort], id_rank[sort], values[sort]
+    first = np.searchsorted(column, np.arange(len(negated)))
+    places = first[:, None] + np.arange(top)
+    # Each candidate's run, numbered through all columns, and the gaps inside a
+    # run between different rows, in the runs that start in the top places.
+    apart = (column[1:] != column[:-1]) | (ranked[1:] - ranked[:-1] > windows[column[:-1]])
+    run_of = np.concatenate(([0], np.cumsum(apart)))
+    ranked_rows = rows[id_rank]
+    mixed = ~apart & (ranked_rows[1:] != ranked_rows[:-1])
+    mixed &= run_of[:-1] <= run_of[places[:, -1]][column[:-1]]
+    runs = sorted(set(run_of[:-1][mixed].tolist()))
+    starts = np.searchsorted(run_of, runs, "left").tolist()
+    stops = np.searchsorted(run_of, runs, "right").tolist()
+    index._places = by_id[id_rank[places]].astype(np.int32)
+    index._scores = -ranked[places]
+    index._unresolved = {}
+    for start, stop in zip(starts, stops):
+        at = int(column[start])
+        run = (id_rank[start:stop].tolist(), ranked_rows[start:stop].tolist())
+        index._unresolved.setdefault(at, []).append((start - int(first[at]), *run))
+
+
+def _resolve(index: ChunkIndex, query: _Query) -> None:
+    """Order each of the query's runs that _rank_columns left by the exact
+    scores, ties by chunk_id, and give its top places their exact scores.
+    The index changes only once every run has its exact scores."""
+    column, top = query.column, index._places.shape[1]
+    resolved = [
+        (start, sorted(zip((-score for score in index.table.exact(query, rows)), id_rank)))
+        for start, id_rank, rows in index._unresolved[column]
+    ]
+    for start, run in resolved:
+        run = run[: top - start]
+        index._places[column, start : start + len(run)] = index._by_id[[i for _, i in run]]
+        index._scores[column, start : start + len(run)] = [-negated for negated, _ in run]
+    del index._unresolved[column]

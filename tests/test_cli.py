@@ -26,7 +26,7 @@ from chunkbench.cli import (
     load_run_config,
     main,
     results_head,
-    results_line,
+    results_body,
     results_tail,
 )
 from chunkbench.corpus import load_corpus
@@ -643,6 +643,44 @@ class TestBenchCommand:
         with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
             assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
 
+    def test_a_query_whose_exact_resolution_fails_loses_only_its_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """A query's close scores are resolved exactly when it is first retrieved
+        on an index; when that fails for one query, it loses only its rows under
+        the configs whose ranking of it needed resolving, and the others keep all."""
+        cfg = write_config(tmp_path, grid=None, k_list=[1, 3, 5, 10])
+        argv = ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET, "--out"]
+        assert run([*argv, tmp_path / "clean"]) == 0
+        victim = mini_queries()[3]
+        real = retrieval.ScoreTable.exact
+
+        def exact(table, query, rows):
+            if query is table.queries[victim["text"]]:
+                raise RuntimeError("exact resolution failed")
+            return real(table, query, rows)
+
+        monkeypatch.setattr(retrieval.ScoreTable, "exact", exact)
+        out = tmp_path / "out"
+        assert run([*argv, out]) == 0
+        failures = [
+            json.loads(line)
+            for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert {(f["query_id"], f["error"]) for f in failures} == {
+            (victim["query_id"], "exact resolution failed")
+        }
+        failed = {f["config"] for f in failures}
+        assert 0 < len(failed) == len(failures) < len(default_grid())
+        clean = (tmp_path / "clean" / "results.jsonl").read_text(encoding="utf-8")
+        kept = [
+            line
+            for line in clean.splitlines(keepends=True)
+            if json.loads(line)["query_id"] != victim["query_id"]
+            or canonical_config(config_from_dict(json.loads(line)["config"])) not in failed
+        ]
+        assert (out / "results.jsonl").read_text(encoding="utf-8") == "".join(kept)
+
     def test_a_failed_query_embedding_fails_the_run_and_leaves_the_last(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -784,6 +822,23 @@ class TestIndexReuse:
         assert len(query_embeds) == 1
         assert sorted(query_embeds[0]) == sorted(queries)
 
+    @pytest.mark.parametrize("task", ["doc", "evidence"])
+    def test_rows_from_kept_bodies_equal_rows_rendered_afresh(self, tmp_path, monkeypatch, task):
+        """Keeping one chunking, a config writes kept line bodies only when it
+        chunks the corpus as the config before it did; keeping eight, far more do."""
+        builds = counting(monkeypatch, "build_index")
+        written, built = [], []
+        for recent in (1, 8):
+            monkeypatch.setattr(cli, "RECENT_CHUNKINGS", recent)
+            out = tmp_path / f"recent-{recent}"
+            assert run(["bench", "--task", task, "--dataset", MINI_DATASET, "--out", out]) == 0
+            written.append((out / "results.jsonl").read_bytes())
+            built.append(len(builds))
+            builds.clear()
+        # 218 - 146 = 72 configs chunk data/mini as the config before them did.
+        assert built == [146, 84]
+        assert written[0] == written[1]
+
     def bench(self, tmp_path, name, n_chunks, overlap=(0,)):
         """bench --task doc on data/mini over a fixed-size grid; its lines by config."""
         grid = {"fixed_size": {"n_chunks": list(n_chunks), "overlap": list(overlap)}}
@@ -908,7 +963,7 @@ METRIC = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 def test_a_spliced_results_line_is_the_rows_sorted_json(
     dataset, task, config, query_id, chunk_ids, k, metrics
 ):
-    """The row's keys are spelled out here, so a key results_line adds, drops or
+    """The row's keys are spelled out here, so a key results_body adds, drops or
     writes out of sorted order fails this test."""
     recall, precision, f1 = metrics
     row = {
@@ -924,8 +979,7 @@ def test_a_spliced_results_line_is_the_rows_sorted_json(
         "f1": f1,
     }
     encoded_ids = [json.dumps(chunk_id) for chunk_id in chunk_ids]
-    line = results_line(
-        results_head(config, dataset),
+    line = results_head(config, dataset) + results_body(
         json.dumps(query_id),
         k,
         encoded_ids[:k],

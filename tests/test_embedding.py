@@ -112,6 +112,28 @@ def test_cancelling_tokens_map_to_the_first_basis_vector():
     np.testing.assert_array_equal(deterministic_embed("alpha theta alpha theta", 2), [1.0, 0.0])
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["bee", "hive bee", "...", "Bee-bee"]) | TEXT_PIECES, min_size=1)
+        .map("".join),
+        min_size=1,
+        max_size=12,
+    ),
+    dimension=st.integers(2, 64),
+)
+@example(texts=["bee bee hive", "!?", "alpha theta alpha theta", "bee", "!?", "hive"], dimension=2)
+def test_embed_batch_rows_match_the_per_token_loop(texts, dimension):
+    """One batch of texts that repeat tokens and share them, texts with no
+    tokens or whose tokens cancel, and texts given twice."""
+    spec = EmbedderSpec(backend="test", dimension=dimension, model_id="batch")
+    embedding._MEMO.pop(spec, None)
+    rows = embed_batch(spec, texts)
+    assert rows.dtype == np.float32
+    for text, row in zip(texts, rows):
+        assert row.tobytes() == deterministic_embed_reference(text, dimension).tobytes()
+
+
 class TestTokenBucket:
     def test_stable_known_values(self):
         # Frozen sample of the blake2b mapping; guards cross-platform drift.

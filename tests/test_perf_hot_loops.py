@@ -25,7 +25,7 @@ from chunkbench.chunkers import (  # noqa: E402
     config_from_dict,
     default_grid,
 )
-from chunkbench.cli import main, results_head, results_line, results_tail  # noqa: E402
+from chunkbench.cli import main, results_body, results_head, results_tail  # noqa: E402
 from chunkbench.corpus import load_corpus  # noqa: E402
 from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
 from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
@@ -209,8 +209,9 @@ def test_encode_every_doc_row_of_mini(benchmark, tmp_path):
 
     encode = json.encoder.encode_basestring_ascii
 
-    # Spliced as bench splices them: a head per config, a tail per run, and the
-    # query and chunk ids encoded per (config, query) (bench encodes query ids once).
+    # Every row rendered afresh from a head per config, a tail per run, and the
+    # query and chunk ids encoded per (config, query); bench renders the bodies
+    # of a kept chunking's rows once and encodes query ids once.
     def encode_all():
         tail = results_tail("doc")
         lines = []
@@ -219,7 +220,7 @@ def test_encode_every_doc_row_of_mini(benchmark, tmp_path):
             for query_id, (chunk_ids, per_k) in queries.items():
                 query_id, ids = encode(query_id), [encode(chunk_id) for chunk_id in chunk_ids]
                 lines.extend(
-                    results_line(head, query_id, k, ids[:k], recall, precision, f1, tail)
+                    head + results_body(query_id, k, ids[:k], recall, precision, f1, tail)
                     for k, recall, precision, f1 in per_k
                 )
         return "".join(lines)

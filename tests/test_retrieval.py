@@ -309,9 +309,9 @@ class TestRankingMemo:
         expected = retrieve(fresh, "three or four things", k=6)
         calls = self.counting_embed(monkeypatch)
         ranks = []
-        real_rank = retrieval._rank
+        real_rank = retrieval._rank_columns
         monkeypatch.setattr(
-            retrieval, "_rank", lambda *args: ranks.append(args[2]) or real_rank(*args)
+            retrieval, "_rank_columns", lambda index, k: ranks.append(k) or real_rank(index, k)
         )
         small = retrieve(index, "three or four things", k=2)
         big = retrieve(index, "three or four things", k=6)
@@ -453,6 +453,77 @@ class TestExactRanking:
             )
         # Resolved exactly, the two rows report their exact scores.
         assert [got[0][1], got[2][1]] == [exact[1], exact[0]]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_column_of_a_table_ranks_as_in_a_table_of_its_own(self, data):
+        """Two to five queries ranked in one pass, one of them the cancellation
+        rows' query, over rows with bit-equal vectors and shared texts; each is
+        retrieved first in some example."""
+        cancelling, between, ones = self.cancellation_rows()
+        vector = st.lists(COORDINATE, min_size=8, max_size=8)
+        pool = [cancelling, between, *data.draw(st.lists(vector, max_size=4), label="pool")]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        shared = data.draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+        ids = data.draw(st.permutations(range(len(picks))), label="ids")
+        # A query of tiny norm has a far smaller error bound than the others.
+        tiny = st.lists(st.sampled_from([0.0, 2.0**-40, -(2.0**-40)]), min_size=8, max_size=8)
+        others = data.draw(st.lists(vector | tiny, min_size=1, max_size=4), label="queries")
+        at = data.draw(st.integers(0, len(others)), label="cancellation query's column")
+        order = data.draw(st.permutations(range(len(others) + 1)), label="order")
+        k = data.draw(st.integers(1, len(picks) + 2), label="k")
+
+        texts = [
+            f"p{pick}" if same else f"c{j}" for j, (pick, same) in enumerate(zip(picks, shared))
+        ]
+        vectors = np.asarray(pool, dtype=np.float32)[picks]
+        query_vectors = list(np.asarray(others, dtype=np.float32))
+        query_vectors.insert(at, ones)
+        queries = {f"q{j}": query_vector for j, query_vector in enumerate(query_vectors)}
+        chunks = [
+            Chunk(chunk_id=f"id{ids[j]:03d}", doc_id="d", sentence_indices=(j,), text=text)
+            for j, text in enumerate(texts)
+        ]
+        seeded_spec = seeded({**dict(zip(texts, vectors)), **queries}, 8)
+        index = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
+        for j in order:
+            query = f"q{j}"
+            check_against_reference(index, chunks, vectors, query, queries[query], k)
+            alone = build_index(chunks, ScoreTable(seeded_spec, [query]))
+            assert [chunk for chunk, _ in retrieve(index, query, k)] == [
+                chunk for chunk, _ in retrieve(alone, query, k)
+            ]
+
+    def test_a_failed_exact_resolution_fails_only_its_query(self, monkeypatch):
+        """The exact scores need the rows' vectors; with the memo cleared, as in
+        a new process, and the backend failing for one row text, only the query
+        whose close scores hold that row fails, and it ranks once it can."""
+        cancelling, between, query_vector = self.cancellation_rows()
+        vectors = {"cancel": cancelling, "between": between}
+        # "query" must resolve its two rows exactly; "other" scores them far apart.
+        queries = {"query": query_vector, "other": cancelling}
+        seeded_spec = seeded({**vectors, **queries}, 8)
+        chunks = [make_chunk(0, "a", "cancel"), make_chunk(1, "b", "between")]
+        fresh = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
+        expected = {query: retrieve(fresh, query, 2) for query in queries}
+        index = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
+        memo = embedding._MEMO.pop(seeded_spec)
+        real = embedding.embed_batch
+
+        def embed(spec, texts):
+            if "cancel" in texts:
+                raise embedding.EmbeddingError("embedding backend failed")
+            return real(spec, texts)
+
+        monkeypatch.setattr(embedding, "embed_batch", embed)
+        with pytest.raises(embedding.EmbeddingError, match="backend failed"):
+            retrieve(index, "query", 2)
+        assert retrieve(index, "other", 2) == expected["other"]
+        with pytest.raises(embedding.EmbeddingError, match="backend failed"):
+            retrieve(index, "query", 1)
+        embedding._MEMO[seeded_spec] = memo
+        assert retrieve(index, "query", 2) == expected["query"]
+        assert [chunk.text for chunk, _ in expected["query"]] == ["between", "cancel"]
 
     def test_rows_added_after_the_query_rank_as_in_a_fresh_table(self):
         cancelling, between, query_vector = self.cancellation_rows()
