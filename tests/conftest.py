@@ -145,10 +145,12 @@ def mock_service():
 
 @pytest.fixture(autouse=True)
 def fresh_embedding_memo():
-    """Each test starts with an empty in-process embedding memo."""
+    """Each test starts with an empty in-process embedding memo and piece memo."""
     embedding._MEMO.clear()
+    embedding._piece_buckets.cache_clear()
     yield
     embedding._MEMO.clear()
+    embedding._piece_buckets.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -134,6 +134,67 @@ def test_embed_batch_rows_match_the_per_token_loop(texts, dimension):
         assert row.tobytes() == deterministic_embed_reference(text, dimension).tobytes()
 
 
+# The test backend splits a text at ". " and memoises each piece's buckets.
+# Joints that run into each other or sit at either end, and piece ends that
+# casefold to two characters ("ß", "ẞ", "İ", "ﬁ"), that lower would read in
+# context (a final "Σ"), combining marks, "_" and pieces with no tokens.
+JOINTS = st.sampled_from([". ", ". . ", ".. ", ". .. "])
+PIECE_ENDS = st.sampled_from(
+    ["", "_", "ß", "ẞ", "İ", "ﬁ", "ΟΔΟΣ", "Σ", "e\u0301", "\u0301", "!?", "alpha", "theta"]
+)
+PIECES = st.lists(st.one_of(st.text(max_size=8), PIECE_ENDS), max_size=4).map("".join)
+
+
+@st.composite
+def joined_texts(draw, shared: str) -> str:
+    """Pieces, some of them the batch's shared one, joined at ". " joints."""
+    parts = draw(st.lists(PIECES | st.just(shared), min_size=1, max_size=6))
+    lead, tail = draw(st.sampled_from(["", ". "])), draw(st.sampled_from(["", ". ", "."]))
+    text = lead + "".join(part + draw(JOINTS) for part in parts[:-1]) + parts[-1] + tail
+    return text or ". "
+
+
+@st.composite
+def joined_batches(draw) -> list[tuple[list[str], int, bool]]:
+    """Batches of joined texts, each with its dimension and whether the piece
+    memo is cleared before it."""
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        shared = draw(PIECES)
+        texts = draw(st.lists(joined_texts(shared), min_size=1, max_size=6))
+        batches.append((texts, draw(st.integers(2, 64)), draw(st.booleans())))
+    return batches
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(batches=joined_batches())
+@example(batches=[(["alpha. theta", "theta. alpha. alpha. theta"], 2, False)])
+@example(batches=[([". . ", "ΟΔΟΣ. Σ. ß_. İ", ".. ﬁ_. e\u0301. \u0301x"], 3, False)] * 2)
+def test_texts_joined_at_sentence_ends_match_the_per_token_loop(batches):
+    """Every row equals the per-token loop's, with the piece memo cold and then
+    warm, whether or not it is cleared between batches, which may differ in
+    dimension."""
+    embedding._piece_buckets.cache_clear()
+    for texts, dimension, clear in batches:
+        if clear:
+            embedding._piece_buckets.cache_clear()
+        spec = EmbedderSpec(backend="test", dimension=dimension, model_id="joints")
+        for _ in ("as the batch before left the piece memo", "with every piece memoised"):
+            embedding._MEMO.pop(spec, None)
+            rows = embed_batch(spec, texts)
+            for text, row in zip(texts, rows):
+                assert row.tobytes() == deterministic_embed_reference(text, dimension).tobytes()
+
+
+def test_a_sentence_shared_by_texts_is_tokenized_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(embedding, "tokenize", lambda piece: seen.append(piece) or tokenize(piece))
+    spec = EmbedderSpec(backend="test", dimension=16)
+    embed_batch(spec, ["One bee. Two bees.", "Two bees. Three bees."])
+    embed_batch(spec, ["One bee. Two bees. Three bees."])
+    assert sorted(seen) == ["One bee", "Three bees.", "Two bees", "Two bees."]
+
+
 class TestTokenBucket:
     def test_stable_known_values(self):
         # Frozen sample of the blake2b mapping; guards cross-platform drift.
@@ -343,6 +404,20 @@ class TestCache:
         header, matrix = decode_vectors(path.read_bytes())
         assert header["count"] == 1
         np.testing.assert_array_equal(matrix, expected)
+
+    def test_remote_backend_gets_and_caches_whole_texts(self, tmp_path, mock_service):
+        """Only the test backend splits texts at sentence ends."""
+        mock_service.embed_with(lambda text: [1.0, float(len(text)), 0.0])
+        spec = EmbedderSpec(
+            backend="remote", endpoint=mock_service.url, dimension=3, cache_dir=tmp_path
+        )
+        texts = ["First one. Second one.", "Second one. Third one", "Second one"]
+        embed_batch(spec, texts)
+        assert [r["payload"]["texts"] for r in mock_service.requests] == [texts]
+        assert {path.name for path in tmp_path.glob("*.vec")} == {
+            embedding._VectorCache(spec)._path(text).name for text in texts
+        }
+        assert embedding._piece_buckets.cache_info().currsize == 0
 
     def test_memoised_texts_build_no_cache(self, tmp_path, monkeypatch):
         spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)

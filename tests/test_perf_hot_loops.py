@@ -1,11 +1,11 @@
 """Layer microbenchmarks, marked perf and so deselected by default:
 segmenting data/mini, the test embedder over every distinct chunk text of
-the default grid on data/mini, an index built for each of the grid's
-chunkings of data/mini, one score table over all of those chunkings with
-every doc query ranked on each, doc retrieval and scoring over a fresh
-index and table and again over an index that has ranked every query,
-evidence scoring of 10-hit lists, and encoding every results.jsonl line of
-a doc bench on data/mini.
+the default grid on data/mini and on data/mini stitched into one
+document, an index built for each of the grid's chunkings of data/mini,
+one score table over all of those chunkings with every doc query ranked
+on each, doc retrieval and scoring over a fresh index and table and again
+over an index that has ranked every query, evidence scoring of 10-hit
+lists, and encoding every results.jsonl line of a doc bench on data/mini.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
@@ -26,7 +26,7 @@ from chunkbench.chunkers import (  # noqa: E402
     default_grid,
 )
 from chunkbench.cli import main, results_body, results_head, results_tail  # noqa: E402
-from chunkbench.corpus import load_corpus  # noqa: E402
+from chunkbench.corpus import load_corpus, stitch  # noqa: E402
 from chunkbench.embedding import EmbedderSpec, embed_batch, token_bucket  # noqa: E402
 from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
 from chunkbench.retrieval import ScoreTable, build_index, retrieve  # noqa: E402
@@ -55,8 +55,8 @@ def test_segment_mini(benchmark):
     assert sum(doc.n for doc in docs) == 106
 
 
-def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
-    docs, _ = segmented_mini()
+def distinct_chunk_texts(docs) -> list[str]:
+    """Each distinct chunk text of the default grid over docs, in first-seen order."""
     texts: dict[str, None] = {}
     for doc in docs:
         embeddings = embed_batch(SPEC, doc.sentence_texts)
@@ -64,17 +64,36 @@ def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
         for config in default_grid():
             for chunk in chunk_document(doc, embeddings, config, distances=distances):
                 texts[chunk.text] = None
+    return list(texts)
 
-    # The count perfbench pins as embedding.chunks.distinct_texts on data/mini.
-    assert len(texts) == 391
 
+def embed_from_scratch(benchmark, texts):
     def forget():
-        # Every round embeds from scratch: no vector memo, no token buckets.
+        # Every round embeds from scratch: no vector memo, no piece or token buckets.
         embedding._MEMO.clear()
+        embedding._piece_buckets.cache_clear()
         token_bucket.cache_clear()
 
-    matrix = benchmark.pedantic(embed_batch, args=(SPEC, list(texts)), setup=forget, rounds=20)
+    matrix = benchmark.pedantic(embed_batch, args=(SPEC, texts), setup=forget, rounds=20)
     assert matrix.shape == (len(texts), SPEC.dimension)
+
+
+def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
+    texts = distinct_chunk_texts(segmented_mini()[0])
+    # The count perfbench pins as embedding.chunks.distinct_texts on data/mini.
+    assert len(texts) == 391
+    embed_from_scratch(benchmark, texts)
+
+
+def test_embed_distinct_chunk_texts_of_the_grid_over_stitched_mini(benchmark):
+    documents, queries = load_corpus(MINI_DATASET)
+    (stitched,), _ = stitch(documents, queries, target_sentences=106, seed=3)
+    doc = segment_document(stitched.doc_id, stitched.text)
+    assert doc.n == 106
+    # Long chunks that share their sentences, as on stitched-evidence.
+    texts = distinct_chunk_texts([doc])
+    assert len(texts) == 500
+    embed_from_scratch(benchmark, texts)
 
 
 def grid_chunkings(docs):
