@@ -12,7 +12,6 @@ import json
 import logging
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterator, Sequence
@@ -68,8 +67,6 @@ FAILURES_FILENAME = "failures.jsonl"
 TRENDS_FILENAME = "trends.csv"
 ANSWERS_FILENAME = "answers.jsonl"
 FAILURE_FRACTION_LIMIT = 0.10
-# How many of the last distinct corpus chunkings bench keeps ranked and scored.
-RECENT_CHUNKINGS = 8
 # trends.csv leaves out these hyperparameters while every row holds them at one value.
 _UNSWEPT_FIELDS = ("single_linkage.stop_distance",)
 
@@ -358,32 +355,34 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     tail = results_tail(task)
     query_ids = [_json_str(query.query_id) for query, _ in eligible]
-    # Each distinct chunk text is embedded and scored against each query once per run.
-    # The states hand out one Chunk per (document, ordinal, sentence indices) for the
-    # run and keep every one alive, so the identities of a chunking's Chunks name it
-    # exactly; packed into bytes, they take a fifth of the memory of a tuple of ints.
-    # Each of the last RECENT_CHUNKINGS distinct chunkings keeps its index, which
-    # remembers its ranking of every query, and per query the (recall, precision, f1)
-    # at each k and the bodies of its lines: a config that chunks the corpus as one of
-    # them did ranks, scores and renders nothing anew. A chunking whose build fails
-    # is not kept.
+    # The states keep one Chunk per (document, ordinal, sentence indices) alive for the
+    # run, so the identities of a chunking's Chunks name it exactly. From its first config
+    # to its last, a chunking keeps its index, which remembers its ranking of every query,
+    # and per query the (recall, precision, f1) at each k and the bodies of its lines; a
+    # failed build is not kept. A failed query embed in the table ends the run unchunked.
     table = ScoreTable(spec, [query.text for query, _ in eligible])
-    recent: OrderedDict[bytes, tuple[ChunkIndex, dict[str, tuple[np.ndarray, list[str]]]]] = (
-        OrderedDict()
-    )
+    distinct: dict[bytes, int] = {}  # a chunking's key -> its number
+    chunkings: dict[int, list[Chunk]] = {}
+    numbers: list[int | Exception] = []  # per config, its chunking's number or what it raised
+    for config in grid:
+        try:
+            chunks = chunk_corpus(config)
+            key = np.fromiter(map(id, chunks), np.uintp, len(chunks)).tobytes()
+            numbers.append(distinct.setdefault(key, len(distinct)))
+            chunkings.setdefault(numbers[-1], chunks)
+        except Exception as exc:
+            numbers.append(exc)
+    last = {number: i for i, number in enumerate(numbers)}
+    live: dict[int, tuple[ChunkIndex, dict[str, tuple[np.ndarray, list[str]]]]] = {}
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
-        for config in grid:
+        for i, (config, number) in enumerate(zip(grid, numbers)):
             config_id = canonical_config(config)
             try:
-                chunks = chunk_corpus(config)
-                key = np.fromiter(map(id, chunks), np.uintp, len(chunks)).tobytes()
-                if key in recent:
-                    recent.move_to_end(key)
-                else:
-                    recent[key] = build_index(chunks, table), {}
-                    if len(recent) > RECENT_CHUNKINGS:
-                        recent.popitem(last=False)
-                index, kept = recent[key]
+                if isinstance(number, Exception):
+                    raise number
+                if number not in live:
+                    live[number] = build_index(chunkings[number], table), {}
+                index, kept = live[number] if i < last[number] else live.pop(number)
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)

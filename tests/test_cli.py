@@ -4,6 +4,7 @@ import json
 import logging
 import shutil
 import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -791,19 +792,18 @@ def lines_by_config(out):
 
 class TestIndexReuse:
     @pytest.mark.parametrize("task", ["doc", "evidence"])
-    def test_recent_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
+    def test_equal_chunkings_share_one_index(self, tmp_path, monkeypatch, task):
         builds = counting(monkeypatch, "build_index")
         retrieves = counting(monkeypatch, "retrieve")
         metrics = counting(monkeypatch, "doc_metrics" if task == "doc" else "evidence_metrics")
         assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
                     "--out", tmp_path / "out"]) == 0
         # With the default run config, the 218 default-grid configs chunk data/mini
-        # in 69 distinct ways; 134 of them chunk it as one of the last 8 distinct
-        # chunkings did.
-        assert len(builds) == 84
+        # in 69 distinct ways, each built once.
+        assert len(builds) == 69
         assert len(retrieves) == 218 * 10
-        # Each kept chunking scores each of the 10 queries once per k of [1, 3, 5, 10].
-        assert len(metrics) == 84 * 10 * 4
+        # Each distinct chunking scores each of the 10 queries once per k of [1, 3, 5, 10].
+        assert len(metrics) == 69 * 10 * 4
 
     @pytest.mark.parametrize("task", ["doc", "evidence"])
     def test_each_chunk_text_and_query_is_embedded_once_per_run(self, tmp_path, monkeypatch, task):
@@ -811,33 +811,16 @@ class TestIndexReuse:
         embeds = counting(monkeypatch, "embed_batch", module=retrieval)
         assert run(["bench", "--task", task, "--dataset", MINI_DATASET,
                     "--out", tmp_path / "out"]) == 0
-        assert len(builds) == 84
+        assert len(builds) == 69
         queries = {query.text for query in load_corpus(MINI_DATASET)[1]}
         query_embeds = [texts for _, texts in embeds if texts[0] in queries]
         chunk_texts = [text for _, texts in embeds if texts[0] not in queries for text in texts]
         # The 391 distinct chunk texts of the default grid on data/mini, each
-        # embedded once however many of the 84 builds hold it.
+        # embedded once however many of the 69 builds hold it.
         assert len(chunk_texts) == len(set(chunk_texts)) == 391
         # Every query in one call, as the run's score table is made.
         assert len(query_embeds) == 1
         assert sorted(query_embeds[0]) == sorted(queries)
-
-    @pytest.mark.parametrize("task", ["doc", "evidence"])
-    def test_rows_from_kept_bodies_equal_rows_rendered_afresh(self, tmp_path, monkeypatch, task):
-        """Keeping one chunking, a config writes kept line bodies only when it
-        chunks the corpus as the config before it did; keeping eight, far more do."""
-        builds = counting(monkeypatch, "build_index")
-        written, built = [], []
-        for recent in (1, 8):
-            monkeypatch.setattr(cli, "RECENT_CHUNKINGS", recent)
-            out = tmp_path / f"recent-{recent}"
-            assert run(["bench", "--task", task, "--dataset", MINI_DATASET, "--out", out]) == 0
-            written.append((out / "results.jsonl").read_bytes())
-            built.append(len(builds))
-            builds.clear()
-        # 218 - 146 = 72 configs chunk data/mini as the config before them did.
-        assert built == [146, 84]
-        assert written[0] == written[1]
 
     def bench(self, tmp_path, name, n_chunks, overlap=(0,)):
         """bench --task doc on data/mini over a fixed-size grid; its lines by config."""
@@ -858,15 +841,73 @@ class TestIndexReuse:
         assert len(metrics) == 2 * 10 * 2
         assert list(clean.items()) == list(reused.items())[2:]
 
-    def test_a_chunking_evicted_from_the_recent_ones_is_built_again(self, tmp_path, monkeypatch):
+    def test_a_chunking_that_recurs_after_eleven_others_is_built_once(
+        self, tmp_path, monkeypatch
+    ):
         """Sizes 9, 2, 3, 4, 5 and 8, each with and without overlap, chunk data/mini
-        in 12 distinct ways, more than bench keeps; 10 then chunks like 9."""
+        in 12 distinct ways; 10 then chunks like 9."""
         clean = self.bench(tmp_path, "clean", [10], overlap=[0, 1])
         builds = counting(monkeypatch, "build_index")
-        evicted = self.bench(tmp_path, "evicted", [9, 2, 3, 4, 5, 8, 10], overlap=[0, 1])
-        assert 12 > cli.RECENT_CHUNKINGS
-        assert len(builds) == 14
-        assert list(clean.items()) == list(evicted.items())[12:]
+        recurring = self.bench(tmp_path, "recurring", [9, 2, 3, 4, 5, 8, 10], overlap=[0, 1])
+        assert len(builds) == 12
+        assert list(clean.items()) == list(recurring.items())[12:]
+
+    def test_an_index_is_released_after_its_last_config(self, tmp_path, monkeypatch):
+        """9 and 10 chunks chunk data/mini alike, 2 chunks another way: the index of
+        2 lives only while config 2 runs, and the one of 9 until config 10 has run."""
+        indexes, live = [], []
+        real_build, real_aggregate = cli.build_index, cli.aggregate
+
+        def build_index(*args):
+            index = real_build(*args)
+            indexes.append(weakref.ref(index))
+            return index
+
+        def aggregate(*args):
+            live.append(sum(ref() is not None for ref in indexes))
+            return real_aggregate(*args)
+
+        monkeypatch.setattr(cli, "build_index", build_index)
+        monkeypatch.setattr(cli, "aggregate", aggregate)
+        self.bench(tmp_path, "released", [9, 2, 10])
+        assert len(indexes) == 2
+        assert live == [1, 2, 1]
+
+    def test_a_config_whose_chunking_raises_fails_in_its_place(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """Of sizes 2, 3, 4 and 5, the build of 3 fails and the chunking of 4
+        raises; the failures and warnings keep grid order, and 2 and 5 write the
+        rows of a clean run."""
+        clean = self.bench(tmp_path, "clean", [2, 3, 4, 5])
+        grid = {"fixed_size": {"n_chunks": [2, 3, 4, 5], "overlap": [0]}}
+        b, c = (canonical_config(config) for config in grid_from_dict(grid)[1:3])
+        real = cli.chunk_document
+
+        def chunk_document(doc, embeddings, config, **kwargs):
+            if canonical_config(config) == c:
+                raise RuntimeError("chunker failed")
+            return real(doc, embeddings, config, **kwargs)
+
+        monkeypatch.setattr(cli, "chunk_document", chunk_document)
+        counting(monkeypatch, "build_index", fail_on=2)
+        out = tmp_path / "failed"
+        # 20 of 40 evaluations fail, over the failure limit.
+        with caplog.at_level(logging.WARNING, logger="chunkbench.cli"):
+            assert run(["bench", "--task", "doc", "--config", write_config(tmp_path, grid=grid),
+                        "--dataset", MINI_DATASET, "--out", out]) == 1
+        lines = (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()
+        failures = [json.loads(line) for line in lines]
+        queries = sorted(query["query_id"] for query in mini_queries())
+        assert [(row["config"], row["query_id"]) for row in failures] == [
+            (config_id, query_id) for config_id in (b, c) for query_id in queries
+        ]
+        assert {row["error"] for row in failures if row["config"] == c} == {"chunker failed"}
+        outright = [r.getMessage() for r in caplog.records if "failed outright" in r.getMessage()]
+        assert outright == [f"config {b} failed outright: build_index failed",
+                            f"config {c} failed outright: chunker failed"]
+        assert lines_by_config(out) == {config_id: clean[config_id]
+                                        for config_id in clean if config_id not in (b, c)}
 
     def test_a_failed_build_is_not_kept_for_the_next_config(self, tmp_path, monkeypatch):
         """A chunks data/mini one way; B and C (more chunks than any document has
