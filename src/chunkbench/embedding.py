@@ -31,8 +31,8 @@ _RETRY_ATTEMPTS = 3
 _REQUEST_TIMEOUT = 30.0
 _TOKEN_SPLIT = re.compile(r"[\W_]+")
 # Every vector embedded in this process, per spec; see embed_batch. Nothing
-# drops a text from it, so memoised_vectors reads a vector back from here for
-# the life of the process.
+# drops a text from it, so memoised_vectors can read back from here every
+# vector embed_batch has returned, for the life of the process.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
 
 
@@ -191,16 +191,11 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
 
 def memoised_vectors(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     """The rows embed_batch has returned for texts, read back from the memo:
-    for a caller that keeps no copy of the vectors it had embedded, and may
-    rely on the memo keeping each of them for the life of the process.
-    Reading them is no embedding work, so it does not go through a caller's
-    embed_batch; should the memo have been cleared, as a test does to stand
-    in for a new process, the texts are embedded again."""
+    for a caller that keeps no copy of the vectors it had embedded. Reading
+    them is no embedding work and sends nothing to the backend; a text not
+    embedded under spec in this process raises KeyError."""
     memo = _MEMO.get(spec, {})
-    try:
-        return np.stack([memo[text] for text in texts])
-    except KeyError:
-        return embed_batch(spec, texts)
+    return np.stack([memo[text] for text in texts])
 
 
 def _compute(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:

@@ -6,12 +6,11 @@ their float32 embeddings, so a run embeds each text once and scores each
 (text, query) pair once however many chunkings share them. A ``ChunkIndex``
 is one chunking's rows of a table. ``retrieve`` ranks an index's chunks for
 one of the table's queries by the correctly rounded exact dot product, ties
-broken by ascending ``chunk_id``: the table's float64 scores decide every
-pair they can certify, and the few pairs within their error bound are
-resolved exactly, each row's score by one ``math.fsum``. The first
-``retrieve`` on an index ranks every query of the table in one numpy pass
-and finds the columns whose top places hold such pairs; a column's pairs
-are resolved when its query is first retrieved.
+broken by ascending ``chunk_id``. The first ``retrieve`` on an index ranks
+every query of the table in one numpy pass: the table's float64 scores order
+every pair they can certify, the scores in a run of close ones of different
+rows take their exact values, each row's by one ``math.fsum``, and a second
+sort orders every column exactly.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ class ChunkIndex:
     each chunk's row, the row of its text, added to the table if it is new.
 
     The index holds no vectors. It does change in one way: it remembers its
-    ranking of every query of the table, so asking again for a query's top k
-    ranks nothing.
+    exact ranking of every query of the table, so asking again for a query's
+    top k ranks nothing.
     """
 
     def __init__(self, chunks: Sequence[Chunk], table: ScoreTable) -> None:
@@ -160,9 +159,6 @@ class ChunkIndex:
         # places and their scores.
         self._places = np.empty((0, 0), dtype=np.int32)
         self._scores = np.empty((0, 0))
-        # Column -> the runs _resolve is yet to order there: each run's first
-        # place, and its chunks' id ranks and rows in float order.
-        self._unresolved: dict[int, list[tuple[int, list[int], list[int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -181,11 +177,10 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
     other text raises ValueError. Result lists are prefix-consistent across k.
     Returns a fresh list of (chunk, score) pairs, each chunk the index's own.
     A score is the table's float64 one, within the table's error bound of the
-    exact dot product, or the correctly rounded exact one where that decided
-    the order. The first call ranks every query of the table at once, and a
-    later one ranks them again only for a larger k than that; a query's close
-    scores are resolved when it is first asked for, so a failure there fails
-    only that query's calls.
+    exact dot product, or the correctly rounded exact one where the float64
+    scores could not decide the order. The first call ranks every query of
+    the table at once, and a later one ranks them again only for a larger k
+    than that.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -194,25 +189,23 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
         raise ValueError(f"query {query_text!r} is not one of the score table's queries")
     if index._places.shape[1] < min(k, len(index.chunks)):
         _rank_columns(index, k)
-    if query.column in index._unresolved:
-        _resolve(index, query)
     places = index._places[query.column, :k].tolist()
     scores = index._scores[query.column, :k].tolist()
     return list(zip(map(index.chunks.__getitem__, places), scores))
 
 
 def _rank_columns(index: ChunkIndex, k: int) -> None:
-    """Rank the index's chunks for every column of its table in one pass: the
-    top min(k, n) places by float64 score, ties by chunk_id, and the runs of
-    places whose order those scores do not certify, left to _resolve.
+    """Rank the index's chunks exactly for every column of its table in one
+    pass: the top min(k, n) places and their scores.
 
-    A run is a stretch of places whose adjacent scores lie within twice the
-    column's error bound. Its order is the exact scores' to decide unless it
-    holds one row. Only the runs that start in the top places can change them.
-    And only the scores within twice that of the k-th can reach the top k, so
-    only they are sorted: a score further below is more than two bounds under
-    the k-th, even after rounding the threshold, and a run that reaches it is
-    resolved before it could.
+    The candidates are the scores within 4b of the k-th, b the column's
+    error bound: one further below, even after rounding the threshold, is
+    exactly more than 2b under the top k. Sorted by float64 score and then
+    chunk_id, they are cut into runs whose adjacent scores lie within 2b.
+    Each score lies within b of its exact score, so the runs keep their
+    order. Every candidate in a run of two different rows or more takes its
+    exact score, from one ``ScoreTable.exact`` call per column, and a second
+    sort by score and chunk_id orders every column exactly.
     """
     table, by_id = index.table, index._by_id
     n, top = len(by_id), min(k, len(by_id))
@@ -222,45 +215,23 @@ def _rank_columns(index: ChunkIndex, k: int) -> None:
     negated = np.negative(table._scores[rows].T, order="C")
     windows = np.array([2.0 * table.error_bound(query) for query in table.queries.values()])
     kth = np.partition(negated, top - 1, axis=1)[:, top - 1]
-    # The candidates of every column laid end to end, column by column, each
-    # column's, at least top of them, by score and then id rank.
+    # Every column's candidates, at least top of them, end to end by score, then id rank.
     found = np.flatnonzero(negated <= (kth + 2.0 * windows)[:, None])
-    values = negated.ravel()[found]
+    found = found[np.lexsort((negated.ravel()[found], found // n))]
     column, id_rank = np.divmod(found, n)
-    sort = np.lexsort((values, column))
-    column, id_rank, ranked = column[sort], id_rank[sort], values[sort]
-    first = np.searchsorted(column, np.arange(len(negated)))
-    places = first[:, None] + np.arange(top)
-    # Each candidate's run, numbered through all columns, and the gaps inside a
-    # run between different rows, in the runs that start in the top places.
+    ranked = negated.ravel()[found]
+    # Each candidate's run, numbered through all columns, and the runs that
+    # hold two different rows.
     apart = (column[1:] != column[:-1]) | (ranked[1:] - ranked[:-1] > windows[column[:-1]])
     run_of = np.concatenate(([0], np.cumsum(apart)))
     ranked_rows = rows[id_rank]
-    mixed = ~apart & (ranked_rows[1:] != ranked_rows[:-1])
-    mixed &= run_of[:-1] <= run_of[places[:, -1]][column[:-1]]
-    runs = sorted(set(run_of[:-1][mixed].tolist()))
-    starts = np.searchsorted(run_of, runs, "left").tolist()
-    stops = np.searchsorted(run_of, runs, "right").tolist()
+    mixed = np.zeros(run_of[-1] + 1, dtype=bool)
+    mixed[run_of[1:][~apart & (ranked_rows[1:] != ranked_rows[:-1])]] = True
+    first = np.searchsorted(column, np.arange(len(negated)))
+    close = np.flatnonzero(mixed[run_of])
+    for query, at in zip(table.queries.values(), np.split(close, close.searchsorted(first[1:]))):
+        if len(at):
+            ranked[at] = np.negative(table.exact(query, ranked_rows[at].tolist()))
+    places = np.lexsort((id_rank, ranked, column))[first[:, None] + np.arange(top)]
     index._places = by_id[id_rank[places]].astype(np.int32)
     index._scores = -ranked[places]
-    index._unresolved = {}
-    for start, stop in zip(starts, stops):
-        at = int(column[start])
-        run = (id_rank[start:stop].tolist(), ranked_rows[start:stop].tolist())
-        index._unresolved.setdefault(at, []).append((start - int(first[at]), *run))
-
-
-def _resolve(index: ChunkIndex, query: _Query) -> None:
-    """Order each of the query's runs that _rank_columns left by the exact
-    scores, ties by chunk_id, and give its top places their exact scores.
-    The index changes only once every run has its exact scores."""
-    column, top = query.column, index._places.shape[1]
-    resolved = [
-        (start, sorted(zip((-score for score in index.table.exact(query, rows)), id_rank)))
-        for start, id_rank, rows in index._unresolved[column]
-    ]
-    for start, run in resolved:
-        run = run[: top - start]
-        index._places[column, start : start + len(run)] = index._by_id[[i for _, i in run]]
-        index._scores[column, start : start + len(run)] = [-negated for negated, _ in run]
-    del index._unresolved[column]

@@ -644,43 +644,31 @@ class TestBenchCommand:
         with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
             assert {row["n_queries"] for row in csv.DictReader(fh)} == {"9"}
 
-    def test_a_query_whose_exact_resolution_fails_loses_only_its_rows(
+    def test_close_scores_resolve_exactly_and_keep_the_reference_rows(
         self, tmp_path, monkeypatch
     ):
-        """A query's close scores are resolved exactly when it is first retrieved
-        on an index; when that fails for one query, it loses only its rows under
-        the configs whose ranking of it needed resolving, and the others keep all."""
-        cfg = write_config(tmp_path, grid=None, k_list=[1, 3, 5, 10])
-        argv = ["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET, "--out"]
-        assert run([*argv, tmp_path / "clean"]) == 0
-        victim = mini_queries()[3]
+        """A default-grid data/mini doc run gives 1,274 rows their exact scores,
+        and writes the reference loop's rows byte for byte: the exact scores
+        order them as its float64 C @ q does there."""
+        resolved: list[int] = []
         real = retrieval.ScoreTable.exact
 
         def exact(table, query, rows):
-            if query is table.queries[victim["text"]]:
-                raise RuntimeError("exact resolution failed")
+            resolved.extend(rows)
             return real(table, query, rows)
 
         monkeypatch.setattr(retrieval.ScoreTable, "exact", exact)
+        k_list = [1, 3, 5, 10]
+        cfg = write_config(tmp_path, grid=None, k_list=k_list, embedder={})
         out = tmp_path / "out"
-        assert run([*argv, out]) == 0
-        failures = [
-            json.loads(line)
-            for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()
-        ]
-        assert {(f["query_id"], f["error"]) for f in failures} == {
-            (victim["query_id"], "exact resolution failed")
-        }
-        failed = {f["config"] for f in failures}
-        assert 0 < len(failed) == len(failures) < len(default_grid())
-        clean = (tmp_path / "clean" / "results.jsonl").read_text(encoding="utf-8")
-        kept = [
-            line
-            for line in clean.splitlines(keepends=True)
-            if json.loads(line)["query_id"] != victim["query_id"]
-            or canonical_config(config_from_dict(json.loads(line)["config"])) not in failed
-        ]
-        assert (out / "results.jsonl").read_text(encoding="utf-8") == "".join(kept)
+        assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+                    "--out", out]) == 0
+        assert len(resolved) == 1274
+        dimension = EmbedderSpec().dimension
+        expected = bench_rows_reference(MINI_DATASET, "doc", default_grid(), k_list, dimension)
+        assert (out / "results.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in expected
+        )
 
     def test_a_failed_query_embedding_fails_the_run_and_leaves_the_last(
         self, tmp_path, monkeypatch, capsys

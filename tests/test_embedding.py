@@ -17,6 +17,7 @@ from chunkbench.embedding import (
     deterministic_embed,
     embed_batch,
     encode_vectors,
+    memoised_vectors,
     token_bucket,
     tokenize,
 )
@@ -328,6 +329,16 @@ class TestMemo:
         self._recording(mock_service)
         assert embed_batch(spec, ["alpha"]).shape == (1, 3)
         assert len(mock_service.requests) == 2
+
+    def test_memoised_vectors_reads_only_the_memo(self, mock_service):
+        spec = self._recording(mock_service)
+        first = embed_batch(spec, ["alpha"])
+        np.testing.assert_array_equal(memoised_vectors(spec, ["alpha"]), first)
+        with pytest.raises(KeyError, match="beta"):
+            memoised_vectors(spec, ["alpha", "beta"])
+        with pytest.raises(KeyError, match="alpha"):
+            memoised_vectors(replace(spec, model_id="other-model"), ["alpha"])
+        assert len(mock_service.requests) == 1
 
     def test_mutating_a_result_does_not_change_the_next(self):
         spec = EmbedderSpec(backend="test", dimension=8)

@@ -71,18 +71,6 @@ class TestChunkIndex:
         # A rejected index adds no rows.
         assert len(table) == 0
 
-    def test_vectors_are_embedded_again_after_the_memo_is_cleared(self):
-        chunks = word_chunks(["tide", "ember"])
-        fresh = ScoreTable(spec(), ["tide"])
-        expected = retrieve(build_index(chunks, fresh), "tide", 2)
-        exact = fresh.exact(fresh.queries["tide"], [0, 1])
-        table = ScoreTable(spec(), ["tide"])
-        index = build_index(chunks, table)
-        embedding._MEMO.clear()  # as a new process would start
-        assert retrieve(index, "tide", 2) == expected
-        embedding._MEMO.clear()
-        assert table.exact(table.queries["tide"], [0, 1]) == exact
-
     def test_indexes_of_one_table_share_rows_by_text(self, monkeypatch):
         embedded: list[str] = []
 
@@ -494,36 +482,25 @@ class TestExactRanking:
                 chunk for chunk, _ in retrieve(alone, query, k)
             ]
 
-    def test_a_failed_exact_resolution_fails_only_its_query(self, monkeypatch):
-        """The exact scores need the rows' vectors; with the memo cleared, as in
-        a new process, and the backend failing for one row text, only the query
-        whose close scores hold that row fails, and it ranks once it can."""
+    def test_ranking_embeds_nothing_once_the_index_is_built(self, monkeypatch):
+        """The exact scores read the rows' vectors back from the embedding memo,
+        so with the embedder failing after the build every query still ranks."""
         cancelling, between, query_vector = self.cancellation_rows()
         vectors = {"cancel": cancelling, "between": between}
-        # "query" must resolve its two rows exactly; "other" scores them far apart.
-        queries = {"query": query_vector, "other": cancelling}
+        # "query" must resolve its two rows exactly; the others score them apart.
+        queries = {"query": query_vector, "other": cancelling, "third": between}
         seeded_spec = seeded({**vectors, **queries}, 8)
         chunks = [make_chunk(0, "a", "cancel"), make_chunk(1, "b", "between")]
-        fresh = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
-        expected = {query: retrieve(fresh, query, 2) for query in queries}
         index = build_index(chunks, ScoreTable(seeded_spec, list(queries)))
-        memo = embedding._MEMO.pop(seeded_spec)
-        real = embedding.embed_batch
 
         def embed(spec, texts):
-            if "cancel" in texts:
-                raise embedding.EmbeddingError("embedding backend failed")
-            return real(spec, texts)
+            raise embedding.EmbeddingError("embedding backend failed")
 
         monkeypatch.setattr(embedding, "embed_batch", embed)
-        with pytest.raises(embedding.EmbeddingError, match="backend failed"):
-            retrieve(index, "query", 2)
-        assert retrieve(index, "other", 2) == expected["other"]
-        with pytest.raises(embedding.EmbeddingError, match="backend failed"):
-            retrieve(index, "query", 1)
-        embedding._MEMO[seeded_spec] = memo
-        assert retrieve(index, "query", 2) == expected["query"]
-        assert [chunk.text for chunk, _ in expected["query"]] == ["between", "cancel"]
+        monkeypatch.setattr(retrieval, "embed_batch", embed)
+        for query, vector in queries.items():
+            check_against_reference(index, chunks, list(vectors.values()), query, vector, 2)
+        assert [chunk.text for chunk, _ in retrieve(index, "query", 2)] == ["between", "cancel"]
 
     def test_rows_added_after_the_query_rank_as_in_a_fresh_table(self):
         cancelling, between, query_vector = self.cancellation_rows()
