@@ -2,8 +2,8 @@
 
 Document-level metrics score the set of distinct documents the retrieved
 chunks came from; evidence-level metrics score the set of (doc_id,
-sentence_index) pairs the retrieved chunks cover. Both are macro-averaged
-over queries.
+sentence_index) pairs the retrieved chunks cover. Both are one coverage
+computation over those units, macro-averaged over queries.
 """
 
 from __future__ import annotations
@@ -37,37 +37,30 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _coverage(retrieved: set, truth: AbstractSet) -> tuple[float, float, float]:
+    """(recall, precision, f1) of the retrieved units against the true ones."""
+    if not truth:
+        raise ValueError("ground truth must be non-empty")
+    if not retrieved:
+        return 0.0, 0.0, 0.0
+    hits = len(retrieved.intersection(truth))
+    recall, precision = hits / len(truth), hits / len(retrieved)
+    return recall, precision, f1_score(precision, recall)
+
+
 def doc_metrics(
     retrieved_chunks: Sequence[Chunk], relevant_doc_ids: AbstractSet[str]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the distinct documents retrieved."""
-    if not relevant_doc_ids:
-        raise ValueError("relevant_doc_ids must be non-empty")
-    retrieved_docs = {chunk.doc_id for chunk in retrieved_chunks}
-    if not retrieved_docs:
-        return 0.0, 0.0, 0.0
-    hits = len(retrieved_docs & set(relevant_doc_ids))
-    recall = hits / len(relevant_doc_ids)
-    precision = hits / len(retrieved_docs)
-    return recall, precision, f1_score(precision, recall)
+    return _coverage({chunk.doc_id for chunk in retrieved_chunks}, relevant_doc_ids)
 
 
 def evidence_metrics(
     retrieved_chunks: Sequence[Chunk], evidence: AbstractSet[tuple[str, int]]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the sentences the retrieved chunks cover."""
-    if not evidence:
-        raise ValueError("evidence must be non-empty")
-    covered: dict[str, set[int]] = {}
-    for chunk in retrieved_chunks:
-        covered.setdefault(chunk.doc_id, set()).update(chunk.sentence_indices)
-    n_covered = sum(len(indices) for indices in covered.values())
-    if not n_covered:
-        return 0.0, 0.0, 0.0
-    hits = sum(1 for doc_id, index in evidence if index in covered.get(doc_id, ()))
-    recall = hits / len(evidence)
-    precision = hits / n_covered
-    return recall, precision, f1_score(precision, recall)
+    covered = {(chunk.doc_id, i) for chunk in retrieved_chunks for i in chunk.sentence_indices}
+    return _coverage(covered, evidence)
 
 
 def aggregate(

@@ -495,6 +495,27 @@ class TestChunkDocument:
         got = chunk_document(doc, None, FixedSizeConfig(n_chunks=2), distances=state)
         assert groups_of(got) == [[0, 1], [2, 3]]
 
+    def test_a_state_shares_chunks_ids_texts_and_indices_across_configs(self):
+        doc = doc_of(10)
+        state = DocumentDistances(doc)
+        configs = [FixedSizeConfig(n, overlap) for n in range(1, 11) for overlap in (0, 1)]
+        by_place, id_by_ordinal, parts_by_indices = {}, {}, {}
+        for config in configs:
+            first = chunk_document(doc, None, config, distances=state)
+            second = chunk_document(doc, None, config, distances=state)
+            assert first is not second and first == second
+            for ordinal, chunk in enumerate(first):
+                by_place.setdefault((ordinal, chunk.sentence_indices), set()).add(id(chunk))
+                id_by_ordinal.setdefault(ordinal, set()).add(id(chunk.chunk_id))
+                parts_by_indices.setdefault(chunk.sentence_indices, set()).add(
+                    (id(chunk.text), id(chunk.sentence_indices))
+                )
+        # Overlap makes one index tuple a chunk at two ordinals.
+        assert {ordinal for ordinal, indices in by_place if indices == (0, 1)} == {0, 1}
+        assert all(len(ids) == 1 for ids in by_place.values())
+        assert all(len(ids) == 1 for ids in id_by_ordinal.values())
+        assert all(len(parts) == 1 for parts in parts_by_indices.values())
+
     def test_a_state_refuses_a_wrong_number_of_embedding_rows(self, rng):
         for rows in (3, 5):
             with pytest.raises(ValueError, match=f"^got {rows} embeddings for 4 sentences$"):

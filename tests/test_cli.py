@@ -5,6 +5,7 @@ import logging
 import shutil
 import threading
 import weakref
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from chunkbench.chunkers import (
     read_chunks,
 )
 from chunkbench.cli import (
-    StitchConfig,
+    RunConfig,
     build_parser,
     load_run_config,
     main,
@@ -428,19 +429,20 @@ class TestExitCodes:
 
 class TestRunConfig:
     def test_checked_in_config_file_loads_whole(self):
+        # The file spells out the defaults: every init field but grid loads equal
+        # to a no-file run's, and grid, which the defaults leave null, expands to
+        # the same configs with the same canonical ids.
         path = REPO_ROOT / "configs" / "default.json"
-        args = build_parser().parse_args(["bench", "--task", "doc", "--config", str(path)])
-        cfg = load_run_config(args)
-        assert cfg.configs == default_grid()
-        assert [canonical_config(c) for c in cfg.configs] == [
-            canonical_config(c) for c in default_grid()
-        ]
-        assert cfg.embedder == EmbedderSpec()
-        assert cfg.stitch == StitchConfig()
-        assert cfg.generation is None
-        assert (str(cfg.dataset), str(cfg.out), cfg.seed, cfg.k_list) == (
-            "data/mini", "out", 7, [1, 3, 5, 10]
+        cfg = load_run_config(
+            build_parser().parse_args(["bench", "--task", "doc", "--config", str(path)])
         )
+        defaults = load_run_config(build_parser().parse_args(["bench", "--task", "doc"]))
+        names = [f.name for f in fields(RunConfig) if f.init and f.name != "grid"]
+        for name in names + ["configs"]:
+            assert getattr(cfg, name) == getattr(defaults, name), name
+        assert [canonical_config(c) for c in cfg.configs] == [
+            canonical_config(c) for c in defaults.configs
+        ]
 
     def test_no_file_gives_the_defaults(self):
         cfg = load_run_config(build_parser().parse_args(["bench", "--task", "doc"]))

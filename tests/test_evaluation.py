@@ -23,7 +23,7 @@ from chunkbench.evaluation import (
     select_best_config,
 )
 
-from reference import evidence_metrics_reference
+from reference import doc_metrics_reference, evidence_metrics_reference
 
 
 class FakeChunk:
@@ -143,7 +143,8 @@ class TestEvidenceMetrics:
 
 
 # Chunks overlap and repeat indices over documents a-c; evidence may name
-# document d or indices past 12, which no chunk covers.
+# document d or indices past 12, which no chunk covers. Its document letters
+# are the ground truth for doc_metrics on the same chunks.
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     chunks=st.lists(
@@ -157,6 +158,8 @@ class TestEvidenceMetrics:
 @example(chunks=[FakeChunk("a", [])], evidence={("a", 0)})
 def test_evidence_metrics_match_the_set_of_pairs(chunks, evidence):
     assert evidence_metrics(chunks, evidence) == evidence_metrics_reference(chunks, evidence)
+    relevant = {doc_id for doc_id, _ in evidence}
+    assert doc_metrics(chunks, relevant) == doc_metrics_reference(chunks, relevant)
 
 
 class TestAggregate:
