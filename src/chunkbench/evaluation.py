@@ -1,13 +1,14 @@
 """Retrieval metrics, aggregation, best-config selection, and paired significance.
 
-Document-level metrics score the set of distinct documents the retrieved
-chunks came from; evidence-level metrics score the set of (doc_id,
-sentence_index) pairs the retrieved chunks cover. Both are one coverage
-computation over those units, macro-averaged over queries.
+Document-level metrics score the distinct documents the retrieved chunks
+came from; evidence-level metrics score the (doc_id, sentence_index) pairs
+they cover, counted on one integer bitmask of sentences per document. Both
+are one coverage computation over those counts, macro-averaged over queries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
@@ -37,14 +38,13 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _coverage(retrieved: set, truth: AbstractSet) -> tuple[float, float, float]:
-    """(recall, precision, f1) of the retrieved units against the true ones."""
-    if not truth:
+def _coverage(hits: int, n_truth: int, n_retrieved: int) -> tuple[float, float, float]:
+    """(recall, precision, f1) of hits among n_retrieved units against n_truth true ones."""
+    if not n_truth:
         raise ValueError("ground truth must be non-empty")
-    if not retrieved:
+    if not n_retrieved:
         return 0.0, 0.0, 0.0
-    hits = len(retrieved.intersection(truth))
-    recall, precision = hits / len(truth), hits / len(retrieved)
+    recall, precision = hits / n_truth, hits / n_retrieved
     return recall, precision, f1_score(precision, recall)
 
 
@@ -52,15 +52,27 @@ def doc_metrics(
     retrieved_chunks: Sequence[Chunk], relevant_doc_ids: AbstractSet[str]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the distinct documents retrieved."""
-    return _coverage({chunk.doc_id for chunk in retrieved_chunks}, relevant_doc_ids)
+    retrieved = {chunk.doc_id for chunk in retrieved_chunks}
+    hits = len(retrieved.intersection(relevant_doc_ids))
+    return _coverage(hits, len(relevant_doc_ids), len(retrieved))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _bits(indices: tuple[int, ...]) -> int:
+    """The int with bit i set for each sentence index i >= 0 of a chunk, memoised per
+    index tuple; each i is made a Python int, as a numpy integer shift wraps at 64."""
+    return sum(1 << i for i in set(map(int, indices)))
 
 
 def evidence_metrics(
     retrieved_chunks: Sequence[Chunk], evidence: AbstractSet[tuple[str, int]]
 ) -> tuple[float, float, float]:
     """(recall, precision, f1) over the sentences the retrieved chunks cover."""
-    covered = {(chunk.doc_id, i) for chunk in retrieved_chunks for i in chunk.sentence_indices}
-    return _coverage(covered, evidence)
+    covered: dict[str, int] = {}
+    for chunk in retrieved_chunks:
+        covered[chunk.doc_id] = covered.get(chunk.doc_id, 0) | _bits(chunk.sentence_indices)
+    hits = sum(1 for d, i in evidence if i >= 0 and covered.get(d, 0) >> int(i) & 1)
+    return _coverage(hits, len(evidence), sum(map(int.bit_count, covered.values())))
 
 
 def aggregate(

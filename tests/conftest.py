@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from chunkbench import embedding, transport
+from chunkbench import embedding, evaluation, transport
 from chunkbench.embedding import token_bucket
 from chunkbench.segmenter import SegmentedDocument, Sentence
 
@@ -145,12 +145,15 @@ def mock_service():
 
 @pytest.fixture(autouse=True)
 def fresh_embedding_memo():
-    """Each test starts with an empty in-process embedding memo and piece memo."""
+    """Each test starts with an empty in-process embedding memo, piece memo and
+    chunk-bitmask memo."""
     embedding._MEMO.clear()
     embedding._piece_buckets.cache_clear()
+    evaluation._bits.cache_clear()
     yield
     embedding._MEMO.clear()
     embedding._piece_buckets.cache_clear()
+    evaluation._bits.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -162,6 +162,43 @@ def test_evidence_metrics_match_the_set_of_pairs(chunks, evidence):
     assert doc_metrics(chunks, relevant) == doc_metrics_reference(chunks, relevant)
 
 
+def index_as(kinds, low):
+    """A sentence index in [low, 200], as a Python int or one of the numpy kinds."""
+    return st.builds(lambda i, kind: kind(i), st.integers(low, 200), st.sampled_from(kinds))
+
+
+# As above, with indices far past bit 63 of a chunk's bitmask, numpy integers
+# in both chunks and evidence, and negative evidence indices, which no chunk
+# covers.
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    chunks=st.lists(
+        st.builds(
+            FakeChunk,
+            st.sampled_from("abc"),
+            st.lists(index_as((int, np.int64, np.int32, np.uint16), 0), max_size=8),
+        ),
+        max_size=10,
+    ),
+    evidence=st.sets(
+        st.tuples(st.sampled_from("abcd"), index_as((int, np.int64, np.int32), -3)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(
+    chunks=[FakeChunk("a", [np.int64(64), np.int64(199), 63]), FakeChunk("a", [0, np.int32(64)])],
+    evidence={("a", np.int64(64)), ("a", 199), ("a", 63), ("a", -1), ("a", np.int64(-64))},
+)
+@example(
+    chunks=[FakeChunk("a", [200, 0]), FakeChunk("b", [np.uint16(128), 127]), FakeChunk("c", [])],
+    evidence={("a", np.int64(200)), ("b", np.int32(128)), ("b", 0), ("c", 0), ("d", 127)},
+)
+@example(chunks=[FakeChunk("a", []), FakeChunk("b", [])], evidence={("a", 0), ("b", -1)})
+def test_evidence_metrics_match_the_set_of_pairs_past_bit_63(chunks, evidence):
+    assert evidence_metrics(chunks, evidence) == evidence_metrics_reference(chunks, evidence)
+
+
 class TestAggregate:
     config = FixedSizeConfig(n_chunks=3)
 

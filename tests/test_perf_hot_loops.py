@@ -5,7 +5,8 @@ document, an index built for each of the grid's chunkings of data/mini,
 one score table over all of those chunkings with every doc query ranked
 on each, doc retrieval and scoring over a fresh index and table and again
 over an index that has ranked every query, evidence scoring of 10-hit
-lists, and encoding every results.jsonl line of a doc bench on data/mini.
+lists and of every grid chunking's hit lists over stitched data/mini, and
+encoding every results.jsonl line of a doc bench on data/mini.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
@@ -17,7 +18,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from chunkbench import embedding  # noqa: E402
+from chunkbench import embedding, evaluation  # noqa: E402
 from chunkbench.chunkers import (  # noqa: E402
     DocumentDistances,
     FixedSizeConfig,
@@ -33,6 +34,7 @@ from chunkbench.retrieval import ScoreTable, build_index, retrieve  # noqa: E402
 from chunkbench.segmenter import RuleSegmenter, segment_document  # noqa: E402
 
 from conftest import MINI_DATASET  # noqa: E402
+from reference import evidence_metrics_reference  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
@@ -85,13 +87,18 @@ def test_embed_distinct_chunk_texts_of_the_grid(benchmark):
     embed_from_scratch(benchmark, texts)
 
 
-def test_embed_distinct_chunk_texts_of_the_grid_over_stitched_mini(benchmark):
+def stitched_mini():
+    """data/mini stitched into one 106-sentence document, and its queries."""
     documents, queries = load_corpus(MINI_DATASET)
-    (stitched,), _ = stitch(documents, queries, target_sentences=106, seed=3)
+    (stitched,), queries = stitch(documents, queries, target_sentences=106, seed=3)
     doc = segment_document(stitched.doc_id, stitched.text)
     assert doc.n == 106
+    return doc, queries
+
+
+def test_embed_distinct_chunk_texts_of_the_grid_over_stitched_mini(benchmark):
     # Long chunks that share their sentences, as on stitched-evidence.
-    texts = distinct_chunk_texts([doc])
+    texts = distinct_chunk_texts([stitched_mini()[0]])
     assert len(texts) == 500
     embed_from_scratch(benchmark, texts)
 
@@ -160,6 +167,36 @@ def test_evidence_metrics_over_10_hit_lists(benchmark):
 
     scores = benchmark(lambda: [evidence_metrics(hits, evidence) for hits, evidence in cases])
     assert len(scores) == len(cases)
+
+
+def test_evidence_metrics_over_stitched_hit_lists(benchmark):
+    doc, queries = stitched_mini()
+    texts = [q.text for q in queries if q.evidence]
+    embeddings = embed_batch(SPEC, doc.sentence_texts)
+    distances = DocumentDistances(doc, embeddings)
+    chunkings = dict.fromkeys(
+        tuple(chunk_document(doc, embeddings, config, distances=distances))
+        for config in default_grid()
+    )
+    # As bench does: per distinct chunking and query, the top-kmax hits scored
+    # at every k; long hit lists over one document, as on stitched-evidence.
+    table = ScoreTable(SPEC, texts)
+    cases = []
+    for chunks in chunkings:
+        index = build_index(list(chunks), table)
+        for q in queries:
+            if q.evidence:
+                hits = [chunk for chunk, _ in retrieve(index, q.text, K_LIST[-1])]
+                cases.extend((hits[:k], set(q.evidence)) for k in K_LIST)
+    assert len(cases) == len(chunkings) * len(texts) * len(K_LIST)
+
+    # Each round starts with a cold chunk-bitmask memo, as a run does.
+    scores = benchmark.pedantic(
+        lambda: [evidence_metrics(hits, evidence) for hits, evidence in cases],
+        setup=evaluation._bits.cache_clear,
+        rounds=50,
+    )
+    assert scores == [evidence_metrics_reference(hits, evidence) for hits, evidence in cases]
 
 
 def doc_query_cases():
