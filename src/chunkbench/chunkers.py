@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -147,55 +148,66 @@ def _breakpoint_groups(break_after: np.ndarray) -> list[range]:
 def _linkage_groups(
     n: int, first: np.ndarray, second: np.ndarray, max_size: int
 ) -> list[list[int]]:
-    """Union the pairs (first[t], second[t]) in turn, skipping a merge past max_size."""
+    """Join the pairs (first[t], second[t]) in turn, skipping a merge past max_size."""
     # Below this many clusters the capped clusters cannot hold n sentences,
     # so once it is reached no merge can pass the cap.
     fewest = -(-n // max_size)
-    parent = list(range(n))
-    size = [1] * n
+    label = list(range(n))
+    members = [[i] for i in range(n)]
     clusters = n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in zip(first.tolist(), second.tolist()):
         if clusters == fewest:
             break
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        big, small = members[label[a]], members[label[b]]
+        if big is small or len(big) + len(small) > max_size:
             continue
-        if size[ra] + size[rb] > max_size:
-            continue
-        parent[rb] = ra
-        size[ra] += size[rb]
+        # Relabelling the smaller cluster moves each sentence O(log n) times.
+        if len(big) < len(small):
+            big, small = small, big
+        keep = label[big[0]]
+        for i in small:
+            label[i] = keep
+        big += small
+        small.clear()
         clusters -= 1
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    return [group for group in members if group]
 
 
-def _dbscan_groups(adjacent: np.ndarray, core: np.ndarray) -> list[list[int]]:
-    """Clusters grown from each unlabeled core point in index order, then noise singletons."""
-    unlabeled = np.ones(core.size, dtype=bool)
+def _bit_indices(mask: int) -> list[int]:
+    indices = []
+    while mask:
+        indices.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return indices
+
+
+def _dbscan_groups(rows: bytes, degrees: list[int], min_samples: int) -> list[list[int]]:
+    """Clusters grown from each unlabeled core point in index order, then noise
+    singletons. rows holds each point's neighbourhood as ceil(n / 8) bytes of
+    little-endian bits; a point is core when its degree is at least min_samples."""
+    n = len(degrees)
+    width = -(-n // 8)
+    adjacent = [int.from_bytes(rows[i * width : (i + 1) * width], "little") for i in range(n)]
+    seeds = [i for i, degree in enumerate(degrees) if degree >= min_samples]
+    core = sum(1 << i for i in seeds)
+    unlabeled = (1 << n) - 1
     groups: list[list[int]] = []
-    for seed in core.nonzero()[0].tolist():
-        if not unlabeled[seed]:
+    for seed in seeds:
+        if not unlabeled >> seed & 1:
             continue
-        before = unlabeled.copy()
-        unlabeled[seed] = False
+        before = unlabeled
+        unlabeled ^= 1 << seed
         frontier = adjacent[seed] & unlabeled
         # Level by level: everything the frontier's core points reach and no
         # earlier cluster took, which is what a queue BFS from seed labels.
-        while frontier.any():
-            unlabeled &= ~frontier
-            frontier = adjacent[frontier & core].any(axis=0) & unlabeled
-        groups.append((before ^ unlabeled).nonzero()[0].tolist())
-    groups.extend([i] for i in unlabeled.nonzero()[0].tolist())
+        while frontier:
+            unlabeled ^= frontier
+            reach = 0
+            for i in _bit_indices(frontier & core):
+                reach |= adjacent[i]
+            frontier = reach & unlabeled
+        groups.append(_bit_indices(before ^ unlabeled))
+    groups.extend([i] for i in _bit_indices(unlabeled))
     return groups
 
 
@@ -206,7 +218,7 @@ class DocumentDistances:
     its gradient, one combined-distance blend per positional weight, and for
     single linkage one pair order per (weight, stop distance): the pairs
     within the stop, sorted by distance, ties by index, which no size cap
-    changes.
+    changes. DBSCAN's neighbourhoods, one per (weight, eps), hold no array.
 
     It also memoises groupings: each chunker keys its grouping by exactly
     what the grouping depends on, so a grouping is computed once per key.
@@ -227,6 +239,7 @@ class DocumentDistances:
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
         self._pairs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._hoods: dict[tuple[float, float], tuple[bytes, list[int], list[int]]] = {}
         self._groupings: dict[tuple, tuple[Chunk, ...]] = {}
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         # Per ordinal: its chunk id and its Chunk for each sentence-index tuple.
@@ -271,6 +284,18 @@ class DocumentDistances:
             pairs = (first[order].astype(np.int32), second[order].astype(np.int32))
             self._pairs[key] = pairs
         return pairs
+
+    def neighbourhood(self, positional_weight: float, eps: float) -> tuple[bytes, list, list]:
+        """(the rows of blend <= eps, each packed little-endian in ceil(n / 8) bytes,
+        in one bytes; each point's degree, itself included; the degrees sorted)."""
+        key = (positional_weight, eps)
+        hood = self._hoods.get(key)
+        if hood is None:
+            adjacent = self.blend(positional_weight) <= eps
+            degrees = adjacent.sum(axis=1).tolist()
+            rows = np.packbits(adjacent, axis=1, bitorder="little").tobytes()
+            hood = self._hoods[key] = (rows, degrees, sorted(degrees))
+        return hood
 
     def chunks(
         self, key: tuple, group: Callable[..., Iterable[Sequence[int]]], *args
@@ -366,12 +391,11 @@ def _dbscan(state: DocumentDistances, config: DbscanConfig) -> list[Chunk]:
     ascending index order; border points keep the first cluster that
     reaches them; noise becomes singleton chunks.
     """
-    adjacent = state.blend(config.positional_weight) <= config.eps
-    core = adjacent.sum(axis=1) >= config.min_samples
-    # Keyed by its bits, so a matrix equal across weights shares its grouping;
-    # a state serves one document, so n and the padding bits are fixed.
-    key = ("dbscan", np.packbits(adjacent).tobytes(), np.packbits(core).tobytes())
-    return state.chunks(key, _dbscan_groups, adjacent, core)
+    rows, degrees, ordered = state.neighbourhood(config.positional_weight, config.eps)
+    # Equal rows give equal degrees, so with the rows the number of core points
+    # fixes the core set, and rows equal across weights share their groupings.
+    cores = len(ordered) - bisect_left(ordered, config.min_samples)
+    return state.chunks(("dbscan", rows, cores), _dbscan_groups, rows, degrees, config.min_samples)
 
 
 def _axes(cls: type, section: dict) -> Iterator[dict]:

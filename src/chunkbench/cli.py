@@ -391,8 +391,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             bodies: list[str] = []
             for (query, truth), query_id in zip(eligible, query_ids):
                 try:
-                    hits = [chunk for chunk, _ in retrieve(index, query.text, kmax)]
+                    ranked = retrieve(index, query.text, kmax)
                     if query_id not in kept:
+                        hits = [chunk for chunk, _ in ranked]
                         # A float64 array holds them in a third of the bytes of tuples.
                         per_k = np.array([score(hits[:k], truth) for k in cfg.k_list])
                         chunk_ids = [_json_str(chunk.chunk_id) for chunk in hits]

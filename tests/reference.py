@@ -10,6 +10,12 @@ per-document state must return. They assemble chunks with
 ``make_chunks_reference``, the chunk-assembly loop those chunkers once ran
 per call, so no chunk id, order or text comes from the memo under test.
 
+``linkage_groups_reference`` and ``dbscan_groups_reference`` are the
+grouping steps the shared state once ran on a memo miss: a path-halving
+union-find over the state's pair order, and a level-by-level BFS over
+boolean numpy rows. The state's label-list merging and its BFS over one
+Python int per row must give the same groups.
+
 The last two are the per-token loop of ``chunkbench.embedding.deterministic_embed``
 and the set of (doc_id, sentence_index) pairs that
 ``chunkbench.evaluation.evidence_metrics`` once built per call: the
@@ -259,6 +265,61 @@ def dbscan_reference(
         else:
             groups[labels[i]].append(i)
     return make_chunks_reference(doc, groups)
+
+
+def linkage_groups_reference(
+    n: int, first: np.ndarray, second: np.ndarray, max_size: int
+) -> list[list[int]]:
+    """Union the pairs (first[t], second[t]) in turn, skipping a merge past max_size."""
+    # Below this many clusters the capped clusters cannot hold n sentences,
+    # so once it is reached no merge can pass the cap.
+    fewest = -(-n // max_size)
+    parent = list(range(n))
+    size = [1] * n
+    clusters = n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(first.tolist(), second.tolist()):
+        if clusters == fewest:
+            break
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if size[ra] + size[rb] > max_size:
+            continue
+        parent[rb] = ra
+        size[ra] += size[rb]
+        clusters -= 1
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def dbscan_groups_reference(adjacent: np.ndarray, core: np.ndarray) -> list[list[int]]:
+    """Clusters grown from each unlabeled core point in index order, then noise singletons."""
+    unlabeled = np.ones(core.size, dtype=bool)
+    groups: list[list[int]] = []
+    for seed in core.nonzero()[0].tolist():
+        if not unlabeled[seed]:
+            continue
+        before = unlabeled.copy()
+        unlabeled[seed] = False
+        frontier = adjacent[seed] & unlabeled
+        # Level by level: everything the frontier's core points reach and no
+        # earlier cluster took, which is what a queue BFS from seed labels.
+        while frontier.any():
+            unlabeled &= ~frontier
+            frontier = adjacent[frontier & core].any(axis=0) & unlabeled
+        groups.append((before ^ unlabeled).nonzero()[0].tolist())
+    groups.extend([i] for i in unlabeled.nonzero()[0].tolist())
+    return groups
 
 
 def deterministic_embed_reference(text: str, dimension: int) -> np.ndarray:

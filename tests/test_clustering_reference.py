@@ -6,6 +6,7 @@ hands out fresh lists of one Chunk object per (ordinal, sentence indices)
 and serves one document, from one set of sentence embeddings, only."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -19,6 +20,8 @@ from chunkbench.chunkers import (
     DbscanConfig,
     FixedSizeConfig,
     SingleLinkageConfig,
+    _dbscan_groups,
+    _linkage_groups,
     chunk_document,
     default_grid,
 )
@@ -30,8 +33,10 @@ from chunkbench.segmenter import segment_document
 from conftest import MINI_DATASET, make_doc
 from reference import (
     breakpoint_reference,
+    dbscan_groups_reference,
     dbscan_reference,
     fixed_size_reference,
+    linkage_groups_reference,
     single_linkage_reference,
 )
 
@@ -337,3 +342,114 @@ def test_stops_with_the_same_pairs_within_them_share_one_grouping():
     assert len(state.pair_order(0.5, low)[0]) == len(state.pair_order(0.5, high)[0]) == gap + 1
     assert all(a is b for a, b in zip(*lists, strict=True))
     assert lists[0] == reference(doc, embeddings, SingleLinkageConfig(3, 0.5, high))
+
+
+def as_partition(groups):
+    """The groups as a set of sets, checking that no sentence sits in two."""
+    partition = {frozenset(group) for group in groups if group}
+    assert sum(map(len, partition)) == sum(map(len, groups))
+    return partition
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_label_list_merging_matches_union_find(data):
+    """Any pair order, pairs repeated or reversed, a sentence paired with
+    itself, and every cap from one sentence to more than the document."""
+    n = data.draw(st.integers(1, 40))
+    point = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=3 * n))
+    max_size = data.draw(st.integers(1, n + 1))
+    first = np.array([a for a, _ in pairs], dtype=np.int32)
+    second = np.array([b for _, b in pairs], dtype=np.int32)
+    got = _linkage_groups(n, first, second, max_size)
+    assert as_partition(got) == as_partition(linkage_groups_reference(n, first, second, max_size))
+    assert all(len(group) <= max_size for group in got)
+
+
+def merge_line_events(n, first, second):
+    """How many lines _linkage_groups runs to merge these pairs under no cap."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code is _linkage_groups.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        _linkage_groups(n, first, second, n)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_merging_relabels_the_smaller_cluster_on_either_side_of_a_pair():
+    """A chain joined from its far end grows the cluster on each pair's
+    second side, and from its near end on the first side; relabelling the
+    smaller cluster makes both cost the same, where relabelling a fixed
+    side would cost one order n^2 / 2 moves."""
+    n = 400
+    near = np.arange(n - 1, dtype=np.int32)
+    far = near[::-1].copy()
+    from_near = merge_line_events(n, near, near + 1)
+    from_far = merge_line_events(n, far, far + 1)
+    assert from_near > n
+    assert from_far < 2 * from_near, (from_far, from_near)
+
+
+@st.composite
+def neighbourhoods(draw):
+    """An n x n boolean adjacency with no symmetry and any diagonal, degrees
+    that need not count its rows, and a min_samples: every core set occurs.
+    n reaches 140, so rows pass 64 and 128 bits."""
+    n = draw(st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacent = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]))
+    degrees = rng.integers(0, n + 2, size=n).tolist()
+    return adjacent, degrees, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(neighbourhoods())
+@example((np.ones((64, 64), dtype=bool), list(range(64)), 32))
+@example((np.eye(65, k=1, dtype=bool), [1] * 65, 1))
+@example((np.eye(129, k=-1, dtype=bool), [2] * 129, 1))
+@example((~np.eye(140, dtype=bool), [0] * 139 + [1], 1))
+def test_bfs_on_int_rows_matches_the_boolean_bfs(case):
+    adjacent, degrees, min_samples = case
+    rows = np.packbits(adjacent, axis=1, bitorder="little").tobytes()
+    got = _dbscan_groups(rows, degrees, min_samples)
+    core = np.array(degrees) >= min_samples
+    assert as_partition(got) == as_partition(dbscan_groups_reference(adjacent, core))
+    assert sorted(i for group in got for i in group) == list(range(len(degrees)))
+
+
+def test_dbscan_keeps_one_packed_neighbourhood_per_weight_and_eps():
+    """After the default grid each mini document's state holds its 5 x 5
+    neighbourhoods as a bytes and two lists of ints, and no array; within a
+    document the (rows, core count) key and the (adjacency, core set) key
+    name the same groupings."""
+    documents, _ = load_corpus(MINI_DATASET)
+    spec = EmbedderSpec(backend="test")
+    grid = default_grid()
+    for document in documents:
+        doc = segment_document(document.doc_id, document.text)
+        embeddings = embed_batch(spec, doc.sentence_texts)
+        state = DocumentDistances(doc, embeddings)
+        pairing = set()
+        for config in grid:
+            chunk_document(doc, embeddings, config, distances=state)
+            if config.kind == "dbscan":
+                rows, _, ordered = state.neighbourhood(config.positional_weight, config.eps)
+                cores = sum(degree >= config.min_samples for degree in ordered)
+                pairing.add(((rows, cores), grouping_key(doc, embeddings, config)))
+        assert len(state._hoods) == 25, doc.doc_id
+        for hood in state._hoods.values():
+            assert [type(part) for part in hood] == [bytes, list, list]
+            assert all(type(x) is int for part in hood[1:] for x in part)
+        assert len(pairing) == len(dict(pairing)) == len({old for _, old in pairing})
