@@ -181,14 +181,13 @@ def _bit_indices(mask: int) -> list[int]:
     return indices
 
 
-def _dbscan_groups(rows: bytes, degrees: list[int], min_samples: int) -> list[list[int]]:
+def _dbscan_groups(rows: bytes, n: int, min_samples: int) -> list[list[int]]:
     """Clusters grown from each unlabeled core point in index order, then noise
-    singletons. rows holds each point's neighbourhood as ceil(n / 8) bytes of
-    little-endian bits; a point is core when its degree is at least min_samples."""
-    n = len(degrees)
+    singletons. rows holds the n points' neighbourhoods, each ceil(n / 8) bytes of
+    little-endian bits; a point is core when its row has at least min_samples bits set."""
     width = -(-n // 8)
     adjacent = [int.from_bytes(rows[i * width : (i + 1) * width], "little") for i in range(n)]
-    seeds = [i for i, degree in enumerate(degrees) if degree >= min_samples]
+    seeds = [i for i, row in enumerate(adjacent) if row.bit_count() >= min_samples]
     core = sum(1 << i for i in seeds)
     unlabeled = (1 << n) - 1
     groups: list[list[int]] = []
@@ -225,8 +224,8 @@ class DocumentDistances:
     The state hands out one Chunk per (ordinal, sentence indices) for its
     whole life, and every call gets a fresh list of them: a grouping reached
     under a second key is made of the first key's Chunks, and Chunks with
-    equal sentence indices share one text. So chunkings of the corpus are
-    equal exactly when their Chunks are the same objects.
+    equal sentence indices share one text. So, while the states live, chunkings
+    of the corpus are equal exactly when their Chunks are the same objects.
     """
 
     def __init__(
@@ -239,7 +238,7 @@ class DocumentDistances:
         self._profile: tuple[np.ndarray, np.ndarray | None] | None = None
         self._blends: dict[float, np.ndarray] = {}
         self._pairs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-        self._hoods: dict[tuple[float, float], tuple[bytes, list[int], list[int]]] = {}
+        self._hoods: dict[tuple[float, float], tuple[bytes, list[int]]] = {}
         self._groupings: dict[tuple, tuple[Chunk, ...]] = {}
         self._parts: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         # Per ordinal: its chunk id and its Chunk for each sentence-index tuple.
@@ -285,16 +284,15 @@ class DocumentDistances:
             self._pairs[key] = pairs
         return pairs
 
-    def neighbourhood(self, positional_weight: float, eps: float) -> tuple[bytes, list, list]:
+    def neighbourhood(self, positional_weight: float, eps: float) -> tuple[bytes, list[int]]:
         """(the rows of blend <= eps, each packed little-endian in ceil(n / 8) bytes,
-        in one bytes; each point's degree, itself included; the degrees sorted)."""
+        in one bytes; the points' degrees, each counting the point itself, sorted)."""
         key = (positional_weight, eps)
         hood = self._hoods.get(key)
         if hood is None:
             adjacent = self.blend(positional_weight) <= eps
-            degrees = adjacent.sum(axis=1).tolist()
             rows = np.packbits(adjacent, axis=1, bitorder="little").tobytes()
-            hood = self._hoods[key] = (rows, degrees, sorted(degrees))
+            hood = self._hoods[key] = (rows, sorted(adjacent.sum(axis=1).tolist()))
         return hood
 
     def chunks(
@@ -391,11 +389,11 @@ def _dbscan(state: DocumentDistances, config: DbscanConfig) -> list[Chunk]:
     ascending index order; border points keep the first cluster that
     reaches them; noise becomes singleton chunks.
     """
-    rows, degrees, ordered = state.neighbourhood(config.positional_weight, config.eps)
-    # Equal rows give equal degrees, so with the rows the number of core points
-    # fixes the core set, and rows equal across weights share their groupings.
-    cores = len(ordered) - bisect_left(ordered, config.min_samples)
-    return state.chunks(("dbscan", rows, cores), _dbscan_groups, rows, degrees, config.min_samples)
+    rows, degrees = state.neighbourhood(config.positional_weight, config.eps)
+    # Rows fix the degrees, so with them a core count fixes the core set, at any weight.
+    n = len(degrees)
+    cores = n - bisect_left(degrees, config.min_samples)
+    return state.chunks(("dbscan", rows, cores), _dbscan_groups, rows, n, config.min_samples)
 
 
 def _axes(cls: type, section: dict) -> Iterator[dict]:

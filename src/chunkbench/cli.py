@@ -31,6 +31,7 @@ from .chunkers import (
     write_chunks,
 )
 from .corpus import (
+    QUERIES_FILENAME,
     STITCH_MAP_FILENAME,
     CorpusError,
     QueryRecord,
@@ -237,19 +238,11 @@ def _write_summary_csv(path: Path, dataset: str, rows: Sequence[MetricRow]) -> N
         writer.writerow(
             ["dataset", "chunker", "config", "k", "recall", "precision", "f1", "n_queries"]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    dataset,
-                    row.config.kind,
-                    row.config_id,
-                    row.k,
-                    f"{row.recall:.6f}",
-                    f"{row.precision:.6f}",
-                    f"{row.f1:.6f}",
-                    row.n_queries,
-                ]
-            )
+        writer.writerows(
+            [dataset, row.config.kind, row.config_id, row.k, f"{row.recall:.6f}",
+             f"{row.precision:.6f}", f"{row.f1:.6f}", row.n_queries]
+            for row in rows
+        )
 
 
 # What json.dumps writes for a str, with its default ensure_ascii.
@@ -299,6 +292,9 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     if not documents:
         raise ConfigError(f"corpus at {cfg.dataset} has no documents")
     stitched, remapped = stitch(documents, queries, target, cfg.seed, cfg.segmenter)
+    # Stitched ids are positional: a torn re-stitch leaves no older queries to load.
+    for name in (QUERIES_FILENAME, STITCH_MAP_FILENAME):
+        (cfg.out / name).unlink(missing_ok=True)
     write_corpus([doc.as_document() for doc in stitched], remapped, cfg.out)
     write_stitch_map(stitched, cfg.out / STITCH_MAP_FILENAME)
     logger.info(
@@ -355,34 +351,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     tail = results_tail(task)
     query_ids = [_json_str(query.query_id) for query, _ in eligible]
-    # The states keep one Chunk per (document, ordinal, sentence indices) alive for the
-    # run, so the identities of a chunking's Chunks name it exactly. From its first config
-    # to its last, a chunking keeps its index, which remembers its ranking of every query,
-    # and per query the (recall, precision, f1) at each k and the bodies of its lines; a
-    # failed build is not kept. A failed query embed in the table ends the run unchunked.
+    # The states keep one Chunk per (document, ordinal, sentence indices), so in this pass
+    # the ids of a chunking's Chunks name it; after it, only chunkings keeps them. From its
+    # first config to its last, a chunking keeps its index, which remembers its ranking of
+    # every query, and per query the (recall, precision, f1) at each k and the bodies of its
+    # lines; a failed build is not kept. A failed query embed ends the run unchunked.
     table = ScoreTable(spec, [query.text for query, _ in eligible])
-    distinct: dict[bytes, int] = {}  # a chunking's key -> its number
-    chunkings: dict[int, list[Chunk]] = {}
-    numbers: list[int | Exception] = []  # per config, its chunking's number or what it raised
+    chunkings: dict[bytes, list[Chunk]] = {}
+    keys: list[bytes | Exception] = []  # per config, its chunking's key or what it raised
     for config in grid:
         try:
             chunks = chunk_corpus(config)
-            key = np.fromiter(map(id, chunks), np.uintp, len(chunks)).tobytes()
-            numbers.append(distinct.setdefault(key, len(distinct)))
-            chunkings.setdefault(numbers[-1], chunks)
+            keys.append(np.fromiter(map(id, chunks), np.uintp, len(chunks)).tobytes())
+            chunkings.setdefault(keys[-1], chunks)
         except Exception as exc:
-            numbers.append(exc)
-    last = {number: i for i, number in enumerate(numbers)}
-    live: dict[int, tuple[ChunkIndex, dict[str, tuple[np.ndarray, list[str]]]]] = {}
+            keys.append(exc.with_traceback(None))  # its frames would hold a state
+    del chunk_corpus
+    last = {key: i for i, key in enumerate(keys)}
+    live: dict[bytes, tuple[ChunkIndex, dict[str, tuple[np.ndarray, list[str]]]]] = {}
     with replacing(cfg.out / RESULTS_FILENAME) as fh:
-        for i, (config, number) in enumerate(zip(grid, numbers)):
+        for i, (config, key) in enumerate(zip(grid, keys)):
             config_id = canonical_config(config)
             try:
-                if isinstance(number, Exception):
-                    raise number
-                if number not in live:
-                    live[number] = build_index(chunkings[number], table), {}
-                index, kept = live[number] if i < last[number] else live.pop(number)
+                if isinstance(key, Exception):
+                    raise key
+                if key not in live:
+                    live[key] = build_index(chunkings[key], table), {}
+                index, kept = live[key] if i < last[key] else live.pop(key)
             except Exception as exc:
                 failures.extend(_failure(config_id, query, exc) for query, _ in eligible)
                 logger.warning("config %s failed outright: %s", config_id, exc)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import shutil
 import threading
 import weakref
@@ -502,6 +503,40 @@ class TestStitchCommand:
         assert f"would overwrite its source corpus: --out is {corpus}" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
 
+    @pytest.mark.parametrize("fault", [1, 2, 3], ids=["docs", "queries", "stitch-map"])
+    def test_an_interrupted_restitch_leaves_no_older_queries(self, tmp_path, monkeypatch, fault):
+        """A re-stitch over an older stitch whose docs, queries or stitch-map rename
+        fails leaves the complete new corpus or a corpus without queries, never the
+        older stitch's queries, whose evidence would load against the positional ids
+        of the new documents."""
+
+        def stitch(out, seed):
+            return run(["stitch", "--target", "30", "--seed", seed,
+                        "--dataset", MINI_DATASET, "--out", out])
+
+        assert stitch(tmp_path / "new", 8) == 0
+        new = load_corpus(tmp_path / "new")
+        out = tmp_path / "out"
+        assert stitch(out, 7) == 0
+        assert load_corpus(out)[1] != new[1]
+        renamed, real = [], os.replace
+
+        def replace(src, dst):
+            renamed.append(dst)
+            if len(renamed) == fault:
+                raise OSError(f"cannot replace {dst}")
+            real(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            assert stitch(out, 8) == 1
+        assert len(renamed) == fault
+        documents, queries = load_corpus(out)
+        if queries:
+            assert (documents, queries) == new
+        else:
+            assert run(["bench", "--task", "doc", "--dataset", out, "--out", tmp_path / "b"]) == 2
+
 
 class TestChunkCommand:
     def test_writes_chunks_for_every_document(self, tmp_path):
@@ -862,6 +897,39 @@ class TestIndexReuse:
         self.bench(tmp_path, "released", [9, 2, 10])
         assert len(indexes) == 2
         assert live == [1, 2, 1]
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["clean", "a-chunker-raises"])
+    def test_the_chunking_states_are_released_before_the_first_index(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """Every config is chunked before any index is built, and by then no
+        document's chunking state is alive, even one a raising chunker saw."""
+        states, alive = [], []
+        real_state, real_build, real_chunk = (
+            cli.DocumentDistances, cli.build_index, cli.chunk_document
+        )
+
+        def document_distances(*args):
+            state = real_state(*args)
+            states.append(weakref.ref(state))
+            return state
+
+        def build_index(*args):
+            alive.append(sum(ref() is not None for ref in states))
+            return real_build(*args)
+
+        def chunk_document(doc, embeddings, config, **kwargs):
+            if failing and config.kind == "dbscan":
+                raise RuntimeError("chunker failed")
+            return real_chunk(doc, embeddings, config, **kwargs)
+
+        monkeypatch.setattr(cli, "DocumentDistances", document_distances)
+        monkeypatch.setattr(cli, "build_index", build_index)
+        monkeypatch.setattr(cli, "chunk_document", chunk_document)
+        run(["bench", "--task", "doc", "--config", write_config(tmp_path),
+             "--dataset", MINI_DATASET, "--out", tmp_path / "out"])
+        assert len(states) == 12
+        assert alive and alive == [0] * len(alive)
 
     def test_a_config_whose_chunking_raises_fails_in_its_place(
         self, tmp_path, monkeypatch, caplog

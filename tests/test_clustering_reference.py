@@ -404,36 +404,38 @@ def test_merging_relabels_the_smaller_cluster_on_either_side_of_a_pair():
 
 @st.composite
 def neighbourhoods(draw):
-    """An n x n boolean adjacency with no symmetry and any diagonal, degrees
-    that need not count its rows, and a min_samples: every core set occurs.
-    n reaches 140, so rows pass 64 and 128 bits."""
+    """An n x n boolean adjacency with no symmetry and any diagonal, and a
+    min_samples: a point is core when its row holds at least min_samples
+    neighbours, so every core set of the adjacency occurs. n reaches 140, so
+    rows pass 64 and 128 bits."""
     n = draw(st.integers(1, 140))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adjacent = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]))
-    degrees = rng.integers(0, n + 2, size=n).tolist()
-    return adjacent, degrees, draw(st.integers(1, n + 2))
+    return adjacent, draw(st.integers(1, n + 2))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(neighbourhoods())
-@example((np.ones((64, 64), dtype=bool), list(range(64)), 32))
-@example((np.eye(65, k=1, dtype=bool), [1] * 65, 1))
-@example((np.eye(129, k=-1, dtype=bool), [2] * 129, 1))
-@example((~np.eye(140, dtype=bool), [0] * 139 + [1], 1))
+@example((np.ones((64, 64), dtype=bool), 32))
+@example((np.eye(65, k=1, dtype=bool), 1))
+@example((np.eye(129, k=-1, dtype=bool), 1))
+@example((~np.eye(140, dtype=bool), 139))
+@example((~np.eye(140, dtype=bool), 140))
 def test_bfs_on_int_rows_matches_the_boolean_bfs(case):
-    adjacent, degrees, min_samples = case
+    adjacent, min_samples = case
+    n = len(adjacent)
     rows = np.packbits(adjacent, axis=1, bitorder="little").tobytes()
-    got = _dbscan_groups(rows, degrees, min_samples)
-    core = np.array(degrees) >= min_samples
+    got = _dbscan_groups(rows, n, min_samples)
+    core = adjacent.sum(axis=1) >= min_samples
     assert as_partition(got) == as_partition(dbscan_groups_reference(adjacent, core))
-    assert sorted(i for group in got for i in group) == list(range(len(degrees)))
+    assert sorted(i for group in got for i in group) == list(range(n))
 
 
 def test_dbscan_keeps_one_packed_neighbourhood_per_weight_and_eps():
     """After the default grid each mini document's state holds its 5 x 5
-    neighbourhoods as a bytes and two lists of ints, and no array; within a
-    document the (rows, core count) key and the (adjacency, core set) key
-    name the same groupings."""
+    neighbourhoods as a bytes and one sorted list of ints, and no array;
+    within a document the (rows, core count) key and the (adjacency, core
+    set) key name the same groupings."""
     documents, _ = load_corpus(MINI_DATASET)
     spec = EmbedderSpec(backend="test")
     grid = default_grid()
@@ -445,11 +447,12 @@ def test_dbscan_keeps_one_packed_neighbourhood_per_weight_and_eps():
         for config in grid:
             chunk_document(doc, embeddings, config, distances=state)
             if config.kind == "dbscan":
-                rows, _, ordered = state.neighbourhood(config.positional_weight, config.eps)
-                cores = sum(degree >= config.min_samples for degree in ordered)
+                rows, degrees = state.neighbourhood(config.positional_weight, config.eps)
+                cores = sum(degree >= config.min_samples for degree in degrees)
                 pairing.add(((rows, cores), grouping_key(doc, embeddings, config)))
         assert len(state._hoods) == 25, doc.doc_id
-        for hood in state._hoods.values():
-            assert [type(part) for part in hood] == [bytes, list, list]
-            assert all(type(x) is int for part in hood[1:] for x in part)
+        for rows, degrees in state._hoods.values():
+            assert (type(rows), type(degrees)) == (bytes, list)
+            assert all(type(x) is int for x in degrees)
+            assert degrees == sorted(degrees)
         assert len(pairing) == len(dict(pairing)) == len({old for _, old in pairing})

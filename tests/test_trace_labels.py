@@ -44,6 +44,8 @@ def test_a_traced_doc_bench_counts_each_kind_of_embed(tmp_path):
     assert metrics["embedding.queries.distinct_texts"] == 10
     assert metrics["embedding.chunks.distinct_texts"] == 391
     assert metrics["embedding.sentences.distinct_texts"] == len(sentences)
+    # One sentence embed per document, so a move into a function named for chunks shows.
+    assert metrics["embedding.sentences.calls"] == len(documents) == 12
     # bench builds one index per distinct chunking, and no more.
     assert metrics["retrieval.build_index.calls"] == metrics["chunkers.distinct_chunkings"] == 69
     assert metrics["trace.missing"] == 0
