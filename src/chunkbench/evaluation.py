@@ -59,8 +59,9 @@ def doc_metrics(
 
 @functools.lru_cache(maxsize=1 << 16)
 def _bits(indices: tuple[int, ...]) -> int:
-    """The int with bit i set for each sentence index i >= 0 of a chunk, memoised per
-    index tuple; each i is made a Python int, as a numpy integer shift wraps at 64."""
+    """The int with bit i set for each sentence index i of a chunk, memoised per
+    index tuple. Every i must be >= 0: a negative one raises ValueError (a negative
+    shift count). Each i is made a Python int, as a numpy integer shift wraps at 64."""
     return sum(1 << i for i in set(map(int, indices)))
 
 

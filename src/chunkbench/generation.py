@@ -68,7 +68,7 @@ def generate_answer(
 ) -> str:
     """POST the rendered prompt to the generation endpoint and return its text.
 
-    Transient failures (connection errors, 5xx) are retried with
+    Transient failures (connection errors, 5xx, 408, 429) are retried with
     exponential backoff up to max_retries attempts. A reply without a
     non-empty "text" string raises GenerationError.
     """

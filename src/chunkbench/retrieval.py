@@ -7,10 +7,10 @@ their float32 embeddings, so a run embeds each text once and scores each
 is one chunking's rows of a table. ``retrieve`` ranks an index's chunks for
 one of the table's queries by the correctly rounded exact dot product, ties
 broken by ascending ``chunk_id``. The first ``retrieve`` on an index ranks
-every query of the table in one numpy pass: the table's float64 scores order
-every pair they can certify, the scores in a run of close ones of different
-rows take their exact values, each row's by one ``math.fsum``, and a second
-sort orders every column exactly.
+every query of the table in one numpy pass, by the closeness rule that
+``_rank_columns`` states: a score close to a neighbour's takes its exact
+value, each row's by one ``math.fsum``, and a second sort orders every
+column exactly.
 """
 
 from __future__ import annotations
@@ -177,10 +177,10 @@ def retrieve(index: ChunkIndex, query_text: str, k: int) -> list[tuple[Chunk, fl
     other text raises ValueError. Result lists are prefix-consistent across k.
     Returns a fresh list of (chunk, score) pairs, each chunk the index's own.
     A score is the table's float64 one, within the table's error bound of the
-    exact dot product, or the correctly rounded exact one where the float64
-    scores could not decide the order. The first call ranks every query of
-    the table at once, and a later one ranks them again only for a larger k
-    than that.
+    exact dot product, or the correctly rounded exact one where a neighbour's
+    float64 score lies within twice the bound (see ``_rank_columns``). The
+    first call ranks every query of the table at once, and a later one ranks
+    them again only for a larger k than that.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -201,11 +201,11 @@ def _rank_columns(index: ChunkIndex, k: int) -> None:
     The candidates are the scores within 4b of the k-th, b the column's
     error bound: one further below, even after rounding the threshold, is
     exactly more than 2b under the top k. Sorted by float64 score and then
-    chunk_id, they are cut into runs whose adjacent scores lie within 2b.
-    Each score lies within b of its exact score, so the runs keep their
-    order. Every candidate in a run of two different rows or more takes its
-    exact score, from one ``ScoreTable.exact`` call per column, and a second
-    sort by score and chunk_id orders every column exactly.
+    chunk_id, a candidate whose neighbour just before or just after lies
+    within 2b takes its exact score, from one ``ScoreTable.exact`` call per
+    column, and a second sort by score and chunk_id orders every column
+    exactly. Each score lies within b of its exact score, so a candidate
+    more than 2b from both neighbours keeps its place against every other.
     """
     table, by_id = index.table, index._by_id
     n, top = len(by_id), min(k, len(by_id))
@@ -220,18 +220,13 @@ def _rank_columns(index: ChunkIndex, k: int) -> None:
     found = found[np.lexsort((negated.ravel()[found], found // n))]
     column, id_rank = np.divmod(found, n)
     ranked = negated.ravel()[found]
-    # Each candidate's run, numbered through all columns, and the runs that
-    # hold two different rows.
-    apart = (column[1:] != column[:-1]) | (ranked[1:] - ranked[:-1] > windows[column[:-1]])
-    run_of = np.concatenate(([0], np.cumsum(apart)))
-    ranked_rows = rows[id_rank]
-    mixed = np.zeros(run_of[-1] + 1, dtype=bool)
-    mixed[run_of[1:][~apart & (ranked_rows[1:] != ranked_rows[:-1])]] = True
+    # The candidates whose float64 neighbour before or after, in their column, lies within 2b.
+    near = (column[1:] == column[:-1]) & (ranked[1:] - ranked[:-1] <= windows[column[:-1]])
+    close = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
     first = np.searchsorted(column, np.arange(len(negated)))
-    close = np.flatnonzero(mixed[run_of])
     for query, at in zip(table.queries.values(), np.split(close, close.searchsorted(first[1:]))):
         if len(at):
-            ranked[at] = np.negative(table.exact(query, ranked_rows[at].tolist()))
+            ranked[at] = np.negative(table.exact(query, rows[id_rank[at]].tolist()))
     places = np.lexsort((id_rank, ranked, column))[first[:, None] + np.arange(top)]
     index._places = by_id[id_rank[places]].astype(np.int32)
     index._scores = -ranked[places]

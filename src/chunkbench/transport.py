@@ -19,6 +19,8 @@ from typing import Callable
 
 # The wait after the first failed try, in seconds; it doubles after each try.
 _RETRY_BASE_DELAY = 0.5
+# The client statuses retried as 5xx replies are: a timed-out or rate-limited request.
+_RETRIED_STATUSES = (408, 429)
 
 
 class _Redirects(urllib.request.HTTPRedirectHandler):
@@ -63,9 +65,9 @@ def post_with_retries(
 ) -> object:
     """POST payload as JSON and return the decoded JSON body of the first 200 reply.
 
-    A bearer token is sent when the api_key_env variable is set. Connection
-    errors and 5xx replies are retried up to attempts tries in all, waiting
-    _RETRY_BASE_DELAY seconds and doubling the wait after each try; any other
+    A bearer token is sent when the api_key_env variable is set. Connection errors,
+    5xx replies and the _RETRIED_STATUSES are retried up to attempts tries in all,
+    waiting _RETRY_BASE_DELAY seconds and doubling the wait after each try; any other
     status fails at once, and so does a 200 reply whose body is not JSON.
     Failures raise error(message, status=...). Retry warnings are logged
     under chunkbench.<service>, the module of the client that sent them.
@@ -100,8 +102,8 @@ def post_with_retries(
         last_status = status
         if status is not None:
             last_error = f"status {status}"
-            if status < 500:
-                # Client errors will not heal on retry.
+            if status < 500 and status not in _RETRIED_STATUSES:
+                # Other client errors will not heal on retry.
                 raise error(
                     f"{service} backend rejected the request ({last_error})", status=status
                 )

@@ -545,6 +545,30 @@ class TestRemoteBackend:
         assert err.value.status == 401
         assert len(mock_service.requests) == 1
 
+    def test_rate_limit_reply_is_retried(self, mock_service, caplog):
+        replies = iter([(429, {"error": "slow down"}), (200, {"embeddings": [[1.0, 0.0, 0.0]]})])
+        mock_service.set_handler(lambda payload: next(replies))
+        with caplog.at_level(logging.WARNING, logger="chunkbench"):
+            assert embed_batch(self._spec(mock_service), ["x"]).shape == (1, 3)
+        assert len(mock_service.requests) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "embedding request failed (status 429), retrying in 0.00s"
+        ]
+
+    def test_request_timeout_reply_exhausts_retries(self, mock_service):
+        mock_service.set_handler(lambda payload: (408, {"error": "timed out"}))
+        with pytest.raises(EmbeddingError) as err:
+            embed_batch(self._spec(mock_service), ["x"])
+        assert err.value.status == 408
+        assert len(mock_service.requests) == 3
+
+    def test_not_found_fails_fast(self, mock_service):
+        mock_service.set_handler(lambda payload: (404, {"error": "no such model"}))
+        with pytest.raises(EmbeddingError) as err:
+            embed_batch(self._spec(mock_service), ["x"])
+        assert err.value.status == 404
+        assert len(mock_service.requests) == 1
+
     def test_retry_waits_double_with_none_after_the_last_try(self, mock_service, monkeypatch):
         sleeps = []
         monkeypatch.setattr(transport.time, "sleep", sleeps.append)
