@@ -1,4 +1,4 @@
-"""Pluggable text embedders producing unit-norm float32 vectors, with disk caching.
+"""Pluggable text embedders producing unit-norm float32 vectors, with a SQLite disk cache.
 
 Two backends share one interface: ``remote`` speaks a small JSON wire
 contract (POST {"model", "texts"} -> {"embeddings"}), ``test`` is a
@@ -8,6 +8,8 @@ gives bit-identical vectors on every platform.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -21,8 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .files import replacing
-
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "EMBED_API_KEY"
@@ -34,6 +34,9 @@ _TOKEN_SPLIT = re.compile(r"[\W_]+")
 # drops a text from it, so memoised_vectors can read back from here every
 # vector embed_batch has returned, for the life of the process.
 _MEMO: dict[EmbedderSpec, dict[str, np.ndarray]] = {}
+# The vector stores' sqlite3 connections, and the stores replaced; see _store.
+_STORES: dict = {}
+_HEALED: set[Path] = set()
 
 
 class EmbeddingError(RuntimeError):
@@ -158,7 +161,7 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     the life of the process, so a text seen before costs neither a cache
     read nor backend work. Behind the memo, with a cache_dir configured,
     vectors are looked up by (model_id, text content) before the backend is
-    asked, and fresh results are persisted; a second identical call does no
+    asked, and fresh results are committed; a second identical call does no
     backend work and returns bit-identical rows. Within one call each
     distinct text is looked up and computed at most once. The returned array
     is always a fresh copy that callers may modify. The memo and the cache
@@ -175,17 +178,14 @@ def embed_batch(spec: EmbedderSpec, texts: Sequence[str]) -> np.ndarray:
     missing = [text for text in dict.fromkeys(items) if text not in memo]
     cache = _VectorCache(spec) if missing and spec.cache_dir else None
     if cache is not None:
-        for text in missing:
-            if (hit := cache.get(text)) is not None:
-                memo[text] = hit
+        memo.update((text, hit) for text in missing if (hit := cache.get(text)) is not None)
         missing = [text for text in missing if text not in memo]
 
     if missing:
         fresh = _compute(spec, missing)
-        for text, row in zip(missing, fresh):
-            if cache is not None:
-                cache.put(text, row)
-            memo[text] = row
+        if cache is not None:
+            cache.put(missing, fresh)
+        memo.update(zip(missing, fresh))
     return np.stack([memo[text] for text in items])
 
 
@@ -283,40 +283,67 @@ def decode_vectors(blob: bytes) -> tuple[dict, np.ndarray]:
 
 
 class _VectorCache:
-    """Content-addressed vector files keyed by (model_id, text)."""
+    """cache_dir's vectors.sqlite (WAL, so on a local file system): per sha256
+    of (model_id, text), the encode_vectors blob of that text's one vector."""
 
     def __init__(self, spec: EmbedderSpec) -> None:
-        self.directory = Path(spec.cache_dir)  # type: ignore[arg-type]
-        self.model_id = spec.model_id
-        self.dimension = spec.dimension
+        self.path = Path(spec.cache_dir) / "vectors.sqlite"  # type: ignore[arg-type]
+        self.db = _STORES.get(self.path) or _store(self.path)
+        self.model_id, self.dimension = spec.model_id, spec.dimension
 
-    def _path(self, text: str) -> Path:
-        digest = hashlib.sha256(f"{self.model_id}\x00{text}".encode("utf-8")).hexdigest()
-        return self.directory / f"{digest}.vec"
+    def key(self, text: str) -> str:
+        return hashlib.sha256(f"{self.model_id}\x00{text}".encode("utf-8")).hexdigest()
 
     def get(self, text: str) -> np.ndarray | None:
-        """The cached vector, or None on a miss; a torn entry, or one that does
+        """The cached vector, or None on a miss; a torn row, or one that does
         not hold exactly one vector, counts as a miss."""
-        path = self._path(text)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
+        key = self.key(text)
+        row = self.db.execute("SELECT blob FROM vectors WHERE key = ?", (key,)).fetchone()
+        if row is None:
             return None
         try:
-            header, matrix = decode_vectors(blob)
+            header, matrix = decode_vectors(row[0])
             if len(matrix) != 1:
                 raise EmbeddingError(f"it holds {len(matrix)} vectors, not one")
         except EmbeddingError as exc:
-            logger.warning("cache entry %s is unreadable (%s); recomputing it", path, exc)
+            logger.warning("recomputing unreadable cache row %s of %s (%s)", key, self.path, exc)
             return None
         if header.get("model_id") != self.model_id or header.get("dimension") != self.dimension:
             raise EmbeddingError(
-                f"cache entry {path.name} does not match "
+                f"cache row {key} does not match "
                 f"model {self.model_id!r} at dimension {self.dimension}"
             )
         return matrix[0]
 
-    def put(self, text: str, vector: np.ndarray) -> None:
-        blob = encode_vectors(vector[None, :], self.model_id)
-        with replacing(self._path(text), "wb") as fh:
-            fh.write(blob)
+    def put(self, texts: list[str], vectors: np.ndarray) -> None:
+        rows = zip(map(self.key, texts), [encode_vectors(v[None], self.model_id) for v in vectors])
+        with self.db:
+            self.db.executemany("INSERT OR REPLACE INTO vectors VALUES (?, ?)", rows)
+
+
+def _store(path: Path):
+    """Open this process's one connection to the vector store at path, closed
+    at exit. An unreadable file is logged and replaced by a fresh store once
+    per path and process; a second failure raises EmbeddingError."""
+    import sqlite3  # only a run with a cache_dir loads it
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    db = sqlite3.connect(path, check_same_thread=False)
+    try:
+        db.execute("PRAGMA synchronous=NORMAL")
+        # Busy at once, not after the busy timeout, while another process makes it WAL.
+        with contextlib.suppress(sqlite3.OperationalError):
+            db.execute("PRAGMA journal_mode=WAL")
+        db.execute("CREATE TABLE IF NOT EXISTS vectors (key TEXT PRIMARY KEY, blob BLOB NOT NULL)")
+    except sqlite3.DatabaseError as exc:
+        db.close()
+        # A lock or an unwritable directory (OperationalError) is no fault of the file.
+        if isinstance(exc, sqlite3.OperationalError) or path in _HEALED:
+            raise EmbeddingError(f"cannot open vector store {path}: {exc}") from exc
+        logger.warning("vector store %s is unreadable (%s); starting a fresh one", path, exc)
+        _HEALED.add(path)
+        for suffix in ("", "-wal", "-shm"):
+            Path(f"{path}{suffix}").unlink(missing_ok=True)
+        return _store(path)
+    atexit.register(db.close)
+    return _STORES.setdefault(path, db)

@@ -1,6 +1,7 @@
 import json
+import sqlite3
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Iterator
@@ -143,17 +144,46 @@ def mock_service():
         yield service
 
 
+def close_stores() -> None:
+    """Close every vector store this process opened, as its exit does."""
+    while embedding._STORES:
+        embedding._STORES.popitem()[1].close()
+
+
+def new_process() -> None:
+    """Forget what this process embedded and close its vector stores, as a
+    new process would start."""
+    embedding._MEMO.clear()
+    close_stores()
+    embedding._HEALED.clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_embedding_memo():
     """Each test starts with an empty in-process embedding memo, piece memo and
-    chunk-bitmask memo."""
-    embedding._MEMO.clear()
+    chunk-bitmask memo, and no vector store open."""
+    new_process()
     embedding._piece_buckets.cache_clear()
     evaluation._bits.cache_clear()
     yield
-    embedding._MEMO.clear()
+    new_process()
     embedding._piece_buckets.cache_clear()
     evaluation._bits.cache_clear()
+
+
+def store_rows(cache_dir: Path) -> dict[str, bytes]:
+    """Each row of cache_dir's vector store, key -> blob, read after this
+    process's stores are closed."""
+    close_stores()
+    with closing(sqlite3.connect(Path(cache_dir) / "vectors.sqlite")) as db:
+        return dict(db.execute("SELECT key, blob FROM vectors"))
+
+
+def set_store_row(cache_dir: Path, key: str, blob: bytes) -> None:
+    """Overwrite one row of cache_dir's vector store, as a torn write would."""
+    close_stores()
+    with closing(sqlite3.connect(Path(cache_dir) / "vectors.sqlite")) as db, db:
+        assert db.execute("UPDATE vectors SET blob = ? WHERE key = ?", (blob, key)).rowcount == 1
 
 
 @pytest.fixture(autouse=True)

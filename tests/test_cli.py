@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import weakref
 from dataclasses import fields
@@ -36,7 +38,7 @@ from chunkbench.corpus import load_corpus
 from chunkbench.embedding import EmbedderSpec, deterministic_embed
 from chunkbench.segmenter import segment_document
 
-from conftest import MINI_DATASET, REPO_ROOT
+from conftest import MINI_DATASET, REPO_ROOT, new_process, set_store_row, store_rows
 from reference import bench_rows_reference
 
 SMALL_GRID = {
@@ -772,22 +774,77 @@ class TestBenchCommand:
         assert not list(out.glob("*.tmp"))
 
     def test_torn_cache_entry_heals(self, tmp_path):
-        cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(tmp_path / "c")})
-
-        def bench(name):
-            embedding._MEMO.clear()  # each run as a fresh process
-            out = tmp_path / name
-            assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
-                        "--out", out]) == 0
-            return out
-
-        outs = [bench("fill")]
-        victim = sorted((tmp_path / "c").glob("*.vec"))[0]
-        victim.write_bytes(victim.read_bytes()[:-5])
-        outs.append(bench("torn"))
+        cache = tmp_path / "c"
+        cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(cache)})
+        outs = [bench_as_a_new_process(cfg, tmp_path / "fill")]
+        rows = store_rows(cache)
+        victim = sorted(rows)[0]
+        set_store_row(cache, victim, rows[victim][:-5])
+        outs.append(bench_as_a_new_process(cfg, tmp_path / "torn"))
         for name in ("results.jsonl", "summary.csv", "best_configs.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert not (outs[1] / "failures.jsonl").exists()
+        assert store_rows(cache) == rows
+
+    @pytest.mark.parametrize("damage", ["garbage", "half"])
+    def test_a_vector_store_that_is_not_a_database_heals(self, tmp_path, caplog, damage):
+        cache = tmp_path / "c"
+        cfg = write_config(tmp_path, embedder={"dimension": 64, "cache_dir": str(cache)})
+        outs = [bench_as_a_new_process(cfg, tmp_path / "fill")]
+        rows = store_rows(cache)
+        store = cache / "vectors.sqlite"
+        data = store.read_bytes()
+        store.write_bytes(os.urandom(4096) if damage == "garbage" else data[: len(data) // 2])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="chunkbench"):
+            outs.append(bench_as_a_new_process(cfg, tmp_path / "healed"))
+        (warning,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert str(store) in warning.getMessage()
+        for name in ("results.jsonl", "summary.csv", "best_configs.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert store_rows(cache) == rows
+        # Unreadable again in the same process: an error that leaves the file
+        # alone, not another fresh store.
+        embedding._MEMO.clear()
+        garbage = os.urandom(4096)
+        store.write_bytes(garbage)
+        caplog.clear()
+        with pytest.raises(embedding.EmbeddingError, match="cannot open vector store"):
+            embedding.embed_batch(EmbedderSpec(dimension=64, cache_dir=cache), ["again"])
+        assert caplog.records == []
+        assert store.read_bytes() == garbage
+
+    def test_two_processes_fill_one_empty_cache_together(self, tmp_path):
+        cache = tmp_path / "c"
+        cfg = write_config(tmp_path, embedder={"cache_dir": str(cache)})
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "chunkbench", "bench", "--task", "doc", "--config", cfg,
+                 "--dataset", MINI_DATASET, "--out", tmp_path / name],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+            for name in ("a", "b")
+        ]
+        errors = [proc.communicate(timeout=120)[1] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], errors
+        for name in ("results.jsonl", "summary.csv", "best_configs.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert [path.name for path in cache.iterdir()] == ["vectors.sqlite"]
+        # Every row is the one a single process writes.
+        alone = write_config(tmp_path, embedder={"cache_dir": str(tmp_path / "alone")})
+        assert run(["bench", "--task", "doc", "--config", alone, "--dataset", MINI_DATASET,
+                    "--out", tmp_path / "alone-out"]) == 0
+        assert store_rows(cache) == store_rows(tmp_path / "alone")
+
+
+def bench_as_a_new_process(cfg, out):
+    """Run bench --task doc on data/mini into out, with the embedding memo
+    and vector stores of a new process; returns out."""
+    new_process()
+    assert run(["bench", "--task", "doc", "--config", cfg, "--dataset", MINI_DATASET,
+                "--out", out]) == 0
+    return out
 
 
 def counting(monkeypatch, name, fail_on=None, module=cli):

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import logging
+import sqlite3
 import struct
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +25,7 @@ from chunkbench.embedding import (
     tokenize,
 )
 
-from conftest import MockService, serving
+from conftest import MockService, close_stores, new_process, serving, set_store_row, store_rows
 from reference import deterministic_embed_reference
 
 
@@ -348,6 +351,11 @@ class TestMemo:
         np.testing.assert_array_equal(embed_batch(spec, ["some text"]), expected)
 
 
+def row_key(model_id: str, text: str) -> str:
+    """The key of text's row in a vector store: sha256 of model id, NUL, text."""
+    return hashlib.sha256(f"{model_id}\x00{text}".encode("utf-8")).hexdigest()
+
+
 class TestCache:
     def test_second_call_uses_cache(self, tmp_path, mock_service):
         calls = []
@@ -372,14 +380,15 @@ class TestCache:
         va = embed_batch(a, ["same text"])
         vb = embed_batch(b, ["same text"])
         np.testing.assert_array_equal(va, vb)
-        files = list(tmp_path.glob("*.vec"))
-        assert len(files) == 2
+        keys = {row_key(model_id, "same text") for model_id in ("m-a", "m-b")}
+        assert set(store_rows(tmp_path)) == keys
+        assert [path.name for path in tmp_path.iterdir()] == ["vectors.sqlite"]
 
     def test_mismatched_cache_entry_is_an_error(self, tmp_path):
         wide = EmbedderSpec(backend="test", dimension=8, model_id="m", cache_dir=tmp_path)
         embed_batch(wide, ["payload text"])
-        assert list(tmp_path.glob("*.vec"))
-        # Same (model, text) key resolves to the same file; the stored header
+        assert store_rows(tmp_path)
+        # Same (model, text) key resolves to the same row; the stored header
         # disagrees with the requested dimension and must fail loudly.
         clash = EmbedderSpec(backend="test", dimension=4, model_id="m", cache_dir=tmp_path)
         with pytest.raises(EmbeddingError):
@@ -389,15 +398,14 @@ class TestCache:
     def test_torn_entry_is_a_miss_and_is_rewritten(self, tmp_path, caplog, keep):
         spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
         expected = embed_batch(spec, ["torn text"])
-        (path,) = tmp_path.glob("*.vec")
-        path.write_bytes(path.read_bytes()[:keep])
-        embedding._MEMO.clear()  # as a new process would start
+        ((key, blob),) = store_rows(tmp_path).items()
+        set_store_row(tmp_path, key, blob[:keep])
+        new_process()
         with caplog.at_level(logging.WARNING, logger="chunkbench.embedding"):
             again = embed_batch(spec, ["torn text"])
         np.testing.assert_array_equal(again, expected)
-        assert path.name in caplog.text
-        _, matrix = decode_vectors(path.read_bytes())
-        np.testing.assert_array_equal(matrix, expected)
+        assert key in caplog.text and "vectors.sqlite" in caplog.text
+        assert store_rows(tmp_path) == {key: blob}
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_entry_without_exactly_one_vector_is_a_miss_and_is_rewritten(
@@ -405,14 +413,15 @@ class TestCache:
     ):
         spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
         expected = embed_batch(spec, ["counted text"])
-        (path,) = tmp_path.glob("*.vec")
-        path.write_bytes(encode_vectors(np.ones((count, 8)), spec.model_id))
-        embedding._MEMO.clear()  # as a new process would start
+        ((key, blob),) = store_rows(tmp_path).items()
+        set_store_row(tmp_path, key, encode_vectors(np.ones((count, 8)), spec.model_id))
+        new_process()
         with caplog.at_level(logging.WARNING, logger="chunkbench.embedding"):
             again = embed_batch(spec, ["counted text"])
         np.testing.assert_array_equal(again, expected)
-        assert path.name in caplog.text
-        header, matrix = decode_vectors(path.read_bytes())
+        assert key in caplog.text
+        assert store_rows(tmp_path) == {key: blob}
+        header, matrix = decode_vectors(blob)
         assert header["count"] == 1
         np.testing.assert_array_equal(matrix, expected)
 
@@ -425,26 +434,44 @@ class TestCache:
         texts = ["First one. Second one.", "Second one. Third one", "Second one"]
         embed_batch(spec, texts)
         assert [r["payload"]["texts"] for r in mock_service.requests] == [texts]
-        assert {path.name for path in tmp_path.glob("*.vec")} == {
-            embedding._VectorCache(spec)._path(text).name for text in texts
-        }
+        # Committed when embed_batch returns: another connection reads every row.
+        with closing(sqlite3.connect(tmp_path / "vectors.sqlite")) as db:
+            keys = {key for (key,) in db.execute("SELECT key FROM vectors")}
+        assert keys == {row_key(spec.model_id, text) for text in texts}
         assert embedding._piece_buckets.cache_info().currsize == 0
 
     def test_memoised_texts_build_no_cache(self, tmp_path, monkeypatch):
         spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
         embed_batch(spec, ["alpha", "beta"])
-        built = []
+        close_stores()
+        opened = []
+        connect = sqlite3.connect
 
-        class Counting(embedding._VectorCache):
-            def __init__(self, spec):
-                built.append(spec)
-                super().__init__(spec)
+        def counting(*args, **kwargs):
+            opened.append(args[0])
+            return connect(*args, **kwargs)
 
-        monkeypatch.setattr(embedding, "_VectorCache", Counting)
+        monkeypatch.setattr(sqlite3, "connect", counting)
         embed_batch(spec, ["beta", "alpha", "beta"])
-        assert built == []
+        assert opened == []
         embed_batch(spec, ["alpha", "gamma"])
-        assert built == [spec]
+        embed_batch(spec, ["delta"])
+        assert opened == [tmp_path / "vectors.sqlite"]
+
+    def test_one_commit_per_call(self, tmp_path):
+        spec = EmbedderSpec(backend="test", dimension=8, cache_dir=tmp_path)
+        embed_batch(spec, ["one"])
+        db = embedding._STORES[tmp_path / "vectors.sqlite"]
+        commits = []
+        db.set_trace_callback(lambda sql: commits.append(sql) if sql == "COMMIT" else None)
+        embed_batch(spec, [f"text {i}" for i in range(50)])
+        assert commits == ["COMMIT"]
+        embedding._MEMO.clear()
+        embed_batch(spec, ["one", "text 3"])  # read from the store: nothing to commit
+        embed_batch(spec, ["one", "text 50", "text 51"])
+        assert commits == ["COMMIT", "COMMIT"]
+        assert len(store_rows(tmp_path)) == 53
+        assert [path.name for path in tmp_path.iterdir()] == ["vectors.sqlite"]
 
 
 def test_mock_service_closes_its_listening_socket():

@@ -13,7 +13,7 @@ from chunkbench.corpus import Document, QueryRecord, write_corpus
 from chunkbench.embedding import EmbedderSpec, embed_batch
 from chunkbench.files import from_json, read_jsonl, replacing, write_jsonl
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, store_rows
 
 SRC = REPO_ROOT / "src" / "chunkbench"
 # A value json.dumps cannot serialise: a writer meeting it fails partway through.
@@ -165,8 +165,10 @@ class TestReplacing:
 
         monkeypatch.setattr(Path, "mkdir", mkdir)
         spec = EmbedderSpec(backend="test", dimension=16, cache_dir=tmp_path / "cache")
-        embed_batch(spec, [f"cache entry {i}" for i in range(200)])
-        assert len(list((tmp_path / "cache").glob("*.vec"))) == 200
+        texts = [f"cache entry {i}" for i in range(200)]
+        for start in range(0, 200, 20):
+            embed_batch(spec, texts[start : start + 20])
+        assert len(store_rows(tmp_path / "cache")) == 200
         assert made == [tmp_path / "cache"]
 
     def test_binary_mode(self, tmp_path):

@@ -94,8 +94,9 @@ def test_only_the_transport_imports_the_network_stack():
 
 
 def test_a_test_backend_bench_loads_no_network_stack_thread_pool_or_masked_arrays(tmp_path):
-    # The HTTP client and the thread pool load on first send, and breakpoint
-    # percentiles do not go through np.percentile, which imports numpy.ma.
+    # The HTTP client and the thread pool load on first send, breakpoint
+    # percentiles do not go through np.percentile, which imports numpy.ma,
+    # and sqlite3 loads with the first vector store, which needs a cache_dir.
     code = (
         "import json, sys; from chunkbench.cli import main; "
         f"codes = [main(['bench', '--task', task, '--dataset', {str(MINI_DATASET)!r}, "
@@ -120,6 +121,8 @@ def test_a_test_backend_bench_loads_no_network_stack_thread_pool_or_masked_array
         "concurrent.futures",
         "numpy.ma",
         "chunkbench.transport",
+        "sqlite3",
+        "_sqlite3",
     }
     assert "chunkbench.chunkers" in modules
     assert unwanted.isdisjoint(modules), sorted(unwanted.intersection(modules))

@@ -5,20 +5,22 @@ document, an index built for each of the grid's chunkings of data/mini,
 one score table over all of those chunkings with every doc query ranked
 on each, doc retrieval and scoring over a fresh index and table and again
 over an index that has ranked every query, evidence scoring of 10-hit
-lists and of every grid chunking's hit lists over stitched data/mini, and
-encoding every results.jsonl line of a doc bench on data/mini.
+lists and of every grid chunking's hit lists over stitched data/mini,
+encoding every results.jsonl line of a doc bench on data/mini, and filling
+an empty vector cache with that bench's texts and reading them back.
 
 Run them with ``python -m pytest -m perf tests/test_perf_hot_loops.py``; set
 ``OPENBLAS_NUM_THREADS=1`` for steadier timings on a small machine.
 """
 
 import json
+import shutil
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from chunkbench import embedding, evaluation  # noqa: E402
+from chunkbench import cli, embedding, evaluation, retrieval  # noqa: E402
 from chunkbench.chunkers import (  # noqa: E402
     DocumentDistances,
     FixedSizeConfig,
@@ -33,7 +35,7 @@ from chunkbench.evaluation import doc_metrics, evidence_metrics  # noqa: E402
 from chunkbench.retrieval import ScoreTable, build_index, retrieve  # noqa: E402
 from chunkbench.segmenter import RuleSegmenter, segment_document  # noqa: E402
 
-from conftest import MINI_DATASET  # noqa: E402
+from conftest import MINI_DATASET, close_stores  # noqa: E402
 from reference import evidence_metrics_reference  # noqa: E402
 
 pytestmark = pytest.mark.perf
@@ -282,3 +284,35 @@ def test_encode_every_doc_row_of_mini(benchmark, tmp_path):
         return "".join(lines)
 
     assert benchmark(encode_all) == written
+
+
+def test_fill_and_read_back_a_vector_cache(benchmark, tmp_path, monkeypatch):
+    # The embed_batch calls of a doc bench on data/mini, in order.
+    batches = []
+
+    def recording(spec, texts):
+        batches.append(list(texts))
+        return embed_batch(spec, texts)
+
+    for module in (cli, retrieval):
+        monkeypatch.setattr(module, "embed_batch", recording)
+    out = tmp_path / "out"
+    assert main(["bench", "--task", "doc", "--dataset", str(MINI_DATASET), "--out", str(out)]) == 0
+    assert len({text for batch in batches for text in batch}) == 401
+    spec = EmbedderSpec(backend="test", cache_dir=tmp_path / "cache")
+
+    def empty_cache():
+        close_stores()
+        shutil.rmtree(spec.cache_dir, ignore_errors=True)
+        embedding._MEMO.clear()
+
+    # One process fills the cache, a second reads every vector back from it.
+    def fill_and_read():
+        for _ in range(2):
+            for batch in batches:
+                embed_batch(spec, batch)
+            close_stores()
+            embedding._MEMO.clear()
+
+    benchmark.pedantic(fill_and_read, setup=empty_cache, rounds=20)
+    assert [path.name for path in spec.cache_dir.iterdir()] == ["vectors.sqlite"]

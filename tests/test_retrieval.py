@@ -16,6 +16,7 @@ from chunkbench.embedding import (
 )
 from chunkbench.retrieval import ChunkIndex, ScoreTable, build_index, retrieve
 
+from conftest import store_rows
 from reference import rank_reference
 
 
@@ -156,11 +157,11 @@ class TestRetrieve:
         cached = EmbedderSpec(backend="test", dimension=64, cache_dir=tmp_path)
         query = "a query seen nowhere else"
         table = ScoreTable(cached, [query])
-        (entry,) = tmp_path.glob("*.vec")
-        _, matrix = decode_vectors(entry.read_bytes())
+        (blob,) = store_rows(tmp_path).values()
+        _, matrix = decode_vectors(blob)
         np.testing.assert_array_equal(matrix, deterministic_embed(query, 64)[None, :])
         index = build_index(word_chunks(["glacier", "espresso"]), table)
-        assert len(list(tmp_path.glob("*.vec"))) == 3
+        assert len(store_rows(tmp_path)) == 3
         assert len(retrieve(index, query, k=2)) == 2
 
     def test_scores_are_query_chunk_dots(self):
