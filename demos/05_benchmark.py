@@ -1,69 +1,50 @@
-"""Run a small retrieval benchmark end to end with the library API: chunk the
-bundled corpus under a handful of configs, retrieve, score, and pick the best
-config per chunker family."""
+"""Run a small retrieval benchmark end to end with `chunkbench bench`, then read
+its summary.csv (mean recall, precision and F1 per config and k) and its
+best_configs.json (the best config per chunker family)."""
 
 from pathlib import Path
+import csv
+import json
+import logging
 import sys
+import tempfile
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chunkbench.chunkers import canonical_config, chunk_document, config_from_dict
-from chunkbench.corpus import load_corpus
-from chunkbench.embedding import EmbedderSpec, embed_batch
-from chunkbench.evaluation import aggregate, doc_metrics, select_best_config
-from chunkbench.retrieval import ScoreTable, build_index, retrieve
-from chunkbench.segmenter import segment_document
+from chunkbench.chunkers import canonical_config, config_from_dict
+from chunkbench.cli import main as chunkbench
 
 DATASET = Path(__file__).resolve().parents[1] / "data" / "mini"
-K_VALUES = [1, 3, 5]
-
-GRID = [
-    {"kind": "fixed_size", "n_chunks": n, "overlap": 0} for n in (2, 4, 8)
-] + [
-    {"kind": "breakpoint", "policy": {"kind": "percentile", "amount": a}} for a in (50, 90)
-] + [
-    {"kind": "single_linkage", "n_clusters": 4, "positional_weight": w, "stop_distance": 0.5}
-    for w in (0.0, 0.5, 1.0)
-] + [
-    {"kind": "dbscan", "eps": 0.3, "min_samples": 2, "positional_weight": 0.5},
-]
+K_LIST = [1, 3, 5]
+GRID = {
+    "fixed_size": {"n_chunks": [2, 4, 8], "overlap": 0},
+    "breakpoint": {"percentile": [50, 90]},
+    "single_linkage": {"n_clusters": 4, "positional_weight": [0, 0.5, 1], "stop_distance": 0.5},
+    "dbscan": {"eps": 0.3, "min_samples": 2, "positional_weight": 0.5},
+}
 
 
 def main():
-    spec = EmbedderSpec(backend="test", model_id="hash-v1", dimension=512)
-    documents, queries = load_corpus(DATASET)
-    segdocs = [segment_document(d.doc_id, d.text) for d in documents]
-    vectors = {
-        doc.doc_id: embed_batch(spec, [s.text for s in doc.sentences]) for doc in segdocs
-    }
+    logging.basicConfig(level=logging.WARNING)  # first, so bench's own set-up is a no-op
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out, "run.json")
+        run = {"dataset": str(DATASET), "k_list": K_LIST, "grid": GRID}
+        config.write_text(json.dumps(run), encoding="utf-8")
+        if chunkbench(["bench", "--task", "doc", "--config", str(config), "--out", out]):
+            sys.exit("bench failed")
+        with open(Path(out, "summary.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        best = json.loads(Path(out, "best_configs.json").read_text(encoding="utf-8"))
 
-    queries = sorted(queries, key=lambda q: q.query_id)
-    # One score table for every config: each chunk text is scored against each query once.
-    table = ScoreTable(spec, [query.text for query in queries])
-
-    rows = []
-    for raw in GRID:
-        config = config_from_dict(raw)
-        chunks = []
-        for doc in segdocs:
-            chunks.extend(chunk_document(doc, vectors[doc.doc_id], config))
-        index = build_index(chunks, table)
-        # Per query, (recall, precision, f1) at each k, in query_id order.
-        scores = []
-        for query in queries:
-            top = [chunk for chunk, _ in retrieve(index, query.text, max(K_VALUES))]
-            scores.append([doc_metrics(top[:k], set(query.relevant_doc_ids)) for k in K_VALUES])
-        rows.extend(aggregate(config, canonical_config(config), K_VALUES, scores))
-
-    print(f"{len(GRID)} configs x {len(queries)} queries x k in {K_VALUES}\n")
+    print(f"{len(rows) // len(K_LIST)} configs x {rows[0]['n_queries']} queries x k in {K_LIST}\n")
     print(f"{'config':<78} {'k':>2} {'recall':>7} {'prec':>6} {'f1':>6}")
     for row in rows:
-        print(f"{row.config_id:<78} {row.k:>2} {row.recall:>7.3f} {row.precision:>6.3f} {row.f1:>6.3f}")
+        recall, precision, f1 = (float(row[key]) for key in ("recall", "precision", "f1"))
+        print(f"{row['config']:<78} {row['k']:>2} {recall:>7.3f} {precision:>6.3f} {f1:>6.3f}")
 
-    best = select_best_config(rows, K_VALUES)
     print("\nbest config per family (highest mean F1 across k):")
     for family in sorted(best):
-        print(f"  {family:<12} {canonical_config(best[family])}")
+        print(f"  {family:<12} {canonical_config(config_from_dict(best[family]))}")
 
 
 if __name__ == "__main__":

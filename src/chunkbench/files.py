@@ -20,23 +20,18 @@ from typing import IO, Any, Callable, Iterable, Iterator
 
 
 @contextmanager
-def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
-    """Write to <name>.<pid>.<thread id>.tmp beside path, then rename it over path.
+def replacing(path: str | Path) -> Iterator[IO[str]]:
+    """Write UTF-8 text to <name>.<pid>.<thread id>.tmp beside path, then rename it over path.
 
     Creates the parent directory when it is missing. The temp file is removed
     when the write or the rename fails, so an interrupted writer leaves path
     as it was, never half written.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        fh = open(tmp, mode, **text)
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(tmp, mode, **text)
-    try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

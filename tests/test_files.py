@@ -148,13 +148,6 @@ class TestReplacing:
             fh.write("x\n")
         assert path.read_text(encoding="utf-8") == "x\n"
 
-    def test_creates_a_missing_nested_directory_in_binary_mode(self, tmp_path):
-        path = tmp_path / "cache" / "deep" / "blob.vec"
-        with replacing(path, "wb") as fh:
-            fh.write(b"\x01")
-        assert path.read_bytes() == b"\x01"
-        assert [p.name for p in path.parent.iterdir()] == ["blob.vec"]
-
     def test_filling_a_cache_directory_makes_it_at_most_once(self, tmp_path, monkeypatch):
         made = []
         real = Path.mkdir
@@ -170,13 +163,6 @@ class TestReplacing:
             embed_batch(spec, texts[start : start + 20])
         assert len(store_rows(tmp_path / "cache")) == 200
         assert made == [tmp_path / "cache"]
-
-    def test_binary_mode(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        with replacing(path, "wb") as fh:
-            fh.write(b"\x00\xff")
-        assert path.read_bytes() == b"\x00\xff"
-        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
     def test_temp_file_is_per_process_and_thread(self, tmp_path):
         path = tmp_path / "out.txt"
